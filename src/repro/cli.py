@@ -18,8 +18,9 @@ Usage::
     python -m repro submit --ids 7,24 --cores 1,4,16 --wait
     python -m repro status
 
-Legacy invocations without the ``run`` subcommand (``python -m repro
-fig5``) keep working: artifact names are aliased to ``run <artifact>``.
+Artifacts are generated only through ``run``: a bare artifact name
+(``python -m repro fig5``) exits with status 2 and points at
+``repro run fig5``.
 
 Output is the same tabular rendering the benchmark harness prints; the
 benchmark harness additionally asserts the paper's findings, so use
@@ -651,23 +652,23 @@ def _dispatch_predict(args, out=None) -> int:
     return run_predict(args, out=out)
 
 
-def _normalize_argv(argv: List[str]) -> List[str]:
-    """Legacy alias shim: ``repro fig5`` means ``repro run fig5``."""
-    if argv and argv[0] in ARTIFACTS + ("all", "validate"):
-        return ["run", *argv]
-    return argv
-
-
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """CLI entry point; returns a process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    argv = _normalize_argv(list(argv))
+    argv = list(argv)
+    if argv and argv[0] in ARTIFACTS + ("all", "validate"):
+        print(
+            f"repro: {argv[0]!r} is an artifact, not a command — "
+            f"use 'repro run {argv[0]}'",
+            file=sys.stderr,
+        )
+        return 2
     if argv and not argv[0].startswith("-") and argv[0] not in COMMANDS:
         print(
             f"repro: unknown command {argv[0]!r} — expected one of: "
-            f"{', '.join(COMMANDS)} (or a paper artifact: "
-            f"{', '.join(ARTIFACTS + ('all', 'validate'))})",
+            f"{', '.join(COMMANDS)} (paper artifacts run as "
+            f"'repro run <artifact>')",
             file=sys.stderr,
         )
         return 2

@@ -48,8 +48,9 @@ def add_json_flag(p: argparse.ArgumentParser) -> None:
 def add_supervise_flags(p: argparse.ArgumentParser) -> None:
     """The uniform supervised-execution flags (``docs/FAULTS.md``).
 
-    Giving any of them turns the self-healing supervisor on
-    (:func:`policy_from_args`); leaving all unset keeps the bare pool.
+    Giving any of them builds a custom policy (:func:`policy_from_args`);
+    leaving all unset runs ``--workers 1`` in-process and ``--workers N``
+    under the default policy.
     """
     from .core.supervise import ON_FAILURE_LADDER
 
@@ -69,7 +70,7 @@ def add_supervise_flags(p: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="in-pool retries per task before the degradation ladder / "
-        "quarantine (default 2 when supervision is enabled)",
+        "quarantine (default 2)",
     )
     g.add_argument(
         "--on-failure",

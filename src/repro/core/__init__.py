@@ -10,22 +10,14 @@
 - :mod:`~repro.core.figures` — scriptable generation of every paper artifact.
 - :mod:`~repro.core.roofline` — the SCC's own roofline model.
 - :mod:`~repro.core.campaign` — persistent, resumable experiment sweeps.
-- :mod:`~repro.core.parallel` — process-pool sharding for sweeps.
-- :mod:`~repro.core.supervise` — self-healing supervised execution.
+- :mod:`~repro.core.supervise` — the sweep executor: ordered,
+  self-healing fork-pool sharding.
 - :mod:`~repro.core.diagrams` — ASCII renderings of Figs. 1/2/4.
 - :mod:`~repro.core.blocked` — BCSR timing on the SCC model.
 """
 
 from .blocked import BCSRTimingResult, run_bcsr_timing
-from .campaign import (
-    Campaign,
-    CampaignContext,
-    CampaignPoint,
-    fault_tolerant_record,
-    result_record,
-    run_campaign_point,
-)
-from .parallel import CampaignWorkerCrash, iter_ordered, parallel_map
+from .campaign import Campaign, CampaignContext, CampaignPoint, run_campaign_point
 from .supervise import (
     QuarantinedTaskError,
     SupervisePolicy,
@@ -77,12 +69,7 @@ __all__ = [
     "Campaign",
     "CampaignContext",
     "CampaignPoint",
-    "CampaignWorkerCrash",
-    "result_record",
-    "fault_tolerant_record",
     "run_campaign_point",
-    "iter_ordered",
-    "parallel_map",
     "QuarantinedTaskError",
     "SupervisePolicy",
     "TaskOutcome",

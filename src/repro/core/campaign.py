@@ -24,10 +24,10 @@ Robustness contract (the parts a crashed or faulty sweep relies on):
   to retry);
 - with a ``fault_plan`` the sweep runs the fault-tolerant driver and
   records the fault/recovery counters per point;
-- with a :class:`~repro.core.supervise.SupervisePolicy` the pool runs
-  under the self-healing supervisor: worker deaths, hangs and task
-  errors are retried with deterministic backoff, and a point that
-  fails every attempt is recorded as ``quarantined`` (reason,
+- ``workers > 1`` or a :class:`~repro.core.supervise.SupervisePolicy`
+  runs the pool under the self-healing supervisor: worker deaths, hangs
+  and task errors are retried with deterministic backoff, and a point
+  that fails every attempt is recorded as ``quarantined`` (reason,
   attempts, tracebacks) — unlike ``timeout``/``failed``, a quarantined
   point *is* retryable: the next ``run`` reruns it and its successful
   record supersedes the quarantine marker.
@@ -40,7 +40,6 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -50,24 +49,15 @@ from ..machine.registry import get_machine
 from ..rcce.errors import RCCEBudgetExceededError, RCCEError
 from ..sim import ProcessFailure, SimulationError
 from ..sparse.suite import build_matrix, entry_by_id
-from .experiment import (
-    DEFAULT_ITERATIONS,
-    MODES,
-    ExperimentResult,
-    FaultTolerantResult,
-    SpMVExperiment,
-)
-from .parallel import CampaignWorkerCrash, iter_ordered, maybe_crash
+from ..obs.metrics import MetricsRegistry
+from .experiment import DEFAULT_ITERATIONS, MODES, SpMVExperiment
 from .supervise import SupervisePolicy, TaskOutcome, supervised_iter_ordered
 
 __all__ = [
-    "result_record",
-    "fault_tolerant_record",
     "CampaignPoint",
     "CampaignContext",
     "Campaign",
     "CampaignIntegrityError",
-    "CampaignWorkerCrash",
     "run_campaign_point",
     "validate_points",
 ]
@@ -84,31 +74,6 @@ class CampaignIntegrityError(ValueError):
             f"run the repair path (CLI: `repro faults --repair {path}`, "
             f"API: Campaign.repair()) to quarantine bad lines"
         )
-
-
-def result_record(r: ExperimentResult) -> dict:
-    """Deprecated alias for :meth:`ExperimentResult.to_record`.
-
-    The flattening now lives on the result itself (``r.to_record()``);
-    this wrapper is kept so existing campaign/analysis code keeps
-    working and will be removed in a future release.
-    """
-    warnings.warn(
-        "result_record(r) is deprecated; call r.to_record() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return r.to_record()
-
-
-def fault_tolerant_record(r: FaultTolerantResult) -> dict:
-    """Deprecated alias for :meth:`FaultTolerantResult.to_record`."""
-    warnings.warn(
-        "fault_tolerant_record(r) is deprecated; call r.to_record() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return r.to_record()
 
 
 @dataclass(frozen=True)
@@ -269,23 +234,6 @@ def run_campaign_point(
             "error_type": type(exc).__name__,
             "error": str(exc),
         }
-
-
-#: per-worker-process experiment memo for :func:`_point_task` (inherited
-#: empty at fork, filled as the worker sees matrices).
-_WORKER_EXPERIMENTS: Dict[Tuple[int, float, str], SpMVExperiment] = {}
-
-
-def _point_task(ctx: CampaignContext, pt: CampaignPoint) -> dict:
-    """Pool-worker task: one point against the per-process memo."""
-    maybe_crash(pt.key())
-    return run_campaign_point(pt, ctx, _WORKER_EXPERIMENTS)
-
-
-def _supervised_point_task(ctx: CampaignContext, pt: CampaignPoint) -> dict:
-    """Supervised-pool task: the supervisor itself applies the crash and
-    chaos hooks per attempt, so this wrapper only executes the point."""
-    return run_campaign_point(pt, ctx, _WORKER_EXPERIMENTS)
 
 
 def _point_identity(pt: CampaignPoint) -> str:
@@ -482,17 +430,6 @@ class Campaign:
             machine=self.machine,
         )
 
-    def _experiment(self, mid: int) -> SpMVExperiment:
-        key = (mid, self.scale, self.machine)
-        if key not in self._experiments:
-            entry = entry_by_id(mid)
-            self._experiments[key] = SpMVExperiment(
-                build_matrix(mid, scale=self.scale),
-                name=entry.name,
-                machine=self.machine,
-            )
-        return self._experiments[key]
-
     @staticmethod
     def grid(
         ids: Sequence[int],
@@ -515,10 +452,6 @@ class Campaign:
                 ids, core_counts, configs, mappings, kernels, machines
             )
         ]
-
-    def _run_point(self, pt: CampaignPoint) -> dict:
-        """Execute one point in-process (thin wrapper for the serial path)."""
-        return run_campaign_point(pt, self._context(), self._experiments)
 
     def _fallbacks(
         self, ctx: CampaignContext, policy: SupervisePolicy
@@ -561,16 +494,15 @@ class Campaign:
         campaign down.
 
         ``workers > 1`` shards the pending points over that many forked
-        processes (:mod:`repro.core.parallel`).  Records are appended in
-        submission order regardless of completion order, so a parallel
-        run's file is bitwise-identical to the serial one; a worker
-        crash persists the completed prefix, raises
-        :class:`CampaignWorkerCrash`, and a rerun resumes the remainder
-        with no duplicates or gaps.  Duplicate points in ``points``
-        count as skipped, same as points already on disk.
+        processes under the self-healing supervisor
+        (:mod:`repro.core.supervise`), with ``policy`` or the default
+        :class:`SupervisePolicy`; ``workers=1`` without a policy runs
+        in this process.  Records are appended in submission order
+        regardless of completion order, so a parallel run's file is
+        bitwise-identical to the serial one.  Duplicate points in
+        ``points`` count as skipped, same as points already on disk.
 
-        With a ``policy`` the sweep runs under the self-healing
-        supervisor (:mod:`repro.core.supervise`): worker deaths, hangs
+        Under supervision, worker deaths, hangs
         (``policy.task_timeout``) and unexpected task errors are retried
         in-pool with deterministic backoff; a point failing every
         attempt walks the ``policy.on_failure`` degradation ladder and,
@@ -591,44 +523,17 @@ class Campaign:
             done.add(pt.key())
             pending.append(pt)
         ctx = self._context()
-        if policy is not None:
-            return self._run_supervised(pending, skipped, ctx, workers, policy)
-        if workers == 1:
-            runner = ((pt, run_campaign_point(pt, ctx, self._experiments))
-                      for pt in pending)
-        else:
-            runner = iter_ordered(partial(_point_task, ctx), pending, workers)
-        ran = 0
-        with open(self.path, "a", encoding="utf-8") as fh:
-            for pt, rec in runner:
-                rec["_key"] = pt.key()
-                rec["scale"] = self.scale
-                self._append(fh, rec)
-                ran += 1
-        return ran, skipped
-
-    def _run_supervised(
-        self,
-        pending: List[CampaignPoint],
-        skipped: int,
-        ctx: CampaignContext,
-        workers: int,
-        policy: SupervisePolicy,
-    ) -> Tuple[int, int]:
-        """The supervised execution path of :meth:`run`."""
-        from ..obs.metrics import MetricsRegistry
-
         registry = MetricsRegistry()
         ran = 0
         try:
             with open(self.path, "a", encoding="utf-8") as fh:
                 for outcome in supervised_iter_ordered(
-                    partial(_supervised_point_task, ctx),
+                    lambda pt: run_campaign_point(pt, ctx, self._experiments),
                     pending,
                     workers,
                     policy,
                     identity=_point_identity,
-                    fallbacks=self._fallbacks(ctx, policy),
+                    fallbacks=self._fallbacks(ctx, policy) if policy else (),
                     metrics=registry,
                 ):
                     pt = outcome.item
@@ -642,7 +547,7 @@ class Campaign:
                     self._append(fh, rec)
                     ran += 1
         finally:
-            #: ``supervise.*`` counters of the most recent supervised run.
+            #: ``supervise.*`` counters of the most recent run.
             self.last_supervise = registry.flat_summary()
         return ran, skipped
 

@@ -65,29 +65,6 @@ __all__ = [
     "FT_RESULT_TAG",
 ]
 
-#: names this module used to re-export from the SCC layer; served via
-#: module ``__getattr__`` with a DeprecationWarning so old call sites
-#: (``from repro.core.experiment import SCCConfig``) keep working.
-_DEPRECATED_SCC_ALIASES = {"SCCConfig", "CONF0"}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_SCC_ALIASES:
-        import warnings
-
-        from ..scc import chip as _chip
-
-        warnings.warn(
-            f"repro.core.experiment.{name} is deprecated; generic code "
-            "should use repro.machine.MachineConfig (the structural "
-            "config type) or get_machine(...).presets — import "
-            f"{name} from repro.scc.chip if you really mean the SCC.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(_chip, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 #: SpMV repetitions per timed run, matching the usual benchmarking loop.
 DEFAULT_ITERATIONS = 16
 
@@ -495,12 +472,6 @@ class SpMVExperiment:
         self._matrix_features: Optional[Any] = None
         self._partition_features_cache: Dict[int, Any] = {}
 
-    #: set by :func:`repro.core.figures.suite_experiments` to the
-    #: ``(matrix_id, scale)`` (plus the machine id for non-default
-    #: machines) that rebuilds this experiment's matrix — worker
-    #: processes reconstruct from this instead of pickling CSR data.
-    suite_ref: Optional[Tuple] = None
-
     # Model-mode caches shared across experiments (class-level): barrier
     # schedules, solver arrays, chip power and the stateless chip
     # substrates depend on mapping/config/topology geometry — never on
@@ -606,14 +577,28 @@ class SpMVExperiment:
             self._summary_cache[key] = summ
         return summ
 
-    def _resolve_mapping(self, mapping: str, n_cores: int) -> Tuple[int, ...]:
-        """Memoized policy-name mapping resolution (pure in its inputs)."""
+    def _core_map(
+        self, mapping: Union[str, Sequence[int]], n_cores: int
+    ) -> Tuple[List[int], str]:
+        """The UE-to-core list and the recorded mapping name of a run.
+
+        A policy name resolves through a memo shared across experiments
+        (pure in its inputs); an explicit core list must name
+        ``n_cores`` cores and is recorded as ``"explicit"``.
+        """
+        if not isinstance(mapping, str):
+            core_map = list(mapping)
+            if len(core_map) != n_cores:
+                raise ValueError(
+                    f"explicit mapping names {len(core_map)} cores but n_cores={n_cores}"
+                )
+            return core_map, "explicit"
         key = (mapping, n_cores, self.machine.machine_id, self.topology.__class__)
         cache = SpMVExperiment._shared_mapping_cache
         cores = cache.get(key)
         if cores is None:
             cores = cache[key] = tuple(get_mapping(mapping)(n_cores, self.topology))
-        return cores
+        return list(cores), mapping
 
     def _chip_power(self, config: MachineConfig) -> float:
         """Memoized full-chip power of a configuration."""
@@ -740,6 +725,11 @@ class SpMVExperiment:
         replaces the HOTL cache characterization with trace-exact
         per-UE counts from the vectorized replay engine — the
         ground-truth validation path (``repro run --validate-exact``).
+        ``mode="predict"`` takes the makespan from the machine's trained
+        regressor (``predicted=True``); without an artifact the model
+        tier answers.  Every tier shares the budget check, the direct
+        ``verify`` product (where the tier did not gather one), tracer
+        emission and result construction.
         """
         if kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
@@ -757,72 +747,54 @@ class SpMVExperiment:
             )
         if config is None:
             config = self.machine.default_config
-        if isinstance(mapping, str):
-            core_map = list(self._resolve_mapping(mapping, n_cores))
-            mapping_name = mapping
-        else:
-            core_map = list(mapping)
-            mapping_name = "explicit"
-            if len(core_map) != n_cores:
-                raise ValueError(
-                    f"explicit mapping names {len(core_map)} cores but n_cores={n_cores}"
-                )
+        core_map, mapping_name = self._core_map(mapping, n_cores)
 
+        predictor = None
         if mode == "predict":
-            return self._run_predict(
-                n_cores=n_cores,
-                core_map=core_map,
-                mapping_name=mapping_name,
-                config=config,
-                kernel=kernel,
-                iterations=iterations,
-                verify=verify,
-                x=x,
-                time_budget=time_budget,
-                tracer=tracer,
+            from ..predict.artifact import get_predictor
+
+            # Without a usable artifact the model tier answers (the
+            # loader warns once per machine); ``predicted`` stays False.
+            predictor = get_predictor(self.machine)
+            if predictor is None:
+                mode = "model"
+
+        # Each tier supplies only what it replaces: the makespan, the
+        # per-core timings and, where known, per-UE exit times and ``y``.
+        timings: List[CoreTiming] = []
+        exited: Optional[List[float]] = None
+        y = None
+        if mode == "sim":
+            timings, makespan, y = self._sim_tier(
+                n_cores, core_map, config, kernel, iterations, verify, x,
+                time_budget, tracer,
             )
-        if mode in ("model", "exact-trace"):
-            return self._run_analytic(
-                n_cores=n_cores,
-                core_map=core_map,
-                mapping_name=mapping_name,
-                config=config,
-                kernel=kernel,
-                iterations=iterations,
-                verify=verify,
-                x=x,
-                time_budget=time_budget,
-                tracer=tracer,
+        elif predictor is not None:
+            feats = self.point_feature_vector(n_cores, core_map, config, kernel, iterations)
+            makespan = predictor.predict_makespan(feats, self.a.nnz, iterations)
+        else:
+            timings, exited = self._analytic_tier(
+                n_cores, core_map, config, kernel, iterations, tracer,
                 exact=(mode == "exact-trace"),
             )
+            makespan = max(exited)
 
-        traces = self.traces(n_cores)
-        summaries = [
-            access_summary(
-                t,
-                iterations=iterations,
-                l2_enabled=config.l2_enabled,
-                no_x_miss=(kernel == "no_x_miss"),
-                l2_bytes=self.machine.cache.l2_bytes,
+        if time_budget is not None and makespan > time_budget:
+            stuck = (
+                [ue for ue, done in enumerate(exited) if done > time_budget]
+                if exited is not None
+                else list(range(n_cores))
             )
-            for t in traces
-        ]
-        mem = self.machine.memory_system(config, topology=self.topology, tracer=tracer)
-        timings = solve_core_times(summaries, core_map, config, mem, self.timing)
-
-        durations = [t.time for t in timings]
-        blocks = self.partition(n_cores).ranges()
-        x_vec = x if x is not None else np.ones(self.a.n_cols)
-        runtime = RCCERuntime(
-            core_map, config=config, topology=self.topology, tracer=tracer
-        )
-        results = runtime.run(
-            _ue_body, durations, blocks, self.a, x_vec, kernel, verify, until=time_budget
-        )
-        makespan = runtime.makespan(results)
-        y = results[0].value if verify else None
+            raise RCCEBudgetExceededError(time_budget, stuck, time_budget)
+        if verify and y is None:
+            # The analytic and predicted tiers never execute the kernel:
+            # compute the product directly, outside the timed region.
+            y = self._blockwise_product(n_cores, kernel, x)
         if tracer:
-            self._emit_core_metrics(tracer, timings)
+            if predictor is not None:
+                tracer.metrics.counter("predict.answers").inc()
+            else:
+                self._emit_core_metrics(tracer, timings)
 
         return ExperimentResult(
             matrix_name=self.name,
@@ -839,13 +811,13 @@ class SpMVExperiment:
             ws_per_core_bytes=self._ws_per_core(n_cores),
             y=y,
             machine=self.machine.machine_id,
+            predicted=predictor is not None,
         )
 
-    def _run_analytic(
+    def _sim_tier(
         self,
         n_cores: int,
         core_map: List[int],
-        mapping_name: str,
         config: MachineConfig,
         kernel: str,
         iterations: int,
@@ -853,15 +825,61 @@ class SpMVExperiment:
         x: Optional[np.ndarray],
         time_budget: Optional[float],
         tracer: Optional[Any],
-        exact: bool = False,
-    ) -> ExperimentResult:
-        """The analytic path: per-core solve + barrier recurrence.
+    ) -> Tuple[List[CoreTiming], float, Optional[np.ndarray]]:
+        """``mode="sim"``: replay the barrier/compute/barrier loop on RCCE.
+
+        Returns the per-core timings, the runtime's makespan and, with
+        ``verify``, the ``y`` gathered on UE 0.  The budget also bounds
+        the simulation itself, so a job that never finishes raises
+        instead of hanging.
+        """
+        summaries = [
+            access_summary(
+                t,
+                iterations=iterations,
+                l2_enabled=config.l2_enabled,
+                no_x_miss=(kernel == "no_x_miss"),
+                l2_bytes=self.machine.cache.l2_bytes,
+            )
+            for t in self.traces(n_cores)
+        ]
+        mem = self.machine.memory_system(config, topology=self.topology, tracer=tracer)
+        timings = solve_core_times(summaries, core_map, config, mem, self.timing)
+        x_vec = x if x is not None else np.ones(self.a.n_cols)
+        runtime = RCCERuntime(
+            core_map, config=config, topology=self.topology, tracer=tracer
+        )
+        results = runtime.run(
+            _ue_body,
+            [t.time for t in timings],
+            self.partition(n_cores).ranges(),
+            self.a,
+            x_vec,
+            kernel,
+            verify,
+            until=time_budget,
+        )
+        y = results[0].value if verify else None
+        return timings, runtime.makespan(results), y
+
+    def _analytic_tier(
+        self,
+        n_cores: int,
+        core_map: List[int],
+        config: MachineConfig,
+        kernel: str,
+        iterations: int,
+        tracer: Optional[Any],
+        exact: bool,
+    ) -> Tuple[List[CoreTiming], List[float]]:
+        """The analytic tiers: per-core solve + barrier recurrence.
 
         ``exact=False`` is ``mode="model"`` (batched HOTL summaries);
         ``exact=True`` is ``mode="exact-trace"`` (the same timing
         composition fed trace-exact per-UE cache counts) — the two
         differ only in where ``l2_hits``/``l2_misses`` come from, which
         is precisely what ``repro run --validate-exact`` compares.
+        Returns the per-core timings and every UE's exit time.
         """
         mem = self._model_memory(config)
         if exact:
@@ -894,37 +912,16 @@ class SpMVExperiment:
         schedule = self._barrier_schedule(core_map, self._model_mesh(config))
         entered = barrier_exit_times([0.0] * n_cores, core_map, schedule=schedule)
         computed = [e + t.time for e, t in zip(entered, timings)]
-        exited = barrier_exit_times(computed, core_map, schedule=schedule)
-        makespan = max(exited)
-        if time_budget is not None and makespan > time_budget:
-            stuck = [ue for ue, done in enumerate(exited) if done > time_budget]
-            raise RCCEBudgetExceededError(time_budget, stuck, time_budget)
+        return timings, barrier_exit_times(computed, core_map, schedule=schedule)
 
-        y = None
-        if verify:
-            x_vec = x if x is not None else np.ones(self.a.n_cols)
-            kernel_fn = spmv_no_x_miss if kernel == "no_x_miss" else spmv_row_range
-            y = np.concatenate(
-                [kernel_fn(self.a, x_vec, r0, r1) for r0, r1 in self.partition(n_cores).ranges()]
-            )
-        if tracer:
-            self._emit_core_metrics(tracer, timings)
-
-        return ExperimentResult(
-            matrix_name=self.name,
-            n=self.a.n_rows,
-            nnz=self.a.nnz,
-            n_cores=n_cores,
-            config_name=config.name,
-            mapping=mapping_name,
-            kernel=kernel,
-            iterations=iterations,
-            makespan=makespan,
-            per_core=timings,
-            power_watts=self._chip_power(config),
-            ws_per_core_bytes=self._ws_per_core(n_cores),
-            y=y,
-            machine=self.machine.machine_id,
+    def _blockwise_product(
+        self, n_cores: int, kernel: str, x: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """``y`` computed block by block over the run's row partition."""
+        x_vec = x if x is not None else np.ones(self.a.n_cols)
+        kernel_fn = spmv_no_x_miss if kernel == "no_x_miss" else spmv_row_range
+        return np.concatenate(
+            [kernel_fn(self.a, x_vec, r0, r1) for r0, r1 in self.partition(n_cores).ranges()]
         )
 
     @staticmethod
@@ -947,83 +944,6 @@ class SpMVExperiment:
         )
         m.histogram_observe_many(
             "model.mem_stall_fraction", [t.mem_stall_fraction for t in timings]
-        )
-
-    def _run_predict(
-        self,
-        n_cores: int,
-        core_map: List[int],
-        mapping_name: str,
-        config: MachineConfig,
-        kernel: str,
-        iterations: int,
-        verify: bool,
-        x: Optional[np.ndarray],
-        time_budget: Optional[float],
-        tracer: Optional[Any],
-    ) -> ExperimentResult:
-        """The microsecond tier: answer from the trained regressor.
-
-        No cache characterization, no contention solve, no barrier
-        recurrence — just the cached structural features of this
-        (matrix, partition, mapping) point pushed through the machine's
-        trained :class:`~repro.predict.regressor.PerfRegressor`.  When
-        no usable artifact exists, falls back to ``mode="model"``
-        (:func:`~repro.predict.artifact.get_predictor` warns once per
-        machine); the result then carries ``predicted=False``, so
-        callers can tell which tier actually answered.
-        """
-        from ..predict.artifact import get_predictor
-
-        predictor = get_predictor(self.machine)
-        if predictor is None:
-            return self._run_analytic(
-                n_cores=n_cores,
-                core_map=core_map,
-                mapping_name=mapping_name,
-                config=config,
-                kernel=kernel,
-                iterations=iterations,
-                verify=verify,
-                x=x,
-                time_budget=time_budget,
-                tracer=tracer,
-                exact=False,
-            )
-
-        feats = self.point_feature_vector(n_cores, core_map, config, kernel, iterations)
-        makespan = predictor.predict_makespan(feats, self.a.nnz, iterations)
-        if time_budget is not None and makespan > time_budget:
-            raise RCCEBudgetExceededError(time_budget, list(range(n_cores)), time_budget)
-
-        y = None
-        if verify:
-            # The numeric result never came from a model — compute it
-            # directly, outside anything a caller would time.
-            x_vec = x if x is not None else np.ones(self.a.n_cols)
-            kernel_fn = spmv_no_x_miss if kernel == "no_x_miss" else spmv_row_range
-            y = np.concatenate(
-                [kernel_fn(self.a, x_vec, r0, r1) for r0, r1 in self.partition(n_cores).ranges()]
-            )
-        if tracer:
-            tracer.metrics.counter("predict.answers").inc()
-
-        return ExperimentResult(
-            matrix_name=self.name,
-            n=self.a.n_rows,
-            nnz=self.a.nnz,
-            n_cores=n_cores,
-            config_name=config.name,
-            mapping=mapping_name,
-            kernel=kernel,
-            iterations=iterations,
-            makespan=makespan,
-            per_core=[],
-            power_watts=self._chip_power(config),
-            ws_per_core_bytes=self._ws_per_core(n_cores),
-            y=y,
-            machine=self.machine.machine_id,
-            predicted=True,
         )
 
     def run_fault_tolerant(
@@ -1065,16 +985,7 @@ class SpMVExperiment:
             )
         if config is None:
             config = self.machine.default_config
-        if isinstance(mapping, str):
-            core_map = get_mapping(mapping)(n_cores, self.topology)
-            mapping_name = mapping
-        else:
-            core_map = list(mapping)
-            mapping_name = "explicit"
-            if len(core_map) != n_cores:
-                raise ValueError(
-                    f"explicit mapping names {len(core_map)} cores but n_cores={n_cores}"
-                )
+        core_map, mapping_name = self._core_map(mapping, n_cores)
 
         blocks = self.partition(n_cores).ranges()
         x_vec = x if x is not None else np.ones(self.a.n_cols)
@@ -1118,9 +1029,7 @@ class SpMVExperiment:
             fault_schedule = runtime.fault_injector.schedule_signature()
             plan_name = runtime.fault_injector.plan.name
             plan_seed = runtime.fault_injector.plan.seed
-        reference = np.concatenate(
-            [spmv_row_range(self.a, x_vec, r0, r1) for r0, r1 in blocks]
-        )
+        reference = self._blockwise_product(n_cores, "csr", x_vec)
         return FaultTolerantResult(
             matrix_name=self.name,
             n=self.a.n_rows,

@@ -19,8 +19,8 @@ worker processes (results are identical either way).
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..machine.base import DEFAULT_MACHINE, MachineConfig
 from ..machine.registry import get_machine
@@ -30,7 +30,6 @@ from .comparison import comparison_table
 from .experiment import DEFAULT_ITERATIONS, ExperimentResult, SpMVExperiment
 from .mapping import single_core_at_distance
 from .metrics import average_gflops, average_mflops_per_watt
-from .parallel import parallel_map
 from .supervise import SupervisePolicy, supervised_parallel_map
 
 __all__ = [
@@ -71,10 +70,7 @@ def suite_experiments(
 ) -> List[Tuple[int, SpMVExperiment]]:
     """(matrix id, experiment) pairs over the Table I suite.
 
-    Each experiment carries its ``suite_ref`` — ``(matrix id, scale)``,
-    plus the machine id when targeting a non-default machine — so
-    worker processes can rebuild it deterministically for parallel
-    sweeps.  ``machine`` selects the modeled target
+    ``machine`` selects the modeled target
     (:func:`repro.machine.get_machine`); the default is the SCC.
     """
     out = []
@@ -83,25 +79,22 @@ def suite_experiments(
         if ids is not None and e.mid not in ids:
             continue
         exp = SpMVExperiment(build_matrix(e.mid, scale=scale), name=e.name, machine=machine_id)
-        if machine_id == DEFAULT_MACHINE:
-            exp.suite_ref = (e.mid, scale)
-        else:
-            exp.suite_ref = (e.mid, scale, machine_id)
         out.append((e.mid, exp))
     return out
 
 
-#: per-worker-process experiment memo for :func:`run_suite_batch`.
+#: per-process experiment memo for :func:`run_suite_batch`.
 _WORKER_SUITE: Dict[Tuple[int, float, str], SpMVExperiment] = {}
 
 
 def run_suite_batch(task: Tuple) -> List[ExperimentResult]:
-    """Pool-worker task: one suite experiment, several runs.
+    """Picklable sweep task: one suite experiment, several runs.
 
     ``task`` is ``(matrix id, scale, name, [run kwargs, ...])`` with an
     optional fifth element naming the machine; the experiment is
-    rebuilt (and memoized) in the worker process and each kwargs dict
+    rebuilt (and memoized) in the running process and each kwargs dict
     goes straight to :meth:`SpMVExperiment.run`, results in order.
+    ``repro bench`` times sweeps of these tasks.
     """
     mid, scale, name, specs = task[:4]
     machine = task[4] if len(task) > 4 else DEFAULT_MACHINE
@@ -113,21 +106,6 @@ def run_suite_batch(task: Tuple) -> List[ExperimentResult]:
     return [exp.run(**spec) for spec in specs]
 
 
-def _model_fallback(task: Tuple) -> List[ExperimentResult]:
-    """Degradation-ladder rung: rerun a suite batch on the analytic model."""
-    mid, scale, name, specs = task[:4]
-    retask = (mid, scale, name, [dict(spec, mode="model") for spec in specs])
-    return run_suite_batch(retask + tuple(task[4:]))
-
-
-def _task_identity(task: Tuple) -> str:
-    mid, scale, name, _specs = task[:4]
-    ident = f"suite:{mid}:{scale}:{name}"
-    if len(task) > 4:
-        ident += f":{task[4]}"
-    return ident
-
-
 def _batch_run(
     experiments: Experiments,
     jobs: Sequence[Tuple[int, dict]],
@@ -137,64 +115,44 @@ def _batch_run(
 ) -> List[ExperimentResult]:
     """Run ``jobs`` — ``(experiment index, run kwargs)`` — preserving order.
 
-    The workhorse behind every ``figN_data``: serial execution runs each
-    job in place; ``workers > 1`` groups the jobs by experiment (one
-    task per matrix, the natural shard — workers then reuse their
-    partition/trace caches across that matrix's runs) and fans the
-    groups out via :func:`repro.core.parallel.parallel_map`.  Results
-    come back aligned with ``jobs`` and identical to serial execution.
-    Experiments lacking a ``suite_ref`` (built outside
-    :func:`suite_experiments`) cannot be rebuilt in a worker; they fall
-    back to serial with a warning.
+    The workhorse behind every ``figN_data``: the jobs are grouped by
+    experiment (one task per matrix, the natural shard — its partition
+    and trace caches serve all of that matrix's runs) and handed to the
+    sweep executor (:mod:`repro.core.supervise`).  ``workers=1`` without
+    a policy runs every group in place, so the caller's experiments keep
+    their caches; otherwise forked workers inherit the experiments and
+    run the groups under the supervisor.  Results come back aligned
+    with ``jobs`` and identical either way.
 
-    With a ``policy`` the fan-out runs under the self-healing supervisor
-    (even at ``workers=1``, a single supervised worker): crashed or hung
-    workers are retried per policy and, when ``policy.on_failure``
-    requests it, a failing batch is rerun serially in the parent and
-    then on ``mode="model"``.  A figure sweep cannot tolerate holes —
-    a batch surviving neither retries nor the ladder raises
-    :class:`~repro.core.supervise.QuarantinedTaskError`.
+    Under supervision crashed or hung workers are retried per policy
+    and, when ``policy.on_failure`` requests it, a failing group is
+    rerun serially in the parent and then on ``mode="model"``.  A figure
+    sweep cannot tolerate holes — a group surviving neither retries nor
+    the ladder raises :class:`~repro.core.supervise.QuarantinedTaskError`.
     """
-    supervised = policy is not None
-    if (workers > 1 or supervised) and any(
-        experiments[i][1].suite_ref is None for i, _kw in jobs
-    ):
-        warnings.warn(
-            "parallel figure sweep needs experiments from "
-            "suite_experiments() (suite_ref is unset); running serially",
-            stacklevel=3,
-        )
-        workers = 1
-        supervised = False
-    if workers <= 1 and not supervised:
-        return [experiments[i][1].run(mode=mode, **kw) for i, kw in jobs]
     by_exp: Dict[int, List[int]] = {}
     for j, (i, _kw) in enumerate(jobs):
         by_exp.setdefault(i, []).append(j)
-    tasks = []
-    for i, job_ids in by_exp.items():
-        _mid, exp = experiments[i]
-        ref = exp.suite_ref  # type: ignore[misc]
-        mid, scale = ref[0], ref[1]
-        task = (mid, scale, exp.name, [dict(jobs[j][1], mode=mode) for j in job_ids])
-        tasks.append(task + tuple(ref[2:]))
-    if supervised:
-        assert policy is not None
-        fallbacks: List[Tuple[str, object]] = []
-        if policy.on_failure in ("serial", "model"):
-            fallbacks.append(("serial", run_suite_batch))
-        if policy.on_failure == "model" and mode != "model":
-            fallbacks.append(("model", _model_fallback))
-        batches = supervised_parallel_map(
-            run_suite_batch,
-            tasks,
-            max(1, workers),
-            policy,
-            identity=_task_identity,
-            fallbacks=fallbacks,  # type: ignore[arg-type]
-        )
-    else:
-        batches = parallel_map(run_suite_batch, tasks, workers)
+
+    def run_group(group: Tuple[int, List[int]], mode: str = mode) -> List[ExperimentResult]:
+        i, job_ids = group
+        exp = experiments[i][1]
+        return [exp.run(mode=mode, **jobs[j][1]) for j in job_ids]
+
+    def identity(group: Tuple[int, List[int]]) -> str:
+        mid, exp = experiments[group[0]]
+        return f"suite:{mid}:{exp.name}"
+
+    on_failure = policy.on_failure if policy is not None else "quarantine"
+    fallbacks: List[Tuple[str, Callable]] = []
+    if on_failure in ("serial", "model"):
+        fallbacks.append(("serial", run_group))
+    if on_failure == "model" and mode != "model":
+        fallbacks.append(("model", partial(run_group, mode="model")))
+    batches = supervised_parallel_map(
+        run_group, list(by_exp.items()), workers, policy,
+        identity=identity, fallbacks=fallbacks,
+    )
     out: List[ExperimentResult] = [None] * len(jobs)  # type: ignore[list-item]
     for job_ids, batch in zip(by_exp.values(), batches):
         for j, result in zip(job_ids, batch):

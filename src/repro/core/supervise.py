@@ -1,12 +1,23 @@
-"""Self-healing supervised execution: retry, timeout, quarantine.
+"""The sweep executor: ordered fork-pool sharding with self-healing.
 
 The paper's artifacts are hours-long sweeps — the full matrix suite
-crossed with 1–48 cores, mappings and frequency configs — and a single
-crashed or hung worker must not abort a campaign.  The bare pool in
-:mod:`repro.core.parallel` surfaces any worker death as
-:class:`~repro.core.parallel.CampaignWorkerCrash` and tears the sweep
-down; this module wraps the same fork-based sharding in a *supervisor*
-that keeps the campaign running through real failures:
+crossed with 1–48 cores, mappings and frequency configs — and every grid
+point is an independent deterministic computation.  This module is the
+one executor every sweep uses (campaigns, figures, fault runs, the
+campaign server).  It shards points *without changing the answers*:
+
+- results come back in **submission order**, whatever order workers
+  finish in, so a parallel sweep appends records byte-identical to the
+  serial one (``tests/test_golden.py`` pins this);
+- ``workers <= 1`` with no policy runs in-process and lazily, exceptions
+  propagating unchanged — the figure sweeps rely on experiments' caches
+  persisting in the parent;
+- otherwise points run on a pool of ``fork``-ed workers under a
+  :class:`SupervisePolicy` — the caller's, or the default one.  Workers
+  inherit the task function and the parent's loaded suite/caches, so
+  only items and results cross the pipes and need to pickle.
+
+The supervisor keeps a sweep running through real failures:
 
 - **timeouts** — each task carries a wall-clock deadline; a hung worker
   (SIGSTOP'd, livelocked, wedged in a syscall) is SIGKILLed at the
@@ -30,13 +41,12 @@ that keeps the campaign running through real failures:
 Workers talk to the supervisor over one private pipe each — never a
 shared queue — so a SIGKILLed worker can corrupt only its own channel,
 which the supervisor observes as EOF and handles like any other death.
-Results are yielded in submission order with a bounded in-flight
-window, preserving the bitwise serial≡parallel contract of
-:mod:`repro.core.parallel`.
+Platforms without ``fork`` (Windows, some macOS configurations) degrade
+to an in-process loop with a warning.
 
-Chaos hook: :data:`CHAOS_ENV` generalizes the single-identity
-``REPRO_FAULT_WORKER_CRASH`` crash hook to a *seeded fault schedule* —
-a JSON map from task identity to an OS-level action (``kill``: abrupt
+Fault hooks: :data:`CRASH_ENV` names one task identity whose worker dies
+abruptly; :data:`CHAOS_ENV` generalizes it to a *seeded fault schedule*
+— a JSON map from task identity to an OS-level action (``kill``: abrupt
 ``os._exit``; ``stop``: SIGSTOP yourself and hang; ``raise``: throw)
 applied on selected attempts.  ``repro chaos``
 (:mod:`repro.faults.chaos`) uses it to prove the core invariant: under
@@ -49,6 +59,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import multiprocessing
 import os
 import signal
 import time
@@ -71,9 +82,9 @@ from typing import (
 )
 
 from ..obs.metrics import MetricsRegistry
-from .parallel import available_parallelism, fork_context, in_worker, maybe_crash
 
 __all__ = [
+    "CRASH_ENV",
     "CHAOS_ENV",
     "CHAOS_ACTIONS",
     "ON_FAILURE_LADDER",
@@ -82,17 +93,28 @@ __all__ = [
     "SupervisePolicy",
     "TaskFailure",
     "TaskOutcome",
+    "available_parallelism",
     "backoff_delay",
     "chaos_spec",
+    "fork_context",
+    "in_worker",
     "maybe_chaos",
+    "maybe_crash",
     "supervised_iter_ordered",
     "supervised_parallel_map",
 ]
 
+#: environment variable for deterministic worker-crash injection: set it
+#: to a task's identity string (a :meth:`CampaignPoint.key`) and the
+#: worker that picks that task up dies with ``os._exit`` before running
+#: it — the same abrupt death a kernel OOM kill produces.  Only honoured
+#: inside pool workers, never in the parent process.
+CRASH_ENV = "REPRO_FAULT_WORKER_CRASH"
+
 #: environment variable holding a JSON chaos schedule: a map from task
 #: identity to ``{"action": "kill"|"stop"|"raise", "attempts": [1, ...]
-#: | "all"}``.  Honoured only inside worker processes, like the legacy
-#: single-identity ``REPRO_FAULT_WORKER_CRASH`` hook it generalizes.
+#: | "all"}``.  Honoured only inside worker processes, like the
+#: single-identity :data:`CRASH_ENV` hook it generalizes.
 CHAOS_ENV = "REPRO_FAULT_CHAOS"
 
 #: the OS-level actions a chaos schedule may request per attempt.
@@ -105,8 +127,26 @@ CHAOS_ACTIONS = ("kill", "stop", "raise")
 ON_FAILURE_LADDER = ("quarantine", "serial", "model", "raise")
 
 #: worker exit code used by the ``kill`` chaos action (distinct from the
-#: legacy crash hook's 17, so post-mortems can tell them apart).
+#: crash hook's 17, so post-mortems can tell them apart).
 _CHAOS_EXIT = 23
+
+
+def fork_context() -> Optional[multiprocessing.context.BaseContext]:
+    """The ``fork`` start-method context, or None where unsupported."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - platform-dependent
+        return None
+
+
+def in_worker() -> bool:
+    """True when running inside a multiprocessing child process."""
+    return multiprocessing.parent_process() is not None
+
+
+def available_parallelism() -> int:
+    """Usable CPU count (>= 1)."""
+    return max(1, os.cpu_count() or 1)
 
 
 class ChaosInjectedError(RuntimeError):
@@ -255,7 +295,18 @@ class TaskOutcome:
         }
 
 
-# -- chaos schedule hook ---------------------------------------------------
+# -- fault hooks -------------------------------------------------------------
+
+
+def maybe_crash(identity: str) -> None:
+    """Die abruptly if :data:`CRASH_ENV` names this task (workers only).
+
+    ``os._exit`` skips every handler and finalizer — the parent sees the
+    same broken pipe a SIGKILL would produce.
+    """
+    if os.environ.get(CRASH_ENV) == identity and in_worker():
+        os._exit(17)
+
 
 _CHAOS_CACHE: Tuple[Optional[str], Dict[str, Dict[str, Any]]] = (None, {})
 
@@ -339,7 +390,7 @@ def _worker_main(
         task_id, attempt, item = msg
         try:
             identity = identity_of(item)
-            maybe_crash(identity)  # legacy single-identity hook
+            maybe_crash(identity)
             maybe_chaos(identity, attempt)
             value = func(item)
         except BaseException:  # noqa: BLE001 - report, never die silently
@@ -356,9 +407,6 @@ class _Worker:
     """One supervised child process with its private duplex pipe."""
 
     def __init__(self, ctx, func, identity_of) -> None:
-        self._ctx = ctx
-        self._func = func
-        self._identity_of = identity_of
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.conn = parent_conn
         self.process = ctx.Process(
@@ -422,12 +470,13 @@ def supervised_iter_ordered(
 ) -> Iterator[TaskOutcome]:
     """Yield a :class:`TaskOutcome` per item, in submission order.
 
-    The self-healing analogue of
-    :func:`repro.core.parallel.iter_ordered`: worker deaths, hangs and
-    task exceptions are retried per ``policy`` instead of raising
-    :class:`~repro.core.parallel.CampaignWorkerCrash`, and a task that
-    exhausts every attempt (and every ``fallbacks`` rung, tried in the
-    parent process) is yielded as a quarantined outcome — unless
+    ``workers <= 1`` with ``policy=None`` is the plain serial path: each
+    item runs in this process, lazily, and a task exception propagates
+    unchanged.  Anything else runs on the supervised fork pool under
+    ``policy or SupervisePolicy()``: worker deaths, hangs and task
+    exceptions are retried per policy, and a task that exhausts every
+    attempt (and every ``fallbacks`` rung, tried in the parent process)
+    is yielded as a quarantined outcome — unless
     ``policy.on_failure == "raise"``, which raises
     :class:`QuarantinedTaskError`.
 
@@ -442,6 +491,10 @@ def supervised_iter_ordered(
     in-process loop with retry/fallback/quarantine semantics but no
     timeout enforcement (there is no worker to kill), with a warning.
     """
+    if policy is None and workers <= 1:
+        for item in items:
+            yield TaskOutcome(item, identity(item), ok=True, value=func(item), attempts=1)
+        return
     policy = policy or SupervisePolicy()
     m = metrics if metrics is not None else MetricsRegistry()
 
@@ -481,39 +534,16 @@ def supervised_iter_ordered(
         results[task_id] = outcome
         del tasks[task_id]
 
-    def exhausted_task(task_id: int) -> None:
-        t = tasks[task_id]
-        for label, fb in fallbacks:
-            try:
-                value = fb(t.item)
-            except Exception:  # noqa: BLE001 - every rung may fail
-                t.failures.append(
-                    TaskFailure(t.attempts, f"fallback:{label}", traceback.format_exc())
-                )
-                continue
-            count("fallbacks")
-            complete(
-                task_id,
-                TaskOutcome(
-                    t.item, t.identity, ok=True, value=value,
-                    attempts=t.attempts, failures=t.failures, fallback=label,
-                ),
-            )
-            return
-        count("quarantines")
-        outcome = TaskOutcome(
-            t.item, t.identity, ok=False,
-            attempts=t.attempts, failures=t.failures,
-        )
-        if policy.on_failure == "raise":
-            raise QuarantinedTaskError(outcome)
-        complete(task_id, outcome)
-
     def failure(task_id: int, kind: str, detail: str) -> None:
         t = tasks[task_id]
         t.failures.append(TaskFailure(t.attempts, kind, detail))
         if t.attempts >= policy.max_attempts:
-            exhausted_task(task_id)
+            complete(
+                task_id,
+                _rescue_or_quarantine(
+                    t.item, t.identity, t.attempts, t.failures, fallbacks, policy, count
+                ),
+            )
         else:
             count("retries")
             delay = backoff_delay(policy, t.identity, t.attempts + 1)
@@ -554,7 +584,6 @@ def supervised_iter_ordered(
             failure(reported_id, "error", payload)
 
     try:
-        pool = [_Worker(ctx, func, identity) for _ in range(n_workers)]
         while True:
             now = time.monotonic()
             while delayed and delayed[0][0] <= now:
@@ -570,6 +599,8 @@ def supervised_iter_ordered(
                 ready.append(next_id)
                 count("tasks")
                 next_id += 1
+            if tasks and not pool:  # fork on the first task: an empty sweep forks nothing
+                pool = [_Worker(ctx, func, identity) for _ in range(n_workers)]
             for w in pool:
                 if not ready:
                     break
@@ -671,29 +702,39 @@ def _serial_supervised(
             )
             break
         if outcome is None:
-            attempts = policy.max_attempts
-            for label, fb in fallbacks:
-                try:
-                    value = fb(item)
-                except Exception:  # noqa: BLE001
-                    failures.append(
-                        TaskFailure(attempts, f"fallback:{label}", traceback.format_exc())
-                    )
-                    continue
-                count("fallbacks")
-                outcome = TaskOutcome(
-                    item, ident, ok=True, value=value, attempts=attempts,
-                    failures=failures, fallback=label,
-                )
-                break
-        if outcome is None:
-            count("quarantines")
-            outcome = TaskOutcome(
-                item, ident, ok=False, attempts=policy.max_attempts, failures=failures
+            outcome = _rescue_or_quarantine(
+                item, ident, policy.max_attempts, failures, fallbacks, policy, count
             )
-            if policy.on_failure == "raise":
-                raise QuarantinedTaskError(outcome)
         yield outcome
+
+
+def _rescue_or_quarantine(
+    item, ident, attempts, failures, fallbacks, policy, count
+) -> TaskOutcome:
+    """Walk the fallback ladder in this process after the last attempt.
+
+    The first rung that succeeds rescues the task; when none does, the
+    task is quarantined — or :class:`QuarantinedTaskError` is raised
+    under ``on_failure="raise"``.
+    """
+    for label, fb in fallbacks:
+        try:
+            value = fb(item)
+        except Exception:  # noqa: BLE001 - every rung may fail
+            failures.append(
+                TaskFailure(attempts, f"fallback:{label}", traceback.format_exc())
+            )
+            continue
+        count("fallbacks")
+        return TaskOutcome(
+            item, ident, ok=True, value=value, attempts=attempts,
+            failures=failures, fallback=label,
+        )
+    count("quarantines")
+    outcome = TaskOutcome(item, ident, ok=False, attempts=attempts, failures=failures)
+    if policy.on_failure == "raise":
+        raise QuarantinedTaskError(outcome)
+    return outcome
 
 
 def supervised_parallel_map(

@@ -94,7 +94,7 @@ def configure_faults_parser(p: argparse.ArgumentParser) -> None:
 
 
 def _fault_run_task(opts: tuple, mid: int) -> dict:
-    """One fault-tolerant run (module-level so worker pools can pickle it)."""
+    """One fault-tolerant run of matrix ``mid`` (one sweep task)."""
     plan, cores, scale, iterations, budget = opts
     from ..core.experiment import SpMVExperiment
     from ..sparse.suite import build_matrix, entry_by_id
@@ -195,8 +195,8 @@ def run_faults(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
         # Heavy imports deferred so --list-plans / --repair stay snappy.
         from functools import partial
 
-        from ..core.parallel import parallel_map
         from ..core.report import banner, format_table
+        from ..core.supervise import supervised_parallel_map
 
         try:
             plan = load_plan(args.plan)
@@ -221,24 +221,18 @@ def run_faults(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
         opts = (plan, args.cores, args.scale, args.iterations, args.budget)
         task = partial(_fault_run_task, opts)
         policy = policy_from_args(args)
-        if policy is not None:
-            # Supervised path: crashed/hung runs are retried per policy;
-            # 'serial'/'model' degrade to an in-parent rerun (fault runs
-            # need the event-driven runtime, so there is no model rung).
-            from ..core.supervise import supervised_parallel_map
-
-            fallbacks = (
-                [("serial", task)]
-                if policy.on_failure in ("serial", "model")
-                else []
-            )
-            rows = supervised_parallel_map(
-                task, ids, workers, policy,
-                identity=lambda mid: f"faults:{mid}",
-                fallbacks=fallbacks,
-            )
-        else:
-            rows = parallel_map(task, ids, workers)
+        # 'serial'/'model' degrade to an in-parent rerun (fault runs need
+        # the event-driven runtime, so there is no model rung).
+        fallbacks = (
+            [("serial", task)]
+            if policy is not None and policy.on_failure in ("serial", "model")
+            else []
+        )
+        rows = supervised_parallel_map(
+            task, ids, workers, policy,
+            identity=lambda mid: f"faults:{mid}",
+            fallbacks=fallbacks,
+        )
         all_verified = all(row["verified"] for row in rows)
         for row in rows:
             row["verified"] = "yes" if row["verified"] else "NO"

@@ -359,12 +359,12 @@ def _time_run(args: argparse.Namespace, traced: bool) -> float:
 def _time_sweep(args: argparse.Namespace) -> float:
     """Wall-clock seconds of a core-count sweep sharded over --workers."""
     from ..core.figures import run_suite_batch
-    from ..core.parallel import parallel_map
+    from ..core.supervise import supervised_parallel_map
 
     tasks = _sweep_tasks(args)
-    parallel_map(run_suite_batch, tasks, args.workers)  # warmup
+    supervised_parallel_map(run_suite_batch, tasks, args.workers)  # warmup
     t0 = time.perf_counter()
-    parallel_map(run_suite_batch, tasks, args.workers)
+    supervised_parallel_map(run_suite_batch, tasks, args.workers)
     return time.perf_counter() - t0
 
 
@@ -388,9 +388,11 @@ def _sweep_tasks(args: argparse.Namespace) -> list:
 def _measure_supervise(args: argparse.Namespace) -> dict:
     """Supervised-vs-bare pool overhead (the ``supervise_overhead`` entry).
 
-    Runs the sweep task list through the bare ``parallel_map`` pool and
-    through :func:`~repro.core.supervise.supervised_parallel_map` under
-    the default policy.  No faults are injected, so every task succeeds
+    Runs the sweep task list through a bare stdlib
+    :class:`~concurrent.futures.ProcessPoolExecutor` (the reference leg,
+    kept here only to measure against) and through
+    :func:`~repro.core.supervise.supervised_parallel_map` under the
+    default policy.  No faults are injected, so every task succeeds
     on attempt 1 and the wall-clock delta is pure supervision
     machinery: per-worker pipes, deadline polling, backoff bookkeeping
     and metrics accounting.  Both legs use at least two workers so each
@@ -400,9 +402,15 @@ def _measure_supervise(args: argparse.Namespace) -> dict:
     counters of the final run ride along as evidence that nothing was
     retried or respawned during timing.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     from ..core.figures import run_suite_batch
-    from ..core.parallel import parallel_map
-    from ..core.supervise import SupervisePolicy, supervised_parallel_map
+    from ..core.supervise import (
+        SupervisePolicy,
+        available_parallelism,
+        fork_context,
+        supervised_parallel_map,
+    )
     from .metrics import MetricsRegistry, summary_prefix
 
     workers = max(2, args.workers)
@@ -414,7 +422,11 @@ def _measure_supervise(args: argparse.Namespace) -> dict:
 
     def bare() -> float:
         t0 = time.perf_counter()
-        parallel_map(run_suite_batch, tasks, workers)
+        with ProcessPoolExecutor(
+            max_workers=min(workers, available_parallelism()),
+            mp_context=fork_context(),
+        ) as pool:
+            list(pool.map(run_suite_batch, tasks))
         return time.perf_counter() - t0
 
     def supervised(registry: MetricsRegistry) -> float:
@@ -584,7 +596,7 @@ def _measure_serve_dedup(args: argparse.Namespace) -> dict:
     """
     import tempfile
 
-    from ..core.parallel import fork_context
+    from ..core.supervise import fork_context
     from ..store import cache_enabled
 
     if fork_context() is None:  # pragma: no cover - platform-dependent

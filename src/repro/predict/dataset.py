@@ -113,7 +113,7 @@ def labelled_rows(
             continue
         exp = cache[(pt.mid, scale, machine.machine_id)]
         config = exp.machine.presets[pt.config]
-        core_map = list(exp._resolve_mapping(pt.mapping, pt.n_cores))
+        core_map, _name = exp._core_map(pt.mapping, pt.n_cores)
         xs.append(
             exp.point_feature_vector(pt.n_cores, core_map, config, pt.kernel, iterations)
         )

@@ -117,7 +117,7 @@ def differential_report(
         xs, ys = [], []
         for mid, exp in model_exps.items():
             for n in counts:
-                core_map = list(exp._resolve_mapping("distance_reduction", n))
+                core_map, _name = exp._core_map("distance_reduction", n)
                 xs.append(
                     exp.point_feature_vector(
                         n, core_map, machine.default_config, "csr", iterations

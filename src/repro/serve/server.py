@@ -55,8 +55,7 @@ _IDLE_WAIT_S = 0.2
 
 
 #: per-worker-process experiment memo (inherited empty at fork, filled
-#: as the forked worker sees matrices — the `_WORKER_EXPERIMENTS`
-#: pattern of :mod:`repro.core.campaign`).
+#: as the forked worker sees matrices).
 _SERVE_EXPERIMENTS: Dict = {}
 
 
@@ -242,7 +241,7 @@ class CampaignServer:
     ) -> None:
         """Shard one claimed batch across the supervised pool.
 
-        Outcome handling mirrors :meth:`Campaign._run_supervised`: a
+        Outcome handling mirrors :meth:`Campaign.run`: a
         successful value completes its key (persisting unless a
         model-mode fallback changed the record's meaning), an exhausted
         task completes as a quarantine record — fanned out to waiters

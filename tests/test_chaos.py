@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.core.campaign import Campaign
-from repro.core.parallel import fork_context
+from repro.core.supervise import fork_context
 from repro.faults.chaos import build_chaos_schedule, chaos_main
 
 pytestmark = pytest.mark.skipif(

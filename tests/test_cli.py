@@ -41,18 +41,15 @@ class TestParser:
             assert exc.value.code == 0
 
 
-class TestLegacyShim:
-    """`repro fig5` (pre-subcommand syntax) must keep working."""
+class TestBareArtifact:
+    """Artifacts run only as `repro run <artifact>`."""
 
-    def test_bare_artifact_aliases_to_run(self):
-        code, text = run_cli("table1", *FAST)
-        assert code == 0
-        assert "Table I" in text
-
-    def test_bare_validate_aliases_to_run(self):
-        code, text = run_cli("validate")
-        assert code == 0
-        assert "all checks passed" in text
+    def test_bare_artifact_exits_with_run_hint(self, capsys):
+        for artifact in ("table1", "fig5", "all", "validate"):
+            code, text = run_cli(artifact, *FAST)
+            assert code == 2
+            assert text == ""
+            assert f"repro run {artifact}" in capsys.readouterr().err
 
 
 class TestUnknownCommand:
@@ -72,69 +69,69 @@ class TestUnknownCommand:
 class TestValidation:
     def test_bad_scale(self):
         with pytest.raises(SystemExit):
-            main(["table1", "--scale", "0"])
+            main(["run", "table1", "--scale", "0"])
         with pytest.raises(SystemExit):
-            main(["table1", "--scale", "2"])
+            main(["run", "table1", "--scale", "2"])
 
     def test_bad_iterations(self):
         with pytest.raises(SystemExit):
-            main(["table1", "--iterations", "0"])
+            main(["run", "table1", "--iterations", "0"])
 
     def test_bad_ids(self):
         with pytest.raises(SystemExit):
-            main(["table1", "--ids", "a,b"])
+            main(["run", "table1", "--ids", "a,b"])
 
     def test_empty_selection(self):
         with pytest.raises(SystemExit):
-            main(["table1", "--ids", "99"])
+            main(["run", "table1", "--ids", "99"])
 
 
 class TestArtifacts:
     def test_table1(self):
-        code, text = run_cli("table1", *FAST)
+        code, text = run_cli("run", "table1", *FAST)
         assert code == 0
         assert "Table I" in text
         assert "rajat09" in text and "Na5" in text
 
     def test_fig3(self):
-        code, text = run_cli("fig3", *FAST)
+        code, text = run_cli("run", "fig3", *FAST)
         assert code == 0
         assert "hops" in text and "degradation %" in text
 
     def test_fig5(self):
-        code, text = run_cli("fig5", *FAST)
+        code, text = run_cli("run", "fig5", *FAST)
         assert code == 0
         assert "speedup" in text
 
     def test_fig6(self):
-        code, text = run_cli("fig6", *FAST)
+        code, text = run_cli("run", "fig6", *FAST)
         assert code == 0
         assert "wsKB/core@24" in text
 
     def test_fig7(self):
-        code, text = run_cli("fig7", *FAST)
+        code, text = run_cli("run", "fig7", *FAST)
         assert code == 0
         assert "without L2" in text
 
     def test_fig8(self):
-        code, text = run_cli("fig8", *FAST)
+        code, text = run_cli("run", "fig8", *FAST)
         assert code == 0
         assert "speedup@48" in text
 
     def test_fig9(self):
-        code, text = run_cli("fig9", *FAST)
+        code, text = run_cli("run", "fig9", *FAST)
         assert code == 0
         assert "conf1 MFLOPS/s" in text
         assert "MFLOPS/W" in text
 
     def test_fig10(self):
-        code, text = run_cli("fig10", *FAST)
+        code, text = run_cli("run", "fig10", *FAST)
         assert code == 0
         assert "Tesla M2050" in text
         assert "SCC conf0" in text
 
     def test_all_renders_everything(self):
-        code, text = run_cli("all", *FAST)
+        code, text = run_cli("run", "all", *FAST)
         assert code == 0
         for marker in ("Table I", "Fig. 3", "Fig. 5", "Fig. 6", "Fig. 7", "Fig. 8", "Fig. 9", "Fig. 10"):
             assert marker in text
@@ -143,14 +140,14 @@ class TestArtifacts:
         assert ARTIFACTS == ("table1", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10")
 
     def test_validate_subcommand(self):
-        code, text = run_cli("validate")
+        code, text = run_cli("run", "validate")
         assert code == 0
         assert "all checks passed" in text
         assert "FAIL" not in text
 
     def test_output_flag_writes_file(self, tmp_path):
         path = tmp_path / "artifact.txt"
-        code = main(["table1", *FAST, "--output", str(path)])
+        code = main(["run", "table1", *FAST, "--output", str(path)])
         assert code == 0
         assert "Table I" in path.read_text()
 

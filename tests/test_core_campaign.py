@@ -10,7 +10,6 @@ from repro.core.campaign import (
     Campaign,
     CampaignIntegrityError,
     CampaignPoint,
-    result_record,
 )
 from repro.core.experiment import SpMVExperiment
 from repro.faults.plan import get_plan
@@ -28,7 +27,7 @@ class TestRecord:
     def test_record_fields(self):
         a = banded(200, 5.0, 6, seed=1)
         r = SpMVExperiment(a, name="m").run(n_cores=2, iterations=2)
-        rec = result_record(r)
+        rec = r.to_record()
         assert rec["matrix"] == "m"
         assert rec["mflops"] == pytest.approx(r.mflops)
         json.dumps(rec)  # must be JSON-serializable

@@ -79,31 +79,13 @@ class TestRegistry:
 
 
 class TestDeprecatedAliases:
-    def test_sccconfig_alias_warns_and_resolves(self):
-        import repro.core.experiment as experiment
-
-        with pytest.deprecated_call():
-            cls = experiment.SCCConfig
-        from repro.scc.chip import SCCConfig
-
-        assert cls is SCCConfig
-        with pytest.deprecated_call():
-            assert experiment.CONF0 is CONF0
-
-    def test_result_record_wrapper_warns(self):
-        from repro.core.campaign import result_record
-
-        exp = SpMVExperiment(build_matrix(24, scale=0.02))
-        result = exp.run(n_cores=1, mode="model", iterations=1)
-        with pytest.deprecated_call():
-            rec = result_record(result)
-        assert rec["mflops"] == result.mflops
-
     def test_unknown_attr_still_raises(self):
+        """The expired SCC aliases are gone like any unknown name."""
         import repro.core.experiment as experiment
 
-        with pytest.raises(AttributeError):
-            experiment.NoSuchThing
+        for name in ("NoSuchThing", "SCCConfig", "CONF0"):
+            with pytest.raises(AttributeError):
+                getattr(experiment, name)
 
 
 class TestSCCDriftFree:

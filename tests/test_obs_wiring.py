@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.campaign import Campaign, fault_tolerant_record, result_record
+from repro.core.campaign import Campaign
 from repro.core.experiment import ResultBase, SpMVExperiment
 from repro.core.metrics import parallel_efficiency
 from repro.faults.plan import FaultPlan
@@ -90,22 +90,20 @@ class TestCacheWiring:
 
 
 class TestResultAPI:
-    def test_result_record_alias_matches_to_record(self, traced):
+    def test_to_record_shape(self, traced):
         _, result = traced
         assert isinstance(result, ResultBase)
         rec = result.to_record()
-        assert result_record(result) == rec
-        # legacy shape: key order and content preserved
+        # record shape: key order and content preserved
         assert list(rec)[:4] == ["status", "matrix", "n", "nnz"]
         assert rec["status"] == "ok"
         assert rec["kernel"] == "csr"
         assert rec["mflops"] == pytest.approx(result.mflops)
         assert "mflops_per_watt" in rec
 
-    def test_fault_tolerant_record_alias(self, experiment):
+    def test_fault_tolerant_to_record(self, experiment):
         r = experiment.run_fault_tolerant(n_cores=2, plan=None, iterations=2)
-        rec = fault_tolerant_record(r)
-        assert rec == r.to_record()
+        rec = r.to_record()
         assert rec["kernel"] == "csr"  # filled even without a kernel field
         assert rec["verified"] is True
         assert "fault_counters" in rec

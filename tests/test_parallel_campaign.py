@@ -1,11 +1,12 @@
 """The parallel execution contract: sharding never changes the answers.
 
-:mod:`repro.core.parallel` promises submission-order results, graceful
-serial fallback, and crash-then-resume with no duplicates and no gaps;
-:class:`~repro.core.campaign.Campaign` builds on that to make a
-``workers=N`` run bitwise-identical to the serial one.  These tests pin
-each promise, plus the metrics-merge algebra that makes parallel
-campaign aggregation exact.
+The sweep executor (:mod:`repro.core.supervise`) promises
+submission-order results, an in-process serial path, graceful
+degradation without ``fork``, and quarantine-then-rerun with no
+duplicates and no gaps; :class:`~repro.core.campaign.Campaign` builds on
+that to make a ``workers=N`` run bitwise-identical to the serial one.
+These tests pin each promise, plus the metrics-merge algebra that makes
+parallel campaign aggregation exact.
 """
 
 from __future__ import annotations
@@ -16,17 +17,18 @@ import os
 import pytest
 
 from repro.core.campaign import Campaign, CampaignPoint
-from repro.core.parallel import (
+from repro.core.supervise import (
+    CHAOS_ENV,
     CRASH_ENV,
-    CampaignWorkerCrash,
+    QuarantinedTaskError,
+    SupervisePolicy,
     available_parallelism,
     fork_context,
     in_worker,
-    iter_ordered,
     maybe_crash,
-    parallel_map,
+    supervised_iter_ordered,
+    supervised_parallel_map,
 )
-from repro.core.supervise import CHAOS_ENV, SupervisePolicy
 from repro.obs.metrics import merge_flat_summaries
 
 pytestmark = pytest.mark.skipif(
@@ -50,20 +52,32 @@ def _campaign(tmp_path, name, **kw):
     return Campaign(name, tmp_path, **kw)
 
 
+def _pid(_x: int) -> int:
+    return os.getpid()
+
+
+def _fail_on_three(x: int) -> int:
+    if x == 3:
+        raise ValueError("bad item")
+    return x
+
+
 class TestPrimitives:
     def test_parallel_map_preserves_submission_order(self):
         items = list(range(12))
-        assert parallel_map(_square, items, workers=3) == [x * x for x in items]
+        assert supervised_parallel_map(_square, items, workers=3) == [
+            x * x for x in items
+        ]
 
     def test_serial_and_parallel_agree(self):
         items = list(range(7))
-        assert parallel_map(_square, items, workers=1) == parallel_map(
-            _square, items, workers=4
-        )
+        assert supervised_parallel_map(
+            _square, items, workers=1
+        ) == supervised_parallel_map(_square, items, workers=4)
 
     def test_iter_ordered_yields_item_result_pairs(self):
-        pairs = list(iter_ordered(_square, [3, 1, 2], workers=2))
-        assert pairs == [(3, 9), (1, 1), (2, 4)]
+        outcomes = list(supervised_iter_ordered(_square, [3, 1, 2], workers=2))
+        assert [(o.item, o.value) for o in outcomes] == [(3, 9), (1, 1), (2, 4)]
 
     def test_iter_ordered_bounds_in_flight_submissions(self):
         pulled = []
@@ -73,10 +87,10 @@ class TestPrimitives:
                 pulled.append(x)
                 yield x
 
-        it = iter_ordered(_square, gen(), workers=2)
+        it = supervised_iter_ordered(_square, gen(), workers=2)
         try:
-            item, result = next(it)
-            assert (item, result) == (0, 0)
+            outcome = next(it)
+            assert (outcome.item, outcome.value) == (0, 0)
             # sliding window: ~window_factor * workers in flight, not 500
             assert len(pulled) < 500
             assert len(pulled) <= 2 + 4 * 2 + 1
@@ -91,16 +105,42 @@ class TestPrimitives:
                 pulled.append(x)
                 yield x
 
-        it = iter_ordered(_square, gen(), workers=1)
+        it = supervised_iter_ordered(_square, gen(), workers=1)
         next(it)
-        assert len(pulled) <= 3  # only the two-item peek plus one
+        assert pulled == [0]
+
+    def test_serial_path_runs_in_the_parent_process(self):
+        assert supervised_parallel_map(_pid, range(3), workers=1) == [os.getpid()] * 3
+        # a policy, or more than one worker, forks
+        assert os.getpid() not in supervised_parallel_map(
+            _pid, range(3), workers=1, policy=SupervisePolicy()
+        )
+        assert os.getpid() not in supervised_parallel_map(_pid, range(3), workers=2)
+
+    def test_serial_path_propagates_task_exceptions(self):
+        with pytest.raises(ValueError, match="bad item"):
+            supervised_parallel_map(_fail_on_three, range(5), workers=1)
+        # the pool retries under the default policy, then reports the task
+        with pytest.raises(QuarantinedTaskError) as excinfo:
+            supervised_parallel_map(_fail_on_three, range(5), workers=2)
+        assert excinfo.value.outcome.item == 3
+        assert excinfo.value.outcome.attempts == SupervisePolicy().max_attempts
+
+    def test_empty_sweep_forks_nothing(self, monkeypatch):
+        import repro.core.supervise as sup
+
+        def no_fork(*_args):
+            raise AssertionError("forked a worker for an empty sweep")
+
+        monkeypatch.setattr(sup, "_Worker", no_fork)
+        assert sup.supervised_parallel_map(_square, [], workers=4) == []
 
     def test_fork_unavailable_degrades_to_serial(self, monkeypatch):
-        import repro.core.parallel as par
+        import repro.core.supervise as sup
 
-        monkeypatch.setattr(par, "fork_context", lambda: None)
-        with pytest.warns(UserWarning, match="running serially"):
-            out = par.parallel_map(_square, [1, 2, 3], workers=4)
+        monkeypatch.setattr(sup, "fork_context", lambda: None)
+        with pytest.warns(UserWarning, match="in-process"):
+            out = sup.supervised_parallel_map(_square, [1, 2, 3], workers=4)
         assert out == [1, 4, 9]
 
     def test_maybe_crash_is_inert_in_the_parent(self, monkeypatch):
@@ -122,27 +162,34 @@ class TestCampaignParallel:
         assert par.path.read_bytes() == serial.path.read_bytes()
 
     def test_crash_resume_no_duplicates_no_gaps(self, tmp_path, monkeypatch):
+        """A point whose worker always dies is quarantined; the sweep goes
+        on, and a rerun after the fault clears fills exactly that hole."""
         points = Campaign.grid(**GRID)
         serial = _campaign(tmp_path, "reference")
         serial.run(points)
 
         crashy = _campaign(tmp_path, "crashy")
         monkeypatch.setenv(CRASH_ENV, points[3].key())
-        with pytest.raises(CampaignWorkerCrash) as excinfo:
-            crashy.run(points, workers=2)
-        assert excinfo.value.done + excinfo.value.remaining == len(points)
-        assert excinfo.value.remaining > 0
-        # the completed prefix is durable and duplicate-free
-        prefix = crashy.completed_keys()
-        assert len(prefix) == excinfo.value.done
+        assert crashy.run(points, workers=2) == (len(points), 0)
+        assert crashy.status_counts() == {"ok": len(points) - 1, "quarantined": 1}
+        assert crashy.completed_keys() == {pt.key() for pt in points} - {
+            points[3].key()
+        }
+        assert crashy.last_supervise["supervise.worker_crashes"] == (
+            SupervisePolicy().max_attempts
+        )
 
         monkeypatch.delenv(CRASH_ENV)
-        ran, skipped = crashy.run(points, workers=2)
-        assert ran == excinfo.value.remaining
-        assert skipped == excinfo.value.done
-        # no gaps, no duplicates, and the same bytes a serial run writes
+        assert crashy.run(points, workers=2) == (1, len(points) - 1)
+        # no gaps, no duplicates, and the serial run's records
         assert crashy.completed_keys() == {pt.key() for pt in points}
-        assert crashy.path.read_bytes() == serial.path.read_bytes()
+        records = crashy.load()
+        assert len(records) == len(points)
+        by_key = {(r["matrix"], r["n_cores"], r["config"]): r for r in records}
+        assert len(by_key) == len(points)
+        assert sorted(by_key.items()) == sorted(
+            ((r["matrix"], r["n_cores"], r["config"]), r) for r in serial.load()
+        )
 
     def test_duplicate_points_count_as_skipped(self, tmp_path):
         points = Campaign.grid(**GRID)

@@ -19,7 +19,7 @@ import threading
 import pytest
 
 from repro.core.campaign import Campaign
-from repro.core.parallel import fork_context
+from repro.core.supervise import fork_context
 from repro.serve import CampaignServer, CampaignSpec, PointQueue, ServeClient
 from repro.serve.protocol import point_store_key
 from repro.store import ContentStore

@@ -18,7 +18,7 @@ import json
 import pytest
 
 from repro.core.campaign import Campaign
-from repro.core.parallel import fork_context
+from repro.core.supervise import fork_context
 from repro.serve import CampaignServer, CampaignSpec, ServeClient, ServeError, SpecError
 
 pytestmark = pytest.mark.skipif(

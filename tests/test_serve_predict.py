@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.parallel import fork_context
+from repro.core.supervise import fork_context
 from repro.machine.registry import get_machine
 from repro.predict import train_predictor
 from repro.serve import CampaignServer, CampaignSpec, ServeClient

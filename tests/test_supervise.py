@@ -16,7 +16,6 @@ import time
 
 import pytest
 
-from repro.core.parallel import fork_context
 from repro.core.supervise import (
     CHAOS_ENV,
     ON_FAILURE_LADDER,
@@ -25,6 +24,7 @@ from repro.core.supervise import (
     TaskOutcome,
     backoff_delay,
     chaos_spec,
+    fork_context,
     maybe_chaos,
     supervised_iter_ordered,
     supervised_parallel_map,
