@@ -17,7 +17,7 @@ import argparse
 import json
 from typing import List, Optional, Sequence, TextIO
 
-from ..cliutil import add_json_flag, add_output_flag, open_output, resolve_format
+from ..cliutil import add_json_flag, add_output_flag, open_output, resolve_format, str_list
 from .findings import Finding, Severity, findings_to_json, format_findings, has_errors
 from .lint import lint_paths
 from .rules import all_rules
@@ -78,7 +78,7 @@ def run_lint(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
             raise SystemExit(
                 "repro lint: at least one path is required (or --list-rules)"
             )
-        select = [s.strip() for s in args.select.split(",") if s.strip()] or None
+        select = str_list(args.select) or None
         try:
             findings = lint_paths(args.paths, select=select)
         except (FileNotFoundError, KeyError) as exc:
@@ -273,7 +273,7 @@ def run_analyze(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
     from .sarif import sarif_to_json
 
     min_ues, max_ues = _parse_ues_range(args.ues_range)
-    select = [s.strip() for s in args.select.split(",") if s.strip()] or None
+    select = str_list(args.select) or None
     fmt = resolve_format(args)
     with open_output(args, out) as stream:
         if args.list_rules:

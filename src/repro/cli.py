@@ -28,8 +28,9 @@ benchmark harness additionally asserts the paper's findings, so use
 ``lint``, ``check`` and ``analyze`` are the correctness tooling of
 :mod:`repro.analysis` (see ``docs/ANALYSIS.md``); ``faults`` runs the
 fault-tolerant SpMV driver under a seeded fault plan (see
-``docs/FAULTS.md``); ``trace`` and ``bench`` are the observability
-layer (see ``docs/OBSERVABILITY.md``); ``serve``/``submit``/``status``/
+``docs/FAULTS.md``); ``trace`` is the observability layer (see
+``docs/OBSERVABILITY.md``) and ``bench`` the benchmark snapshot and
+gate (see ``docs/PERFORMANCE.md``); ``serve``/``submit``/``status``/
 ``result`` are the campaign service (see ``docs/SERVING.md``).
 """
 
@@ -39,7 +40,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from .cliutil import add_output_flag, add_supervise_flags, open_output, policy_from_args
+from .cliutil import add_output_flag, add_supervise_flags, int_list, open_output, policy_from_args
 from .core.figures import (
     DEFAULT_MODE,
     FIG3_HOPS,
@@ -155,9 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
         configure_check_parser,
         configure_lint_parser,
     )
+    from .bench import configure_bench_parser
     from .faults.chaos import configure_chaos_parser
     from .faults.cli import configure_faults_parser
-    from .obs.cli import configure_bench_parser, configure_trace_parser
+    from .obs.cli import configure_trace_parser
 
     p = argparse.ArgumentParser(
         prog="repro",
@@ -264,13 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_ids(raw: str) -> Optional[List[int]]:
-    raw = raw.strip()
-    if not raw:
-        return None
-    try:
-        return [int(tok) for tok in raw.split(",")]
-    except ValueError as exc:
-        raise SystemExit(f"--ids must be comma-separated integers: {exc}") from exc
+    """``--ids`` of ``repro run``: an empty selection means the whole suite."""
+    return int_list(raw, "--ids") or None
 
 
 def _render(
@@ -617,7 +614,7 @@ def _dispatch_trace(args, out=None) -> int:
 
 
 def _dispatch_bench(args, out=None) -> int:
-    from .obs.cli import run_bench
+    from .bench import run_bench
 
     return run_bench(args, out=out)
 

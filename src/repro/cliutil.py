@@ -1,11 +1,13 @@
 """Shared plumbing of the ``repro`` CLI subcommands.
 
-Every subcommand takes the same two output knobs: ``--output FILE``
-(write the rendering to a file instead of stdout) and, where the
-subcommand has a structured rendering, ``--json`` (shorthand for
-``--format json``).  The helpers here keep those flags and their
-resolution identical across :mod:`repro.cli`, :mod:`repro.analysis.cli`,
-:mod:`repro.faults.cli` and :mod:`repro.obs.cli`.
+Every subcommand takes ``--output FILE`` (write the rendering to a
+file instead of stdout); the subcommands with a text and a JSON
+rendering (``lint``, ``check``, ``analyze``, ``faults``, ``chaos``,
+``submit``, ``status``, ``result``, ``predict``) also take ``--json``
+(shorthand for ``--format json``).  The helpers here keep those flags,
+the single-point flags ``trace`` and ``bench`` share, and the
+comma-list parsing of every ``--ids``-style flag identical across the
+subcommands.
 """
 
 from __future__ import annotations
@@ -13,11 +15,15 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from typing import Iterator, Optional, TextIO
+from typing import Iterator, List, Optional, TextIO
 
 __all__ = [
     "add_output_flag",
     "add_json_flag",
+    "add_point_flags",
+    "resolve_point",
+    "str_list",
+    "int_list",
     "add_supervise_flags",
     "policy_from_args",
     "resolve_format",
@@ -43,6 +49,70 @@ def add_json_flag(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="emit JSON (shorthand for --format json)",
     )
+
+
+def add_point_flags(p: argparse.ArgumentParser) -> None:
+    """The single-experiment-point flags of ``repro trace``/``repro bench``."""
+    p.add_argument(
+        "--matrix-id", type=int, default=24, help="Table I matrix id (default 24)"
+    )
+    p.add_argument(
+        "--cores", type=int, default=4, help="units of execution (default 4)"
+    )
+    p.add_argument(
+        "--scale",
+        type=float,
+        default=0.05,
+        help="matrix-size scale; 1.0 = published UFL sizes (default 0.05)",
+    )
+    p.add_argument(
+        "--iterations", type=int, default=2, help="SpMV repetitions (default 2)"
+    )
+    p.add_argument(
+        "--mapping",
+        type=str,
+        default="distance_reduction",
+        help="UE-to-core mapping policy (default distance_reduction)",
+    )
+    p.add_argument(
+        "--kernel",
+        choices=("csr", "no_x_miss"),
+        default="csr",
+        help="SpMV kernel variant (default csr)",
+    )
+
+
+def resolve_point(args: argparse.Namespace, prog: str) -> str:
+    """Validate the :func:`add_point_flags` values; return the matrix name."""
+    from .sparse.suite import entry_by_id
+
+    if args.cores < 1:
+        raise SystemExit(f"--cores must be >= 1, got {args.cores}")
+    if not 0 < args.scale <= 1.0:
+        raise SystemExit(f"--scale must be in (0, 1], got {args.scale}")
+    if args.iterations < 1:
+        raise SystemExit(f"--iterations must be >= 1, got {args.iterations}")
+    try:
+        return entry_by_id(args.matrix_id).name
+    except KeyError as exc:
+        raise SystemExit(f"{prog}: {exc}") from exc
+
+
+def str_list(raw: str) -> List[str]:
+    """The non-empty, stripped items of a comma-separated flag value."""
+    return [tok.strip() for tok in raw.split(",") if tok.strip()]
+
+
+def int_list(raw: str, flag: str) -> List[int]:
+    """:func:`str_list` as integers; a non-integer item exits naming ``flag``.
+
+    An empty value gives ``[]``: what an empty selection means is the
+    caller's rule.
+    """
+    try:
+        return [int(tok) for tok in str_list(raw)]
+    except ValueError as exc:
+        raise SystemExit(f"{flag} must be comma-separated integers: {exc}") from exc
 
 
 def add_supervise_flags(p: argparse.ArgumentParser) -> None:

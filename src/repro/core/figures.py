@@ -34,7 +34,6 @@ from .supervise import SupervisePolicy, supervised_parallel_map
 
 __all__ = [
     "suite_experiments",
-    "run_suite_batch",
     "table1_data",
     "fig3_data",
     "fig5_data",
@@ -81,29 +80,6 @@ def suite_experiments(
         exp = SpMVExperiment(build_matrix(e.mid, scale=scale), name=e.name, machine=machine_id)
         out.append((e.mid, exp))
     return out
-
-
-#: per-process experiment memo for :func:`run_suite_batch`.
-_WORKER_SUITE: Dict[Tuple[int, float, str], SpMVExperiment] = {}
-
-
-def run_suite_batch(task: Tuple) -> List[ExperimentResult]:
-    """Picklable sweep task: one suite experiment, several runs.
-
-    ``task`` is ``(matrix id, scale, name, [run kwargs, ...])`` with an
-    optional fifth element naming the machine; the experiment is
-    rebuilt (and memoized) in the running process and each kwargs dict
-    goes straight to :meth:`SpMVExperiment.run`, results in order.
-    ``repro bench`` times sweeps of these tasks.
-    """
-    mid, scale, name, specs = task[:4]
-    machine = task[4] if len(task) > 4 else DEFAULT_MACHINE
-    exp = _WORKER_SUITE.get((mid, scale, machine))
-    if exp is None:
-        exp = _WORKER_SUITE[(mid, scale, machine)] = SpMVExperiment(
-            build_matrix(mid, scale=scale), name=name, machine=machine
-        )
-    return [exp.run(**spec) for spec in specs]
 
 
 def _batch_run(

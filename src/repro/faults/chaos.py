@@ -45,7 +45,14 @@ from typing import Dict, Iterator, List, Optional, TextIO, Tuple
 
 import numpy as np
 
-from ..cliutil import add_json_flag, add_output_flag, open_output, resolve_format
+from ..cliutil import (
+    add_json_flag,
+    add_output_flag,
+    int_list,
+    open_output,
+    resolve_format,
+    str_list,
+)
 
 __all__ = [
     "build_chaos_schedule",
@@ -204,14 +211,13 @@ def _env(name: str, value: Optional[str]) -> Iterator[None]:
             os.environ[name] = old
 
 
-def _parse_int_list(raw: str, flag: str) -> List[int]:
-    try:
-        vals = [int(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise SystemExit(f"{flag} must be comma-separated integers: {exc}") from exc
-    if not vals:
-        raise SystemExit(f"{flag} selected nothing")
-    return vals
+def _grid_args(args: argparse.Namespace) -> Tuple[List[int], List[int], Tuple[str, ...]]:
+    """``--ids``/``--cores``/``--configs``; an empty id or core list exits."""
+    ids, cores = int_list(args.ids, "--ids"), int_list(args.cores, "--cores")
+    for flag, vals in (("--ids", ids), ("--cores", cores)):
+        if not vals:
+            raise SystemExit(f"{flag} selected nothing")
+    return ids, cores, tuple(str_list(args.configs))
 
 
 def _campaign_lines(path: Path) -> Dict[str, str]:
@@ -232,9 +238,7 @@ def _run_worker_leg(args: argparse.Namespace, workdir: Path) -> dict:
     from ..core.campaign import Campaign
     from ..core.supervise import CHAOS_ENV, SupervisePolicy
 
-    ids = _parse_int_list(args.ids, "--ids")
-    cores = _parse_int_list(args.cores, "--cores")
-    configs = tuple(tok for tok in args.configs.split(",") if tok.strip())
+    ids, cores, configs = _grid_args(args)
     points = Campaign.grid(ids, cores, configs=configs)
     keys = [pt.key() for pt in points]
     spec, transient, poison = build_chaos_schedule(keys, args.seed)
@@ -435,9 +439,7 @@ def _serve_leg_impl(args: argparse.Namespace, workdir: Path) -> dict:
     from ..serve.server import STORE_NAMESPACE, CampaignServer
     from ..store import ContentStore
 
-    ids = _parse_int_list(args.ids, "--ids")
-    cores = _parse_int_list(args.cores, "--cores")
-    configs = tuple(tok for tok in args.configs.split(",") if tok.strip())
+    ids, cores, configs = _grid_args(args)
     violations: List[str] = []
 
     spec = CampaignSpec(

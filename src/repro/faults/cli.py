@@ -20,6 +20,7 @@ from ..cliutil import (
     add_json_flag,
     add_output_flag,
     add_supervise_flags,
+    int_list,
     open_output,
     policy_from_args,
     resolve_format,
@@ -211,10 +212,7 @@ def run_faults(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
         workers = getattr(args, "workers", 1)
         if workers < 1:
             raise SystemExit(f"--workers must be >= 1, got {workers}")
-        try:
-            ids = [int(tok) for tok in args.ids.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise SystemExit(f"--ids must be comma-separated integers: {exc}") from exc
+        ids = int_list(args.ids, "--ids")
         if not ids:
             raise SystemExit("no matrices selected; check --ids")
 

@@ -20,23 +20,12 @@ import argparse
 import json
 from typing import List, Sequence
 
-from ..cliutil import add_output_flag, open_output
+from ..cliutil import add_output_flag, int_list, open_output, str_list
 from ..machine.registry import get_machine, list_machines
 
 __all__ = ["configure_predict_parser", "run_predict"]
 
 _DEFAULT_MACHINES = "scc-48,xeonphi-61,ft2000plus-64"
-
-
-def _csv(raw: str) -> List[str]:
-    return [tok.strip() for tok in raw.split(",") if tok.strip()]
-
-
-def _csv_int(raw: str, flag: str) -> List[int]:
-    try:
-        return [int(tok) for tok in _csv(raw)]
-    except ValueError as exc:
-        raise SystemExit(f"{flag} must be comma-separated integers: {exc}") from exc
 
 
 def configure_predict_parser(p: argparse.ArgumentParser) -> None:
@@ -94,7 +83,7 @@ def configure_predict_parser(p: argparse.ArgumentParser) -> None:
 
 def _machines_of(args) -> List:
     machines = []
-    for mid in _csv(args.machines):
+    for mid in str_list(args.machines):
         try:
             machines.append(get_machine(mid))
         except KeyError as exc:
@@ -110,17 +99,17 @@ def _run_train(args, out) -> int:
     from .train import train_predictor
     from .artifact import model_store_key
 
-    ids = _csv_int(args.ids, "--ids")
-    cores = _csv_int(args.cores, "--cores")
+    ids = int_list(args.ids, "--ids")
+    cores = int_list(args.cores, "--cores")
     report = {}
     for machine in _machines_of(args):
         model, stats = train_predictor(
             machine,
             ids,
             core_counts=cores,
-            configs=_csv(args.configs),
-            mappings=_csv(args.mappings),
-            kernels=_csv(args.kernels),
+            configs=str_list(args.configs),
+            mappings=str_list(args.mappings),
+            kernels=str_list(args.kernels),
             scale=args.scale,
             iterations=args.iterations,
             mode=args.label_mode,
@@ -151,8 +140,8 @@ def _run_eval(args, out) -> int:
 
     report = differential_report(
         machine_ids=[m.machine_id for m in _machines_of(args)],
-        ids=_csv_int(args.ids, "--ids"),
-        core_counts=_csv_int(args.cores, "--cores"),
+        ids=int_list(args.ids, "--ids"),
+        core_counts=int_list(args.cores, "--cores"),
         scale=args.scale,
         iterations=args.iterations,
         n_rounds=args.rounds,

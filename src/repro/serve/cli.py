@@ -20,9 +20,16 @@ import json
 import os
 import signal
 import threading
-from typing import List, Optional
 
-from ..cliutil import add_json_flag, add_output_flag, add_supervise_flags, open_output, policy_from_args
+from ..cliutil import (
+    add_json_flag,
+    add_output_flag,
+    add_supervise_flags,
+    int_list,
+    open_output,
+    policy_from_args,
+    str_list,
+)
 
 __all__ = [
     "DEFAULT_PORT",
@@ -132,17 +139,6 @@ def run_serve(args: argparse.Namespace, out=None) -> int:
 # -- repro submit ----------------------------------------------------------
 
 
-def _parse_int_list(raw: str, flag: str) -> List[int]:
-    try:
-        return [int(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise SystemExit(f"{flag} must be comma-separated integers: {exc}") from exc
-
-
-def _parse_str_list(raw: str) -> List[str]:
-    return [tok.strip() for tok in raw.split(",") if tok.strip()]
-
-
 def configure_submit_parser(p: argparse.ArgumentParser) -> None:
     from ..core.experiment import DEFAULT_ITERATIONS, KERNELS, MODES
     from ..core.mapping import MAPPINGS
@@ -207,14 +203,14 @@ def configure_submit_parser(p: argparse.ArgumentParser) -> None:
 def _spec_from_args(args: argparse.Namespace):
     from .protocol import CampaignSpec, SpecError
 
-    machines = _parse_str_list(args.machines) or [""]
+    machines = str_list(args.machines) or [""]
     try:
         return CampaignSpec(
-            ids=tuple(_parse_int_list(args.ids, "--ids")),
-            core_counts=tuple(_parse_int_list(args.cores, "--cores")),
-            configs=tuple(_parse_str_list(args.configs) or ["conf0"]),
-            mappings=tuple(_parse_str_list(args.mappings) or ["distance_reduction"]),
-            kernels=tuple(_parse_str_list(args.kernels) or ["csr"]),
+            ids=tuple(int_list(args.ids, "--ids")),
+            core_counts=tuple(int_list(args.cores, "--cores")),
+            configs=tuple(str_list(args.configs) or ["conf0"]),
+            mappings=tuple(str_list(args.mappings) or ["distance_reduction"]),
+            kernels=tuple(str_list(args.kernels) or ["csr"]),
             machines=tuple(machines),
             machine=args.machine,
             scale=args.scale,

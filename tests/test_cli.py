@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
 
 from repro.cli import ARTIFACTS, COMMANDS, build_parser, main
+from repro.cliutil import int_list, str_list
+from repro.core.campaign import Campaign
+from repro.faults.chaos import _grid_args
 
 FAST = ["--scale", "0.04", "--ids", "24,30", "--iterations", "2"]
 
@@ -84,6 +88,37 @@ class TestValidation:
     def test_empty_selection(self):
         with pytest.raises(SystemExit):
             main(["run", "table1", "--ids", "99"])
+
+    def test_trailing_comma_in_ids(self):
+        code, text = run_cli(
+            "run", "table1", "--scale", "0.04", "--ids", "24,30,", "--iterations", "2"
+        )
+        assert code == 0
+        assert "rajat09" in text and "Na5" in text
+
+
+class TestCommaLists:
+    def test_items_are_stripped_and_empty_items_dropped(self):
+        assert str_list(" conf0, conf1,,") == ["conf0", "conf1"]
+        assert int_list("2, 7,", "--ids") == [2, 7]
+        assert int_list("", "--ids") == [] and str_list(" , ") == []
+
+    def test_non_integer_names_the_flag(self):
+        with pytest.raises(SystemExit, match="--cores must be comma-separated integers"):
+            int_list("1,x", "--cores")
+
+    def test_chaos_grid_keys_have_no_spaces(self):
+        args = build_parser().parse_args(
+            ["chaos", "--ids", "24", "--cores", "1", "--configs", "conf0, conf1"]
+        )
+        ids, cores, configs = _grid_args(args)
+        keys = [pt.key() for pt in Campaign.grid(ids, cores, configs=configs)]
+        assert keys == ["24:1:conf0:distance_reduction:csr", "24:1:conf1:distance_reduction:csr"]
+
+    def test_chaos_empty_selection_exits(self):
+        args = build_parser().parse_args(["chaos", "--ids", ",", "--cores", "1"])
+        with pytest.raises(SystemExit, match="--ids selected nothing"):
+            _grid_args(args)
 
 
 class TestArtifacts:
@@ -174,3 +209,24 @@ class TestValidateExact:
         code, text = run_cli("run", "table1", *FAST)
         assert code == 0
         assert "Table I" in text
+
+
+class TestTrace:
+    def test_summary_export(self):
+        code, text = run_cli("trace", "--export", "summary", "--scale", "0.02")
+        assert code == 0
+        summary = json.loads(text)
+        assert set(summary) == {"run", "events", "metrics"}
+        assert summary["run"]["n_cores"] == 4 and summary["run"]["matrix"] == "rajat09"
+        assert summary["events"] > 0
+        assert summary["metrics"]
+
+    def test_zero_cores_exits(self):
+        with pytest.raises(SystemExit, match="--cores must be >= 1"):
+            main(["trace", "--cores", "0", "--scale", "0.02"])
+
+    def test_json_flag_is_gone(self):
+        for cmd in ("trace", "bench"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([cmd, "--json"] + (["gate"] if cmd == "bench" else []))
+            assert exc.value.code == 2

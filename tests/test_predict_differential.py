@@ -8,8 +8,8 @@ grid through ``mode="predict"``.  These tests pin the error contract
 machine-zoo member, and close to the SCC exact-trace tier as well) and
 the purity contract (a predict sweep writes nothing to the content
 store).  The 100x wall-clock speedup is deliberately *not* asserted
-here — unit-test machines are noisy; ``repro bench gate
---min-predict-speedup`` owns that number.
+here — unit-test machines are noisy; the ``predict_speedup`` row of
+``repro bench gate`` owns that number.
 """
 
 from __future__ import annotations
