@@ -52,7 +52,13 @@ from .timing import (
     solve_core_times,
     solve_core_times_batched,
 )
-from .trace import DEFAULT_X_CAPACITY_FRACTION, UETrace, access_summary, characterize_partition
+from .trace import (
+    DEFAULT_X_CAPACITY_FRACTION,
+    UETrace,
+    access_summary,
+    characterize_partition,
+    gather_links,
+)
 
 __all__ = [
     "ResultBase",
@@ -462,6 +468,8 @@ class SpMVExperiment:
         self.x_capacity_fraction = x_capacity_fraction
         self.partitioner = partitioner
         self._trace_cache: Dict[int, List[UETrace]] = {}
+        #: line links of the whole x gather, shared by every core count.
+        self._gather_links: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._partition_cache: Dict[int, RowPartition] = {}
         self._batch_cache: Dict[int, BatchedTraces] = {}
         self._summary_cache: Dict[Tuple, Any] = {}
@@ -498,6 +506,8 @@ class SpMVExperiment:
         """Per-UE stream characterization (frequency/mapping independent)."""
         if n_ues not in self._trace_cache:
             cache_geom = self.machine.cache
+            if self._gather_links is None:
+                self._gather_links = gather_links(self.a, cache_geom.line_bytes)
             self._trace_cache[n_ues] = characterize_partition(
                 self.a,
                 self.partition(n_ues),
@@ -505,6 +515,7 @@ class SpMVExperiment:
                 l1_bytes=cache_geom.l1_bytes,
                 l2_bytes=cache_geom.l2_bytes,
                 x_capacity_fraction=self.x_capacity_fraction,
+                links=self._gather_links,
             )
         return self._trace_cache[n_ues]
 

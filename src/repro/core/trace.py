@@ -31,15 +31,17 @@ L2 on/off switch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from ..scc.core_model import AccessSummary
-from ..scc.locality import miss_ratio_curve
+from ..scc.locality import line_links, miss_ratio_curve
 from ..scc.params import CACHE_LINE_BYTES, L1D_BYTES, L2_BYTES
 from ..sparse.csr import CSRMatrix
 from ..sparse.partition import RowPartition
 
-__all__ = ["UETrace", "characterize_partition", "access_summary"]
+__all__ = ["UETrace", "gather_links", "characterize_partition", "access_summary"]
 
 #: fraction of each cache level the x gather effectively owns while the
 #: four streams flow through the remainder.
@@ -74,6 +76,15 @@ class UETrace:
     ws_bytes: int
 
 
+def gather_links(a: CSRMatrix, line_bytes: int = CACHE_LINE_BYTES) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`~repro.scc.locality.line_links` of the whole ``x`` gather.
+
+    Every UE's gather is a slice ``[ptr[r0], ptr[r1])`` of this one
+    stream, so the links serve every row partition of ``a``.
+    """
+    return line_links(a.index // (line_bytes // 8))
+
+
 def characterize_partition(
     a: CSRMatrix,
     partition: RowPartition,
@@ -81,13 +92,19 @@ def characterize_partition(
     l1_bytes: int = L1D_BYTES,
     l2_bytes: int = L2_BYTES,
     x_capacity_fraction: float = DEFAULT_X_CAPACITY_FRACTION,
+    links: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> List[UETrace]:
-    """Analyze every UE's access stream of one balanced row partition."""
+    """Analyze every UE's access stream of one balanced row partition.
+
+    ``links`` are :func:`gather_links` of ``a`` at ``line_bytes``; pass
+    them to share one sort of the gather stream across partitions.
+    """
     if not 0.0 < x_capacity_fraction <= 1.0:
         raise ValueError(f"x_capacity_fraction must be in (0, 1], got {x_capacity_fraction}")
     x_l1_capacity = l1_bytes * x_capacity_fraction / line_bytes
     x_l2_capacity = l2_bytes * x_capacity_fraction / line_bytes
-    doubles_per_line = line_bytes // 8
+    if links is None:
+        links = gather_links(a, line_bytes)
 
     traces: List[UETrace] = []
     for ue, (r0, r1) in enumerate(partition.ranges()):
@@ -101,8 +118,7 @@ def characterize_partition(
             + _stream_lines(8 * rows_u, line_bytes)   # y
         )
         if nnz_u:
-            x_lines = a.index[lo:hi] // doubles_per_line
-            mrc = miss_ratio_curve(x_lines)
+            mrc = miss_ratio_curve(links=links, lo=lo, hi=hi)
             x_distinct = mrc.profile.n_lines
             # Steady-state per-iteration misses: capacity misses plus the
             # cold set, which re-misses every iteration unless resident.

@@ -67,7 +67,8 @@ class PerfRegressor:
             raise ValueError(
                 f"feature width {x2.shape[1]} != model width {len(self.feature_names)}"
             )
-        x2 = np.clip(x2, self.x_min, self.x_max)
+        # np.clip's value, minus its Python-level dispatch (per point).
+        x2 = np.minimum(np.maximum(x2, self.x_min), self.x_max)
         xs = (x2 - self.mean) / self.scale
         pred = xs @ self.coef + self.intercept
         if self.stump_feature.size:

@@ -23,10 +23,12 @@ from .locality import (
     MissRatioCurve,
     ReuseProfile,
     footprint_curve,
+    line_links,
     lines_of_addresses,
     miss_ratio_curve,
     reuse_profile,
     reuse_times,
+    window_profile,
 )
 from .mcqueue import CoreWorkload, simulate_controller
 from .memory import MemoryController, MemorySystem, memory_read_latency
@@ -73,10 +75,12 @@ __all__ = [
     "MissRatioCurve",
     "ReuseProfile",
     "footprint_curve",
+    "line_links",
     "lines_of_addresses",
     "miss_ratio_curve",
     "reuse_profile",
     "reuse_times",
+    "window_profile",
     "CoreWorkload",
     "simulate_controller",
     "MemoryController",

@@ -9,7 +9,11 @@ locality (Xiang et al., "HOTL", ASPLOS'13):
 
 1. compute the **reuse time** of every access (distance in accesses
    since the previous touch of the same cache line) — vectorized with
-   one ``argsort``;
+   one stable ``argsort`` per stream.  :func:`line_links` records each
+   access's previous and next touch once; :func:`window_profile` then
+   characterizes any contiguous window of the stream without sorting
+   again, so the SpMV model sorts each matrix's ``x`` gather once and
+   shares it across every core count (one window per UE);
 2. convert the reuse-time histogram into the **average footprint**
    ``fp(w)`` — the mean number of distinct lines touched in any window
    of ``w`` consecutive accesses — via Xiang's O(N) formula;
@@ -25,7 +29,7 @@ simulator of :mod:`repro.scc.cache`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -33,8 +37,10 @@ from .params import CACHE_LINE_BYTES
 
 __all__ = [
     "lines_of_addresses",
+    "line_links",
     "reuse_times",
     "ReuseProfile",
+    "window_profile",
     "reuse_profile",
     "FootprintCurve",
     "footprint_curve",
@@ -50,6 +56,42 @@ def lines_of_addresses(addrs: np.ndarray, line_bytes: int = CACHE_LINE_BYTES) ->
     return np.asarray(addrs, dtype=np.int64) // line_bytes
 
 
+def _link_dtype(n: int) -> type:
+    """Narrowest index dtype that holds every link of an n-access stream."""
+    return np.int32 if n < 2**31 else np.int64
+
+
+def line_links(lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Previous and next touch of every access's line.
+
+    Returns ``(prev, nxt)``: ``prev[i]`` is the index of the previous
+    access to the line of access ``i`` (``-1`` if none) and ``nxt[i]``
+    that of the next one (``n`` if none).  One stable argsort groups the
+    accesses by line in time order.  Every window ``lines[lo:hi]`` is
+    then characterized without sorting again (:func:`window_profile`):
+    access ``i`` is a first touch iff ``prev[i] < lo``, a last touch iff
+    ``nxt[i] >= hi``, and otherwise reuses after ``i - prev[i]``
+    accesses.  The links are int32 whenever ``n < 2**31`` — half the
+    memory of int64 on every realistic stream.
+    """
+    lines = np.asarray(lines).ravel()
+    n = lines.size
+    dtype = _link_dtype(n)
+    prev = np.full(n, -1, dtype=dtype)
+    nxt = np.full(n, n, dtype=dtype)
+    if n == 0:
+        return prev, nxt
+    # Narrowing the permutation at once halves what the links build holds.
+    order = np.argsort(lines, kind="stable").astype(dtype, copy=False)
+    sorted_lines = lines[order]
+    same = sorted_lines[1:] == sorted_lines[:-1]
+    later = order[1:][same]
+    earlier = order[:-1][same]
+    prev[later] = earlier
+    nxt[earlier] = later
+    return prev, nxt
+
+
 def reuse_times(lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per-access reuse times of a line-id stream.
 
@@ -59,24 +101,10 @@ def reuse_times(lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     and ``first_mask[i]`` marks cold (first-ever) accesses, whose ``rt``
     is 0 and meaningless.
     """
-    lines = np.asarray(lines, dtype=np.int64).ravel()
-    n = lines.size
-    rt = np.zeros(n, dtype=np.int64)
-    first = np.zeros(n, dtype=bool)
-    if n == 0:
-        return rt, first
-    # Group accesses by line id, stable in time order.
-    order = np.argsort(lines, kind="stable")
-    sorted_lines = lines[order]
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = sorted_lines[1:] != sorted_lines[:-1]
-    first[order] = boundary
-    # Within each group, consecutive entries are consecutive touches.
-    same = ~boundary[1:]
-    cur = order[1:][same]
-    prev = order[:-1][same]
-    rt[cur] = cur - prev
+    prev, _nxt = line_links(lines)
+    first = prev < 0
+    rt = np.arange(prev.size, dtype=np.int64) - prev
+    rt[first] = 0
     return rt, first
 
 
@@ -96,31 +124,39 @@ class ReuseProfile:
         return self.n_lines
 
 
-def reuse_profile(lines: np.ndarray) -> ReuseProfile:
-    """Compute the full reuse profile of a line-id stream."""
-    lines = np.asarray(lines, dtype=np.int64).ravel()
-    n = lines.size
-    if n == 0:
+def window_profile(
+    links: Tuple[np.ndarray, np.ndarray], lo: int = 0, hi: Optional[int] = None
+) -> ReuseProfile:
+    """Reuse profile of the window ``lines[lo:hi]`` from ``line_links(lines)``.
+
+    Equal to ``reuse_profile(lines[lo:hi])``, with first and last times
+    in time order, at the cost of a few vectorized passes over the
+    window and no sort.
+    """
+    prev, nxt = links
+    if hi is None:
+        hi = prev.size
+    n = hi - lo
+    if n <= 0:
         return ReuseProfile(0, 0, np.zeros(1, dtype=np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
-    rt, first = reuse_times(lines)
-    hist = np.bincount(rt[~first], minlength=n + 1).astype(np.int64)
-    order = np.argsort(lines, kind="stable")
-    sorted_lines = lines[order]
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = sorted_lines[1:] != sorted_lines[:-1]
-    firsts = order[boundary] + 1                      # 1-based
-    last_boundary = np.empty(n, dtype=bool)
-    last_boundary[-1] = True
-    last_boundary[:-1] = sorted_lines[1:] != sorted_lines[:-1]
-    lasts = order[last_boundary] + 1                  # 1-based
+    p = prev[lo:hi]
+    first = p < lo
+    rt = np.arange(lo, hi, dtype=p.dtype) - p
+    hist = np.bincount(rt[~first], minlength=n + 1).astype(np.int64, copy=False)
+    firsts = np.flatnonzero(first) + 1                # 1-based
+    lasts = np.flatnonzero(nxt[lo:hi] >= hi) + 1      # 1-based
     return ReuseProfile(
         n_accesses=n,
-        n_lines=int(boundary.sum()),
+        n_lines=int(firsts.size),
         reuse_hist=hist,
         first_times=firsts,
         last_times=lasts,
     )
+
+
+def reuse_profile(lines: np.ndarray) -> ReuseProfile:
+    """Compute the full reuse profile of a line-id stream."""
+    return window_profile(line_links(lines))
 
 
 @dataclass(frozen=True)
@@ -157,36 +193,37 @@ def footprint_curve(profile: ReuseProfile) -> FootprintCurve:
     respective histograms.
     """
     n, m = profile.n_accesses, profile.n_lines
-    values = np.zeros(n + 1, dtype=np.float64)
     if n == 0:
-        return FootprintCurve(0, 0, values)
-
-    def deficit(hist_vals: np.ndarray) -> np.ndarray:
-        """For each w in 0..n: sum_{t>w} (t - w) * hist[t]."""
-        h = np.zeros(n + 1, dtype=np.float64)
-        idx = np.minimum(np.arange(hist_vals.size), n)
-        np.add.at(h, idx, hist_vals)
-        t = np.arange(n + 1, dtype=np.float64)
-        count_gt = np.concatenate([np.cumsum(h[::-1])[::-1][1:], [0.0]])
-        weight_gt = np.concatenate([np.cumsum((h * t)[::-1])[::-1][1:], [0.0]])
-        w = np.arange(n + 1, dtype=np.float64)
-        return weight_gt - w * count_gt
-
-    rt_deficit = deficit(profile.reuse_hist)
-    f_hist = np.bincount(profile.first_times, minlength=n + 1).astype(np.float64)
-    r_times = n + 1 - profile.last_times
-    r_hist = np.bincount(r_times, minlength=n + 1).astype(np.float64)
-    f_deficit = deficit(f_hist)
-    r_deficit = deficit(r_hist)
-
+        return FootprintCurve(0, 0, np.zeros(1, dtype=np.float64))
     w = np.arange(n + 1, dtype=np.float64)
-    denom = n - w + 1.0
-    fp = m - (rt_deficit + f_deficit + r_deficit) / denom
+
+    def deficit(hist: np.ndarray) -> np.ndarray:
+        """For each w in 0..n: sum_{t>w} (t - w) * hist[t]."""
+        # Every histogram here has exactly n + 1 bins, for times 0..n.
+        h = hist.astype(np.float64)
+        count_gt = _sums_above(h)
+        weight_gt = _sums_above(np.multiply(h, w, out=h))
+        weight_gt -= np.multiply(w, count_gt, out=count_gt)
+        return weight_gt
+
+    fp = deficit(profile.reuse_hist)
+    fp += deficit(np.bincount(profile.first_times, minlength=n + 1))
+    fp += deficit(np.bincount(n + 1 - profile.last_times, minlength=n + 1))
+    fp /= n - w + 1.0
+    np.subtract(m, fp, out=fp)
     fp[0] = 0.0
     # Guard numerical noise: fp must be within [0, m] and non-decreasing.
-    fp = np.clip(fp, 0.0, float(m))
-    fp = np.maximum.accumulate(fp)
+    np.clip(fp, 0.0, float(m), out=fp)
+    np.maximum.accumulate(fp, out=fp)
     return FootprintCurve(n, m, fp)
+
+
+def _sums_above(h: np.ndarray) -> np.ndarray:
+    """``out[w] = sum_{t>w} h[t]``, accumulated from the top bin down."""
+    out = np.empty_like(h)
+    out[-1] = 0.0
+    np.cumsum(h[:0:-1], out=out[-2::-1])
+    return out
 
 
 @dataclass(frozen=True)
@@ -219,7 +256,19 @@ class MissRatioCurve:
         return np.array([self.miss_ratio(c) for c in np.asarray(capacities)])
 
 
-def miss_ratio_curve(lines: np.ndarray) -> MissRatioCurve:
-    """Build the full locality model of a line-id stream."""
-    profile = reuse_profile(lines)
+def miss_ratio_curve(
+    lines: Optional[np.ndarray] = None,
+    *,
+    links: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    lo: int = 0,
+    hi: Optional[int] = None,
+) -> MissRatioCurve:
+    """Build the full locality model of the line-id stream ``lines[lo:hi]``.
+
+    Pass ``links=line_links(lines)`` instead of ``lines`` to model many
+    windows of one stream with a single sort.
+    """
+    if (lines is None) == (links is None):
+        raise TypeError("pass exactly one of lines and links")
+    profile = window_profile(links if links is not None else line_links(lines), lo, hi)
     return MissRatioCurve(profile, footprint_curve(profile))

@@ -39,6 +39,7 @@ from .stats import (
     ROW_LENGTH_EDGES,
     bandwidth_stats,
     block_density,
+    mean_std,
     partition_spans,
     reuse_proxies,
     row_extents,
@@ -305,7 +306,7 @@ def point_features(
     hops = hops_all[cm]
     mc_load = np.bincount(mcs_all[cm]).astype(float)
     mc_load = mc_load[mc_load > 0]
-    mc_mean = mc_load.mean() if mc_load.size else 0.0
+    mc_mean, mc_std = mean_std(mc_load) if mc_load.size else (0.0, 0.0)
     cache = machine.cache
     ws_part = working_set_bytes(mf.n, mf.nnz) / max(n_cores, 1)
     span_bytes = pf.mean_span_elems * 8.0
@@ -324,7 +325,7 @@ def point_features(
             1.0 if kernel == "no_x_miss" else 0.0,
             float(hops.mean()) if hops.size else 0.0,
             float(hops.max()) if hops.size else 0.0,
-            float(mc_load.std() / mc_mean) if mc_mean > 0 else 0.0,
+            float(mc_std / mc_mean) if mc_mean > 0 else 0.0,
             float(mc_load.max() / mc_mean) if mc_mean > 0 else 1.0,
             _log(ws_part / max(cache.l1_bytes, 1)),
             _log(ws_part / max(cache.l2_bytes, 1)),

@@ -9,6 +9,7 @@ as a baseline for the load-balance ablation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -30,7 +31,7 @@ class RowPartition:
         b = self.bounds
         if len(b) < 2 or b[0] != 0 or b[-1] != self.n_rows:
             raise ValueError(f"bounds must span [0, {self.n_rows}], got {b}")
-        if any(b[i] > b[i + 1] for i in range(len(b) - 1)):
+        if any(map(operator.gt, b, b[1:])):
             raise ValueError("bounds must be non-decreasing")
 
     @property
@@ -72,14 +73,10 @@ def partition_rows_balanced(a: CSRMatrix, n_parts: int) -> RowPartition:
         raise ValueError(f"cannot split {a.n_rows} rows into {n_parts} parts")
     targets = (np.arange(1, n_parts) * (a.nnz / n_parts)).astype(np.float64)
     cuts = np.searchsorted(a.ptr[1:-1], targets, side="left") + 1 if a.n_rows > 1 else np.array([], dtype=np.int64)
-    bounds = [0]
-    for c in cuts.tolist():
-        bounds.append(max(min(int(c), a.n_rows), bounds[-1]))
-    bounds.append(a.n_rows)
-    # Monotonic repair for degenerate matrices (many empty rows).
-    for i in range(1, len(bounds)):
-        bounds[i] = max(bounds[i], bounds[i - 1])
-    return RowPartition(a.n_rows, tuple(bounds))
+    # Clip to the row count; the running maximum repairs degenerate
+    # matrices (many empty rows) into non-decreasing bounds.
+    cuts = np.maximum.accumulate(np.minimum(cuts, a.n_rows))
+    return RowPartition(a.n_rows, (0, *cuts.tolist(), a.n_rows))
 
 
 def partition_rows_uniform(a: CSRMatrix, n_parts: int) -> RowPartition:

@@ -29,6 +29,7 @@ __all__ = [
     "MatrixProfile",
     "profile_matrix",
     "ROW_LENGTH_EDGES",
+    "mean_std",
     "row_extents",
     "row_length_histogram",
     "bandwidth_stats",
@@ -108,6 +109,19 @@ def profile_matrix(a: CSRMatrix) -> MatrixProfile:
 ROW_LENGTH_EDGES: Tuple[int, ...] = (0, 2, 8, 32, 128)
 
 
+def mean_std(v: np.ndarray) -> Tuple[np.float64, np.float64]:
+    """``(v.mean(), v.std())`` of a nonempty float vector, bit for bit.
+
+    The same pairwise sums and divisions as NumPy's ``mean``/``std``,
+    without their generic reduction wrappers — which cost several times
+    the arithmetic on the short per-core vectors of the feature path.
+    """
+    mean = v.sum() / v.size
+    dev = v - mean
+    dev *= dev
+    return mean, np.sqrt(dev.sum() / v.size)
+
+
 def _segment_reduce(
     values: np.ndarray, starts: np.ndarray, ends: np.ndarray, op, fill: float
 ) -> np.ndarray:
@@ -133,12 +147,10 @@ def row_extents(a: CSRMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     Empty rows get ``min_col = +inf`` and ``max_col = -inf`` so that
     downstream segment minima/maxima ignore them naturally.
     """
-    lengths = a.row_lengths().astype(np.int64)
-    starts = a.ptr[:-1].astype(np.int64)
-    ends = a.ptr[1:].astype(np.int64)
-    cols = a.index.astype(np.int64)
-    row_min = _segment_reduce(cols, starts, ends, np.minimum, np.inf)
-    row_max = _segment_reduce(cols, starts, ends, np.maximum, -np.inf)
+    lengths = a.row_lengths()
+    starts, ends = a.ptr[:-1], a.ptr[1:]
+    row_min = _segment_reduce(a.index, starts, ends, np.minimum, np.inf)
+    row_max = _segment_reduce(a.index, starts, ends, np.maximum, -np.inf)
     return row_min, row_max, lengths
 
 
@@ -170,13 +182,17 @@ def bandwidth_stats(
     n = max(a.n_cols, 1)
     if a.nnz == 0:
         return {"mean_dist": 0.0, "max_dist": 0.0, "band_mean": 0.0, "profile_frac": 0.0}
-    rows_of_nnz = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_lengths())
-    dist = np.abs(a.index - rows_of_nnz)
+    # |col - row| per nonzero, computed in place in the row-id buffer.
+    dist = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_lengths())
+    np.subtract(a.index, dist, out=dist)
+    np.abs(dist, out=dist)
     row_min, row_max, lengths = extents if extents is not None else row_extents(a)
     nonempty = lengths > 0
     spans = (row_max[nonempty] - row_min[nonempty] + 1.0) if nonempty.any() else np.zeros(1)
     return {
-        "mean_dist": float(dist.mean()) / n,
+        # An int64 sum then one division: the float mean's value while
+        # the total stays below 2**53 (nnz * n_cols), at a third the cost.
+        "mean_dist": float(dist.sum()) / a.nnz / n,
         "max_dist": float(dist.max()) / n,
         "band_mean": float(spans.mean()) / n,
         "profile_frac": float(spans.sum()) / (n * max(a.n_rows, 1)),
@@ -190,25 +206,32 @@ def block_density(a: CSRMatrix, blocks: int = 16) -> Dict[str, float]:
     of variation of nonzeros over the *row* block stripes (a row-block
     density/imbalance proxy that survives any column reordering).
 
-    Works stripe-by-stripe over the CSR layout: rows are sorted, so one
-    row block is one contiguous ``index`` slice — no per-nonzero row-id
-    expansion needed on the feature extraction hot path.
+    Rows are sorted, so one row block is one contiguous ``index``
+    slice: each nonzero sets the bit of its column block, and one OR
+    reduction per stripe yields the stripe's set of nonempty blocks —
+    no per-nonzero row-id expansion or histogram on the feature
+    extraction hot path.  ``blocks`` is at most 64, one bit each.
     """
+    b = max(1, blocks)
+    if b > 64:
+        raise ValueError(f"blocks must be at most 64, got {blocks}")
     if a.nnz == 0 or a.n_rows == 0 or a.n_cols == 0:
         return {"fill": 0.0, "cv": 0.0}
-    b = max(1, blocks)
     # stripe r covers rows [edges[r], edges[r+1]) with edges[r] =
     # ceil(r * n_rows / b), i.e. exactly the rows whose block index
     # ``row * b // n_rows`` equals r; stripe nnz is a ptr diff.
     edges = -((np.arange(b + 1, dtype=np.int64) * a.n_rows) // -b)
-    stripe_ptr = a.ptr[edges].astype(np.int64)
+    stripe_ptr = a.ptr[edges]
     stripe = np.diff(stripe_ptr).astype(float)
-    filled = 0
-    for r in range(b):
-        sl = a.index[stripe_ptr[r]:stripe_ptr[r + 1]]
-        if sl.size:
-            cb = np.minimum(sl * b // a.n_cols, b - 1)
-            filled += int(np.count_nonzero(np.bincount(cb, minlength=b)))
+    col_block = a.index * b
+    col_block //= a.n_cols
+    np.minimum(col_block, b - 1, out=col_block)
+    one = np.int32(1) if b < 32 else np.int64(1)
+    bits = np.left_shift(one, col_block)
+    # Empty stripes are skipped: the next nonempty stripe starts where
+    # they end, so each reduceat segment is exactly one stripe.
+    masks = np.bitwise_or.reduceat(bits, stripe_ptr[:-1][stripe > 0])
+    filled = sum(bin(m).count("1") for m in masks.view(f"u{masks.itemsize}").tolist())
     mean = stripe.mean()
     return {
         "fill": filled / (b * b),
@@ -228,7 +251,7 @@ def reuse_proxies(a: CSRMatrix, line_elems: int = 8) -> Dict[str, float]:
     """
     if a.nnz == 0:
         return {"col_reuse": 1.0, "line_reuse": 1.0, "adj_gap": 0.0}
-    cols = a.index.astype(np.int64)
+    cols = a.index
     # bincount-based distinct counts: O(nnz + n_cols), an order of
     # magnitude cheaper than sort-based ``np.unique`` on the feature
     # extraction hot path (column ids are bounded by n_cols).
@@ -241,7 +264,10 @@ def reuse_proxies(a: CSRMatrix, line_elems: int = 8) -> Dict[str, float]:
     # within-row gap mean without materializing a masked copy: total
     # |gap| minus the (few, one per row boundary) cross-row gaps.
     if a.nnz > 1:
-        gaps = np.abs(np.diff(cols))
+        # Column ids are below n_cols, so their differences fit the
+        # index dtype; the sums below accumulate in int64 regardless.
+        gaps = np.diff(cols)
+        np.abs(gaps, out=gaps)
         bidx = a.ptr[1:-1].astype(np.int64) - 1
         bidx = bidx[(bidx >= 0) & (bidx < gaps.size)]
         if bidx.size > 1:
@@ -273,14 +299,16 @@ def partition_imbalance(a: CSRMatrix, partition: RowPartition) -> Dict[str, floa
     per-core loop overhead even when nnz balances.
     """
     part_nnz = partition.part_nnz(a).astype(float)
-    bounds = np.asarray([r for r, _ in partition.ranges()] + [a.n_rows], dtype=np.int64)
+    bounds = np.asarray(partition.bounds, dtype=np.int64)
     part_rows = np.diff(bounds).astype(float)
 
     def _cv_max(v: np.ndarray) -> Tuple[float, float]:
-        mean = v.mean() if v.size else 0.0
+        if not v.size:
+            return 0.0, 1.0
+        mean, std = mean_std(v)
         if mean <= 0:
             return 0.0, 1.0
-        return float(v.std() / mean), float(v.max() / mean)
+        return float(std / mean), float(v.max() / mean)
 
     nnz_cv, nnz_max = _cv_max(part_nnz)
     rows_cv, rows_max = _cv_max(part_rows)
@@ -306,7 +334,7 @@ def partition_spans(
     """
     if row_min is None or row_max is None:
         row_min, row_max, _ = row_extents(a)
-    bounds = np.asarray([r for r, _ in partition.ranges()] + [a.n_rows], dtype=np.int64)
+    bounds = np.asarray(partition.bounds, dtype=np.int64)
     starts, ends = bounds[:-1], bounds[1:]
     pmin = _segment_reduce(row_min, starts, ends, np.minimum, np.inf)
     pmax = _segment_reduce(row_max, starts, ends, np.maximum, -np.inf)

@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import access_summary, characterize_partition
-from repro.core.trace import UETrace
+from repro.core import SpMVExperiment, access_summary, characterize_partition
+from repro.core.trace import UETrace, gather_links
+from repro.machine import get_machine
+from repro.scc.locality import miss_ratio_curve
 from repro.scc.params import L2_BYTES
-from repro.sparse import banded, partition_rows_balanced, random_uniform
+from repro.sparse import RowPartition, banded, partition_rows_balanced, random_uniform
+from repro.sparse.suite import SUITE, build_matrix
 
 
 def trace_of(a, n_ues=1, **kw):
@@ -137,3 +140,79 @@ class TestAccessSummary:
         s = access_summary(t, iterations=2)
         # <= L2 counts as resident.
         assert s.l2_misses == t.distinct_lines
+
+
+# --- shared gather links vs the per-slice formulation -------------------------
+
+#: core counts spanning 1..48: powers of two, the paper's 24/48, and
+#: odd counts whose UE boundaries fall elsewhere.
+DIFF_CORE_COUNTS = (1, 2, 3, 5, 8, 13, 24, 31, 47, 48)
+
+
+def per_slice_traces(a, partition, cache, x_capacity_fraction=0.5):
+    """The per-slice formulation: one locality model per UE's own gather.
+
+    Every UE sorts its own ``x`` line stream from scratch — the
+    reference the shared-links path must reproduce bit for bit.
+    """
+    line_bytes = cache.line_bytes
+    x_l1_capacity = cache.l1_bytes * x_capacity_fraction / line_bytes
+    x_l2_capacity = cache.l2_bytes * x_capacity_fraction / line_bytes
+    dpl = line_bytes // 8
+
+    def lines(nbytes):
+        return nbytes // line_bytes + 1 if nbytes else 0
+
+    out = []
+    for ue, (r0, r1) in enumerate(partition.ranges()):
+        lo, hi = int(a.ptr[r0]), int(a.ptr[r1])
+        nnz_u, rows_u = hi - lo, r1 - r0
+        stream = lines(8 * nnz_u) + lines(4 * nnz_u) + lines(4 * rows_u) + lines(8 * rows_u)
+        if nnz_u:
+            mrc = miss_ratio_curve(a.index[lo:hi] // dpl)
+            x_distinct = mrc.profile.n_lines
+            x_l1 = float(mrc.misses(x_l1_capacity))
+            x_l2 = float(mrc.misses(x_l2_capacity))
+        else:
+            x_distinct, x_l1, x_l2 = 0, 0.0, 0.0
+        out.append(UETrace(
+            ue=ue, nnz=nnz_u, rows=rows_u, stream_lines=stream,
+            distinct_lines=stream + x_distinct, x_l1_misses=x_l1, x_l2_misses=x_l2,
+            x_distinct_lines=x_distinct,
+            ws_bytes=12 * nnz_u + 12 * rows_u + 4 + x_distinct * line_bytes,
+        ))
+    return out
+
+
+@pytest.fixture(scope="module")
+def suite_small():
+    return [(e.mid, build_matrix(e.mid, 0.02)) for e in SUITE]
+
+
+class TestSharedLinksMatchPerSlice:
+    """``characterize_partition(..., links=shared)`` == the per-slice model."""
+
+    @pytest.mark.parametrize("machine_id", ["scc-48", "xeonphi-61"])
+    @pytest.mark.parametrize("partitioner", ["balanced", "uniform"])
+    def test_every_suite_matrix(self, suite_small, machine_id, partitioner):
+        cache = get_machine(machine_id).cache
+        for mid, a in suite_small:
+            # The experiment sorts the gather once and shares the links
+            # across every core count.
+            exp = SpMVExperiment(a, machine=machine_id, partitioner=partitioner)
+            for n in DIFF_CORE_COUNTS:
+                if n > a.n_rows:
+                    continue
+                got = exp.traces(n)
+                assert got == per_slice_traces(a, exp.partition(n), cache), (mid, n)
+
+    def test_explicit_links_and_empty_ue(self):
+        a = banded(200, 6.0, 5, seed=3)
+        cache = get_machine("scc-48").cache
+        links = gather_links(a, cache.line_bytes)
+        # UE 0 and UE 3 get no rows; UE 2 gets a single row.
+        part = RowPartition(a.n_rows, (0, 0, 90, 91, 91, a.n_rows))
+        got = characterize_partition(a, part, links=links)
+        assert got == per_slice_traces(a, part, cache)
+        assert got[0].nnz == 0 and got[3].nnz == 0
+        assert got == characterize_partition(a, part)  # links built inside

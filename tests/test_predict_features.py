@@ -27,6 +27,7 @@ from repro.sparse.stats import (
     ROW_LENGTH_EDGES,
     bandwidth_stats,
     block_density,
+    mean_std,
     partition_spans,
     reuse_proxies,
     row_extents,
@@ -123,6 +124,35 @@ def test_block_density_matches_reference(mat):
     stripe_arr = np.asarray(stripe)
     assert bd["fill"] == pytest.approx(len(blocks) / (b * b))
     assert bd["cv"] == pytest.approx(stripe_arr.std() / stripe_arr.mean())
+
+
+@pytest.mark.parametrize("b", [1, 31, 32, 64])
+def test_block_density_any_width_matches_reference(mat, b):
+    """Every block count up to 64 (one mask bit per column block)."""
+    bd = block_density(mat, blocks=b)
+    if mat.nnz == 0:
+        assert bd == {"fill": 0.0, "cv": 0.0}
+        return
+    blocks = {
+        (r * b // mat.n_rows, min(c * b // mat.n_cols, b - 1))
+        for r, cols in enumerate(_rows_cols(mat))
+        for c in cols
+    }
+    assert bd["fill"] == len(blocks) / (b * b)
+
+
+def test_block_density_rejects_more_than_64_blocks(mat):
+    with pytest.raises(ValueError, match="at most 64"):
+        block_density(mat, blocks=65)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 48, 61, 64, 129])
+def test_mean_std_is_numpys_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for v in (rng.random(n) * 1e6, rng.integers(0, 9, n).astype(float), rng.standard_normal(n)):
+        mean, std = mean_std(v)
+        assert mean.tobytes() == v.mean().tobytes()
+        assert std.tobytes() == v.std().tobytes()
 
 
 def test_reuse_proxies_matches_reference(mat):

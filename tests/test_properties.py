@@ -9,7 +9,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.rcce import RCCERuntime
-from repro.scc import Cache, SCCTopology, footprint_curve, miss_ratio_curve, reuse_profile, reuse_times
+from repro.scc import (
+    Cache,
+    SCCTopology,
+    footprint_curve,
+    line_links,
+    miss_ratio_curve,
+    reuse_profile,
+    reuse_times,
+    window_profile,
+)
+from repro.scc.locality import _link_dtype
 from repro.sim import Simulator
 from repro.sparse import (
     COOMatrix,
@@ -258,3 +268,76 @@ class TestRuntimeProperties:
             sim.schedule(delay, lambda: stamps.append(sim.now))
         sim.run()
         assert stamps == sorted(stamps)
+
+
+# --- windows over shared line links -------------------------------------------
+
+def naive_profile(lines):
+    """Reuse profile by direct bookkeeping: reuse hist, first and last times."""
+    seen, last, hist = {}, {}, np.zeros(len(lines) + 1, dtype=np.int64)
+    for t, line in enumerate(lines.tolist(), start=1):
+        if line in seen:
+            hist[t - last[line]] += 1
+        else:
+            seen[line] = t
+        last[line] = t
+    return hist, sorted(seen.values()), sorted(last.values())
+
+
+@st.composite
+def windowed_streams(draw):
+    lines = draw(line_streams)
+    lo = draw(st.integers(0, len(lines)))
+    hi = draw(st.integers(lo, len(lines)))
+    return lines, lo, hi
+
+
+class TestWindowProfileProperties:
+    @SET
+    @given(windowed_streams())
+    def test_window_equals_profile_of_slice(self, case):
+        lines, lo, hi = case
+        got = window_profile(line_links(lines), lo, hi)
+        want = reuse_profile(lines[lo:hi])
+        assert got.n_accesses == want.n_accesses == hi - lo
+        assert got.n_lines == want.n_lines == len(set(lines[lo:hi].tolist()))
+        assert np.array_equal(got.reuse_hist, want.reuse_hist)
+        assert sorted(got.first_times.tolist()) == sorted(want.first_times.tolist())
+        assert sorted(got.last_times.tolist()) == sorted(want.last_times.tolist())
+        assert footprint_curve(got).values.tobytes() == footprint_curve(want).values.tobytes()
+        windowed = miss_ratio_curve(links=line_links(lines), lo=lo, hi=hi)
+        sliced = miss_ratio_curve(lines[lo:hi])
+        for cap in (0, 1, 3, 8, 64):
+            assert windowed.misses(cap) == sliced.misses(cap)
+        if hi > lo:
+            hist, firsts, lasts = naive_profile(lines[lo:hi])
+            assert np.array_equal(got.reuse_hist, hist)
+            assert sorted(got.first_times.tolist()) == firsts
+            assert sorted(got.last_times.tolist()) == lasts
+
+    @SET
+    @given(windowed_streams())
+    def test_int64_links_give_the_same_window(self, case):
+        lines, lo, hi = case
+        prev, nxt = line_links(lines)
+        assert prev.dtype == nxt.dtype == np.int32
+        wide = window_profile((prev.astype(np.int64), nxt.astype(np.int64)), lo, hi)
+        narrow = window_profile((prev, nxt), lo, hi)
+        assert wide.n_lines == narrow.n_lines
+        assert np.array_equal(wide.reuse_hist, narrow.reuse_hist)
+        assert np.array_equal(wide.first_times, narrow.first_times)
+        assert np.array_equal(wide.last_times, narrow.last_times)
+
+
+def test_miss_ratio_curve_takes_exactly_one_stream():
+    lines = np.array([1, 2, 1])
+    with pytest.raises(TypeError):
+        miss_ratio_curve()
+    with pytest.raises(TypeError):
+        miss_ratio_curve(lines, links=line_links(lines))
+
+
+def test_link_dtype_widens_only_past_int32():
+    assert _link_dtype(0) is np.int32
+    assert _link_dtype(2**31 - 1) is np.int32
+    assert _link_dtype(2**31) is np.int64
