@@ -18,7 +18,10 @@ locality (Xiang et al., "HOTL", ASPLOS'13):
    ``fp(w)`` — the mean number of distinct lines touched in any window
    of ``w`` consecutive accesses — via Xiang's O(N) formula;
 3. predict a capacity-``C`` LRU cache miss for every access whose reuse
-   window has footprint larger than ``C`` lines.
+   window has footprint larger than ``C`` lines.  Since ``fp(w) <= w``,
+   the largest window that fits is found on a short prefix of the
+   curve: ``fp`` is evaluated on ``[0, top]`` only, doubling ``top``
+   from ``2 * (floor(C) + 1)`` until the footprint exceeds ``C``.
 
 Step 3 is exact for fully-associative LRU under the average-footprint
 approximation and is a tight model for the SCC's 4-way pseudo-LRU L2;
@@ -28,6 +31,7 @@ simulator of :mod:`repro.scc.cache`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -115,8 +119,8 @@ class ReuseProfile:
     n_accesses: int
     n_lines: int                     # distinct lines (== cold misses)
     reuse_hist: np.ndarray           # reuse_hist[t] = #accesses with rt == t
-    first_times: np.ndarray          # 1-based time of first access per line
-    last_times: np.ndarray           # 1-based time of last access per line
+    first_times: np.ndarray          # 1-based first-access times, ascending
+    last_times: np.ndarray           # 1-based last-access times, ascending
 
     @property
     def cold_misses(self) -> int:
@@ -136,8 +140,10 @@ def window_profile(
     prev, nxt = links
     if hi is None:
         hi = prev.size
+    if not 0 <= lo <= hi <= prev.size:
+        raise ValueError(f"need 0 <= lo <= hi <= {prev.size}, got lo={lo}, hi={hi}")
     n = hi - lo
-    if n <= 0:
+    if n == 0:
         return ReuseProfile(0, 0, np.zeros(1, dtype=np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
     p = prev[lo:hi]
     first = p < lo
@@ -178,73 +184,98 @@ class FootprintCurve:
         return max(idx, 0)
 
 
-def footprint_curve(profile: ReuseProfile) -> FootprintCurve:
-    """Xiang's O(N) average-footprint formula.
+def _raw_footprint(profile: ReuseProfile, top: int) -> np.ndarray:
+    """Unclipped average footprint ``fp[w]`` for ``w`` in ``0..top``.
 
-    With accesses numbered 1..n over m distinct lines::
+    Xiang's formula for accesses numbered 1..n over m distinct lines::
 
-        fp(w) = m - ( sum_{t>w} (t-w) * rt(t)
-                     + sum_k max(f_k - w, 0)
-                     + sum_k max(r_k - w, 0) ) / (n - w + 1)
+        fp(w) = m - D(w) / (n + 1 - w),
+        D(w)  = sum_{t>w} (t-w) * rt(t)
+              + sum_k max(f_k - w, 0)
+              + sum_k max(r_k - w, 0)
 
     where ``f_k`` is the first-access time of line k and
-    ``r_k = n + 1 - last_k`` its reverse last-access time.  The three
-    sums over all w are evaluated with reversed cumulative sums of the
-    respective histograms.
+    ``r_k = n + 1 - last_k`` its reverse last-access time.  ``D`` is
+    linear in the histogram, so the three histograms merge into one
+    ``H``, and ``D(w) = (T1 - P1(w)) - w * (T0 - P0(w))`` with ``P0`` and
+    ``P1`` the prefix sums of ``H[t]`` and ``t * H[t]``.  Only bins
+    ``<= top`` enter, so the cost is O(top) past the window profile.
+    The totals need no pass at all: every access but a line's first is a
+    reuse, so ``T0 = (n - m) + 2m``, and a line's reuse times telescope
+    to ``last_k - f_k``, so ``T1 = m * (n + 1)``.
+
+    ``D`` is exact int64, and every partial sum of it is an integer
+    below ``3n**2``.  While ``3n**2 < 2**53`` (windows under ~5e7
+    accesses; the largest suite window, at scale 1.0, is ~2.3e7) ``D`` is
+    exact in a double too, so each ``fp`` is bitwise the same whatever
+    order the three sums are taken in.
     """
+    n, m = profile.n_accesses, profile.n_lines
+    w = np.arange(top + 1, dtype=np.int64)
+    # First and last times are ascending: the bins <= top are a prefix
+    # of the first times and a suffix of the last times.
+    firsts = profile.first_times[: np.searchsorted(profile.first_times, top, side="right")]
+    lasts = profile.last_times[np.searchsorted(profile.last_times, n + 1 - top) :]
+    hist = np.bincount(firsts, minlength=top + 1)
+    hist += profile.reuse_hist[: top + 1]
+    hist += np.bincount(n + 1 - lasts, minlength=top + 1)
+    count_above = np.cumsum(hist)
+    np.subtract(n + m, count_above, out=count_above)
+    deficit = np.cumsum(np.multiply(hist, w, out=hist), out=hist)
+    np.subtract(m * (n + 1), deficit, out=deficit)
+    deficit -= np.multiply(w, count_above, out=count_above)
+    fp = np.true_divide(deficit, np.subtract(n + 1, w, out=w))
+    np.subtract(m, fp, out=fp)
+    fp[0] = 0.0
+    return fp
+
+
+def footprint_curve(profile: ReuseProfile) -> FootprintCurve:
+    """The whole average-footprint curve ``fp(0..n)`` (:func:`_raw_footprint`)."""
     n, m = profile.n_accesses, profile.n_lines
     if n == 0:
         return FootprintCurve(0, 0, np.zeros(1, dtype=np.float64))
-    w = np.arange(n + 1, dtype=np.float64)
-
-    def deficit(hist: np.ndarray) -> np.ndarray:
-        """For each w in 0..n: sum_{t>w} (t - w) * hist[t]."""
-        # Every histogram here has exactly n + 1 bins, for times 0..n.
-        h = hist.astype(np.float64)
-        count_gt = _sums_above(h)
-        weight_gt = _sums_above(np.multiply(h, w, out=h))
-        weight_gt -= np.multiply(w, count_gt, out=count_gt)
-        return weight_gt
-
-    fp = deficit(profile.reuse_hist)
-    fp += deficit(np.bincount(profile.first_times, minlength=n + 1))
-    fp += deficit(np.bincount(n + 1 - profile.last_times, minlength=n + 1))
-    fp /= n - w + 1.0
-    np.subtract(m, fp, out=fp)
-    fp[0] = 0.0
+    fp = _raw_footprint(profile, n)
     # Guard numerical noise: fp must be within [0, m] and non-decreasing.
     np.clip(fp, 0.0, float(m), out=fp)
     np.maximum.accumulate(fp, out=fp)
     return FootprintCurve(n, m, fp)
 
 
-def _sums_above(h: np.ndarray) -> np.ndarray:
-    """``out[w] = sum_{t>w} h[t]``, accumulated from the top bin down."""
-    out = np.empty_like(h)
-    out[-1] = 0.0
-    np.cumsum(h[:0:-1], out=out[-2::-1])
-    return out
-
-
 @dataclass(frozen=True)
 class MissRatioCurve:
-    """Predicted LRU misses of a stream as a function of cache capacity."""
+    """Predicted LRU misses of a stream as a function of cache capacity.
+
+    The footprint is evaluated on demand, per capacity; use
+    ``footprint_curve(mrc.profile)`` for the whole curve.
+    """
 
     profile: ReuseProfile
-    footprint: FootprintCurve
 
     def misses(self, capacity_lines: float) -> int:
-        """Total predicted misses (cold + capacity) at the given capacity."""
+        """Total predicted misses (cold + capacity) at the given capacity.
+
+        An access misses when its reuse time exceeds ``w*``, the largest
+        window whose footprint fits in the cache.  ``w*`` is searched on
+        doubling prefixes of the curve (module docstring, step 3).
+        """
+        if math.isnan(capacity_lines):
+            raise ValueError("capacity_lines must not be NaN")
+        n, m = self.profile.n_accesses, self.profile.n_lines
         if capacity_lines <= 0:
-            return self.profile.n_accesses
-        if self.profile.n_accesses == 0:
-            return 0
-        w_star = self.footprint.window_for_capacity(capacity_lines)
-        hist = self.profile.reuse_hist
-        # Accesses with reuse time > w_star miss; rt==0 bucket holds colds
-        # only implicitly (cold accesses are excluded from the histogram).
-        reuse_misses = int(hist[min(w_star, hist.size - 1) + 1 :].sum()) if w_star + 1 < hist.size else 0
-        return self.profile.cold_misses + reuse_misses
+            return n
+        if capacity_lines >= m:
+            return m  # fp <= m exactly, so every window fits
+        top = 2 * (int(capacity_lines) + 1)
+        while True:
+            over = _raw_footprint(self.profile, min(top, n)) > capacity_lines
+            if over.any() or top >= n:
+                break
+            top *= 2
+        # 0 < C < m: the first raw exceedance is the first of the clipped
+        # running maximum, and fp(0) = 0 <= C keeps w* >= 0.
+        w_star = int(over.argmax()) - 1 if over.any() else n
+        return m + int(self.profile.reuse_hist[w_star + 1 :].sum())
 
     def miss_ratio(self, capacity_lines: float) -> float:
         """Predicted misses divided by total accesses."""
@@ -271,4 +302,4 @@ def miss_ratio_curve(
     if (lines is None) == (links is None):
         raise TypeError("pass exactly one of lines and links")
     profile = window_profile(links if links is not None else line_links(lines), lo, hi)
-    return MissRatioCurve(profile, footprint_curve(profile))
+    return MissRatioCurve(profile)

@@ -14,6 +14,7 @@ from repro.scc import (
     SCCTopology,
     footprint_curve,
     line_links,
+    locality,
     miss_ratio_curve,
     reuse_profile,
     reuse_times,
@@ -22,7 +23,9 @@ from repro.scc import (
 from repro.scc.locality import _link_dtype
 from repro.sim import Simulator
 from repro.sparse import (
+    SUITE,
     COOMatrix,
+    build_matrix,
     partition_rows_balanced,
     spmv,
     spmv_reference,
@@ -341,3 +344,140 @@ def test_link_dtype_widens_only_past_int32():
     assert _link_dtype(0) is np.int32
     assert _link_dtype(2**31 - 1) is np.int32
     assert _link_dtype(2**31) is np.int64
+
+
+# --- footprint prefix search vs the whole-curve formulation --------------------
+
+def reference_footprint(profile):
+    """Whole footprint curve: three float deficits of reversed cumsums each."""
+    n, m = profile.n_accesses, profile.n_lines
+    if n == 0:
+        return np.zeros(1)
+    w = np.arange(n + 1, dtype=np.float64)
+
+    def deficit(hist):
+        h = hist.astype(np.float64)
+        count_gt = np.append(np.cumsum(h[:0:-1])[::-1], 0.0)
+        weight_gt = np.append(np.cumsum((h * w)[:0:-1])[::-1], 0.0)
+        return weight_gt - w * count_gt
+
+    fp = deficit(profile.reuse_hist)
+    fp += deficit(np.bincount(profile.first_times, minlength=n + 1))
+    fp += deficit(np.bincount(n + 1 - profile.last_times, minlength=n + 1))
+    fp /= n - w + 1.0
+    fp = m - fp
+    fp[0] = 0.0
+    return np.maximum.accumulate(np.clip(fp, 0.0, float(m)))
+
+
+def reference_misses(profile, capacity, curve=None):
+    """Misses from a search of the whole clipped, running-max curve."""
+    n = profile.n_accesses
+    if capacity <= 0:
+        return n
+    if n == 0:
+        return 0
+    if curve is None:
+        curve = reference_footprint(profile)
+    idx = int(np.searchsorted(curve, capacity, side="right")) - 1
+    return profile.n_lines + int(profile.reuse_hist[max(idx, 0) + 1 :].sum())
+
+
+def edge_capacities(m):
+    return (-1.0, 0, 0.25, 1, 1.5, m - 1, m - 0.5, m, m + 1, float("inf"))
+
+
+def assert_matches_reference(mrc, capacities):
+    profile = mrc.profile
+    curve = reference_footprint(profile)
+    assert footprint_curve(profile).values.tobytes() == curve.tobytes()
+    for cap in capacities:
+        assert mrc.misses(cap) == reference_misses(profile, cap, curve), cap
+
+
+cyclic_streams = st.builds(
+    lambda k, r: np.tile(np.arange(k), r), st.integers(1, 40), st.integers(1, 12)
+)
+
+
+def record_tops(monkeypatch):
+    """Record the prefix lengths ``misses`` evaluates the footprint on."""
+    tops, raw = [], locality._raw_footprint
+
+    def spy(profile, top):
+        tops.append(top)
+        return raw(profile, top)
+
+    monkeypatch.setattr(locality, "_raw_footprint", spy)
+    return tops
+
+
+class TestFootprintPrefixSearch:
+    @SET
+    @given(st.one_of(line_streams, cyclic_streams), st.floats(0.0, 50.0))
+    def test_random_streams_match_reference(self, lines, cap):
+        mrc = miss_ratio_curve(lines)
+        assert_matches_reference(mrc, edge_capacities(mrc.profile.n_lines) + (cap,))
+
+    @SET
+    @given(windowed_streams(), st.floats(0.0, 50.0))
+    def test_windows_match_reference(self, case, cap):
+        lines, lo, hi = case
+        mrc = miss_ratio_curve(links=line_links(lines), lo=lo, hi=hi)
+        assert_matches_reference(mrc, edge_capacities(mrc.profile.n_lines) + (cap,))
+
+    @pytest.mark.parametrize("line_bytes", [32, 64])
+    def test_every_suite_window_matches_reference(self, line_bytes):
+        for entry in SUITE:
+            lines = build_matrix(entry.mid, 0.02).index // (line_bytes // 8)
+            links = line_links(lines)
+            for ues in (1, 3, 7, 48):
+                bounds = np.linspace(0, lines.size, ues + 1).astype(int)
+                for lo, hi in zip(bounds[:-1], bounds[1:]):
+                    mrc = miss_ratio_curve(links=links, lo=lo, hi=hi)
+                    l1, l2 = 8 * 1024 / line_bytes, 128 * 1024 / line_bytes
+                    caps = (l1, l2) + edge_capacities(mrc.profile.n_lines)
+                    assert_matches_reference(mrc, caps)
+
+    def test_search_grows_to_the_whole_window(self, monkeypatch):
+        # A cycle of 5 lines, then one new line: fp(w) = 5 + 1/(n - w + 1)
+        # past w = 5, which exceeds 5.5 only at w = n.  fp(n) == m exactly,
+        # so 0 < C < m always finds an exceedance by top == n.
+        lines = np.append(np.tile(np.arange(5), 40), 5)
+        mrc = miss_ratio_curve(lines)
+        n = mrc.profile.n_accesses
+        assert footprint_curve(mrc.profile).values[-1] == mrc.profile.n_lines
+        tops = record_tops(monkeypatch)
+        assert mrc.misses(5.5) == reference_misses(mrc.profile, 5.5)
+        assert tops == [12, 24, 48, 96, 192, n]
+
+    def test_exceedance_in_the_last_doubling(self, monkeypatch):
+        # Each line read 8 times running: fp(w) ~ w / 8 + 1.
+        mrc = miss_ratio_curve(np.repeat(np.arange(100), 8))
+        tops = record_tops(monkeypatch)
+        assert mrc.misses(3.5) == reference_misses(mrc.profile, 3.5)
+        assert tops == [8, 16, 32]
+        assert tops[-1] < mrc.profile.n_accesses
+
+
+class TestLocalityRejectsBadInput:
+    links = line_links(np.array([3, 1, 3, 2, 1]))
+
+    def test_window_lo_above_hi(self):
+        with pytest.raises(ValueError, match="lo=4, hi=2"):
+            window_profile(self.links, lo=4, hi=2)
+
+    def test_window_lo_negative(self):
+        with pytest.raises(ValueError, match="lo=-1"):
+            window_profile(self.links, lo=-1, hi=2)
+
+    def test_window_hi_past_the_stream(self):
+        with pytest.raises(ValueError, match="hi=6"):
+            window_profile(self.links, lo=0, hi=6)
+
+    def test_nan_capacity(self):
+        with pytest.raises(ValueError, match="capacity_lines"):
+            miss_ratio_curve(links=self.links).misses(float("nan"))
+
+    def test_infinite_capacity_is_cold_misses_only(self):
+        assert miss_ratio_curve(links=self.links).misses(float("inf")) == 3
