@@ -15,7 +15,10 @@ campaign server).  It shards points *without changing the answers*:
 - otherwise points run on a pool of ``fork``-ed workers under a
   :class:`SupervisePolicy` — the caller's, or the default one.  Workers
   inherit the task function and the parent's loaded suite/caches, so
-  only items and results cross the pipes and need to pickle.
+  only items and results cross the pipes and need to pickle.  A call
+  builds its own :class:`WorkerPool` and closes it at the end; a
+  long-lived caller (the campaign server) passes one pool to every
+  call, so its workers and their in-process memos outlive a batch.
 
 The supervisor keeps a sweep running through real failures:
 
@@ -48,10 +51,13 @@ Fault hooks: :data:`CRASH_ENV` names one task identity whose worker dies
 abruptly; :data:`CHAOS_ENV` generalizes it to a *seeded fault schedule*
 — a JSON map from task identity to an OS-level action (``kill``: abrupt
 ``os._exit``; ``stop``: SIGSTOP yourself and hang; ``raise``: throw)
-applied on selected attempts.  ``repro chaos``
-(:mod:`repro.faults.chaos`) uses it to prove the core invariant: under
-any chaos schedule the surviving records are bitwise identical to the
-clean run and the quarantined set is exactly the injected poison set.
+applied on selected attempts.  The supervisor reads both variables when
+it dispatches a task and ships their values with it, so a long-lived
+worker follows the schedule as it is now, not as it was at fork.
+``repro chaos`` (:mod:`repro.faults.chaos`) uses it to prove the core
+invariant: under any chaos schedule the surviving records are bitwise
+identical to the clean run and the quarantined set is exactly the
+injected poison set.
 """
 
 from __future__ import annotations
@@ -75,6 +81,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -93,6 +100,7 @@ __all__ = [
     "SupervisePolicy",
     "TaskFailure",
     "TaskOutcome",
+    "WorkerPool",
     "available_parallelism",
     "backoff_delay",
     "chaos_spec",
@@ -298,23 +306,25 @@ class TaskOutcome:
 # -- fault hooks -------------------------------------------------------------
 
 
-def maybe_crash(identity: str) -> None:
+def maybe_crash(identity: str, env: Optional[Mapping[str, str]] = None) -> None:
     """Die abruptly if :data:`CRASH_ENV` names this task (workers only).
 
-    ``os._exit`` skips every handler and finalizer — the parent sees the
-    same broken pipe a SIGKILL would produce.
+    ``env`` is the environment the supervisor saw at dispatch (default:
+    this process's).  ``os._exit`` skips every handler and finalizer —
+    the parent sees the same broken pipe a SIGKILL would produce.
     """
-    if os.environ.get(CRASH_ENV) == identity and in_worker():
+    env = os.environ if env is None else env
+    if env.get(CRASH_ENV) == identity and in_worker():
         os._exit(17)
 
 
 _CHAOS_CACHE: Tuple[Optional[str], Dict[str, Dict[str, Any]]] = (None, {})
 
 
-def chaos_spec() -> Dict[str, Dict[str, Any]]:
-    """The parsed :data:`CHAOS_ENV` schedule (cached per env value)."""
+def chaos_spec(env: Optional[Mapping[str, str]] = None) -> Dict[str, Dict[str, Any]]:
+    """The parsed :data:`CHAOS_ENV` schedule (cached per raw value)."""
     global _CHAOS_CACHE
-    raw = os.environ.get(CHAOS_ENV)
+    raw = (os.environ if env is None else env).get(CHAOS_ENV)
     if raw == _CHAOS_CACHE[0]:
         return _CHAOS_CACHE[1]
     spec: Dict[str, Dict[str, Any]] = {}
@@ -331,18 +341,21 @@ def chaos_spec() -> Dict[str, Dict[str, Any]]:
     return spec
 
 
-def maybe_chaos(identity: str, attempt: int) -> None:
+def maybe_chaos(
+    identity: str, attempt: int, env: Optional[Mapping[str, str]] = None
+) -> None:
     """Apply the scheduled chaos action for this (task, attempt), if any.
 
     Only active inside worker processes — the supervisor itself is never
-    a chaos target.  ``kill`` dies abruptly (skipping all finalizers,
-    like a kernel OOM kill), ``stop`` SIGSTOPs the worker so it hangs
-    until the supervisor's deadline SIGKILLs it, ``raise`` throws
-    :class:`ChaosInjectedError` through the task function.
+    a chaos target.  ``env`` is as for :func:`maybe_crash`.  ``kill``
+    dies abruptly (skipping all finalizers, like a kernel OOM kill),
+    ``stop`` SIGSTOPs the worker so it hangs until the supervisor's
+    deadline SIGKILLs it, ``raise`` throws :class:`ChaosInjectedError`
+    through the task function.
     """
     if not in_worker():
         return
-    entry = chaos_spec().get(identity)
+    entry = chaos_spec(env).get(identity)
     if not entry:
         return
     attempts = entry.get("attempts", "all")
@@ -373,12 +386,13 @@ def _worker_main(
     identity_of: Callable[[Any], str],
     conn: Any,
 ) -> None:
-    """Worker loop: recv ``(task_id, attempt, item)``, send the outcome.
+    """Worker loop: recv ``(task_id, attempt, item, env)``, send the outcome.
 
     Runs in a forked child, so ``func``/``identity_of`` arrive by
-    inheritance (no pickling).  Any exception — including injected chaos
-    — is reported as a formatted traceback; an abrupt death is seen by
-    the supervisor as EOF on this worker's private pipe.
+    inheritance (no pickling); ``env`` holds the fault-hook variables
+    the supervisor saw at dispatch.  Any exception — including injected
+    chaos — is reported as a formatted traceback; an abrupt death is
+    seen by the supervisor as EOF on this worker's private pipe.
     """
     while True:
         try:
@@ -387,11 +401,11 @@ def _worker_main(
             return
         if msg is None:
             return
-        task_id, attempt, item = msg
+        task_id, attempt, item, env = msg
         try:
             identity = identity_of(item)
-            maybe_crash(identity)
-            maybe_chaos(identity, attempt)
+            maybe_crash(identity, env)
+            maybe_chaos(identity, attempt, env)
             value = func(item)
         except BaseException:  # noqa: BLE001 - report, never die silently
             payload = (task_id, False, traceback.format_exc())
@@ -416,6 +430,16 @@ class _Worker:
         child_conn.close()
         self.task: Optional[int] = None
         self.deadline: Optional[float] = None
+
+    def dispatch(
+        self, task_id: int, attempt: int, item: Any, deadline: Optional[float]
+    ) -> None:
+        """Send one attempt with the fault-hook variables as they are now,
+        so a long-lived worker never acts on a schedule frozen at fork."""
+        self.task = task_id
+        self.deadline = deadline
+        env = {name: os.environ[name] for name in (CRASH_ENV, CHAOS_ENV) if name in os.environ}
+        self.conn.send((task_id, attempt, item, env))
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -449,6 +473,58 @@ class _Worker:
                 pass
 
 
+class WorkerPool:
+    """Supervised fork workers that can outlive one call.
+
+    :func:`supervised_iter_ordered` forks the workers on the first task
+    it dispatches; they then live until :meth:`close`, so whatever
+    ``func`` memoizes inside a worker stays warm from call to call.
+    Task ids come from one counter per pool, so a report can only ever
+    complete the attempt it answers.  When a call ends early, only its
+    busy workers are killed; their slots are refilled by the next call
+    that has work.  A pool runs one call at a time.
+    """
+
+    def __init__(
+        self, func: Callable[[Any], Any], workers: int, identity: Callable[[Any], str] = str
+    ) -> None:
+        self.func = func
+        self.identity = identity
+        self.workers: List[Optional[_Worker]] = [None] * max(
+            1, min(workers, available_parallelism())
+        )
+        #: id of the next task any call admits on this pool.
+        self.next_id = 0
+
+    def fill(self) -> None:
+        """Fork a worker into every empty slot."""
+        for i, w in enumerate(self.workers):
+            if w is None:
+                self.workers[i] = _Worker(fork_context(), self.func, self.identity)
+
+    def replace(self, w: _Worker) -> _Worker:
+        """SIGKILL ``w`` and fork a fresh worker into its slot."""
+        w.kill()
+        fresh = _Worker(fork_context(), self.func, self.identity)
+        self.workers[self.workers.index(w)] = fresh
+        return fresh
+
+    def release(self) -> None:
+        """End a call: SIGKILL every busy worker, keep the idle ones."""
+        for i, w in enumerate(self.workers):
+            if w is not None and w.task is not None:
+                w.kill()
+                self.workers[i] = None
+
+    def close(self) -> None:
+        """Stop every worker; a later call forks afresh."""
+        self.release()
+        for i, w in enumerate(self.workers):
+            if w is not None:
+                w.shutdown()
+                self.workers[i] = None
+
+
 @dataclass
 class _Task:
     item: Any
@@ -467,6 +543,7 @@ def supervised_iter_ordered(
     fallbacks: Sequence[Tuple[str, Callable[[_T], Any]]] = (),
     metrics: Optional[MetricsRegistry] = None,
     window_factor: int = 4,
+    pool: Optional[WorkerPool] = None,
 ) -> Iterator[TaskOutcome]:
     """Yield a :class:`TaskOutcome` per item, in submission order.
 
@@ -479,6 +556,12 @@ def supervised_iter_ordered(
     is yielded as a quarantined outcome — unless
     ``policy.on_failure == "raise"``, which raises
     :class:`QuarantinedTaskError`.
+
+    ``pool=None`` builds a :class:`WorkerPool` for this call and closes
+    it at the end.  A caller's ``pool`` must be built over the same
+    ``func`` and ``identity``, which its workers run; its size overrides
+    ``workers``.  It stays open, its idle workers and their memos kept
+    for the next call.
 
     At most ``window_factor * workers`` tasks are admitted beyond the
     oldest unyielded one, so arbitrarily long sweeps hold O(window)
@@ -501,8 +584,7 @@ def supervised_iter_ordered(
     def count(name: str, amount: float = 1) -> None:
         m.counter(f"supervise.{name}").inc(amount)
 
-    ctx = fork_context()
-    if ctx is None:  # pragma: no cover - platform-dependent
+    if fork_context() is None:  # pragma: no cover - platform-dependent
         warnings.warn(
             "multiprocessing 'fork' start method unavailable; supervising "
             "in-process (retries apply, task timeouts cannot be enforced)",
@@ -511,24 +593,21 @@ def supervised_iter_ordered(
         yield from _serial_supervised(func, items, policy, identity, fallbacks, count)
         return
 
-    n_workers = max(1, min(workers, available_parallelism()))
-    window = max(2, window_factor * n_workers)
+    own = pool is None
+    if own:
+        pool = WorkerPool(func, workers, identity)
+    window = max(2, window_factor * len(pool.workers))
     it = iter(items)
     tasks: Dict[int, _Task] = {}
     results: Dict[int, TaskOutcome] = {}
     ready: deque = deque()
     delayed: List[Tuple[float, int]] = []
-    next_id = 0
-    next_emit = 0
+    next_emit = pool.next_id
     exhausted = False
-    pool: List[_Worker] = []
 
     def respawn(w: _Worker) -> _Worker:
         count("respawns")
-        w.kill()
-        fresh = _Worker(ctx, func, identity)
-        pool[pool.index(w)] = fresh
-        return fresh
+        return pool.replace(w)
 
     def complete(task_id: int, outcome: TaskOutcome) -> None:
         results[task_id] = outcome
@@ -567,21 +646,21 @@ def supervised_iter_ordered(
                     f"{w.process.exitcode})",
                 )
             return
+        if reported_id != task_id:  # stale: answers an earlier dispatch
+            return
         w.task = None
         w.deadline = None
-        if reported_id not in tasks:  # late report for a timed-out task
-            return
         if ok:
-            t = tasks[reported_id]
+            t = tasks[task_id]
             complete(
-                reported_id,
+                task_id,
                 TaskOutcome(
                     t.item, t.identity, ok=True, value=payload,
                     attempts=t.attempts, failures=t.failures,
                 ),
             )
         else:
-            failure(reported_id, "error", payload)
+            failure(task_id, "error", payload)
 
     try:
         while True:
@@ -589,19 +668,19 @@ def supervised_iter_ordered(
             while delayed and delayed[0][0] <= now:
                 _, task_id = heapq.heappop(delayed)
                 ready.append(task_id)
-            while not exhausted and (next_id - next_emit) < window:
+            while not exhausted and (pool.next_id - next_emit) < window:
                 try:
                     item = next(it)
                 except StopIteration:
                     exhausted = True
                     break
-                tasks[next_id] = _Task(item=item, identity=identity(item))
-                ready.append(next_id)
+                tasks[pool.next_id] = _Task(item=item, identity=identity(item))
+                ready.append(pool.next_id)
                 count("tasks")
-                next_id += 1
-            if tasks and not pool:  # fork on the first task: an empty sweep forks nothing
-                pool = [_Worker(ctx, func, identity) for _ in range(n_workers)]
-            for w in pool:
+                pool.next_id += 1
+            if tasks:  # fork on the first task: an empty sweep forks nothing
+                pool.fill()
+            for w in pool.workers:
                 if not ready:
                     break
                 if w.task is not None:
@@ -612,41 +691,33 @@ def supervised_iter_ordered(
                 task_id = ready.popleft()
                 t = tasks[task_id]
                 t.attempts += 1
-                w.task = task_id
-                w.deadline = (
-                    now + policy.task_timeout if policy.task_timeout else None
-                )
+                deadline = now + policy.task_timeout if policy.task_timeout else None
                 try:
-                    w.conn.send((task_id, t.attempts, t.item))
+                    w.dispatch(task_id, t.attempts, t.item, deadline)
                 except (BrokenPipeError, OSError):
                     count("worker_crashes")
-                    w = respawn(w)
-                    w.task = task_id
-                    w.deadline = (
-                        now + policy.task_timeout if policy.task_timeout else None
-                    )
-                    w.conn.send((task_id, t.attempts, t.item))
+                    respawn(w).dispatch(task_id, t.attempts, t.item, deadline)
             while next_emit in results:
                 yield results.pop(next_emit)
                 next_emit += 1
-            if exhausted and not tasks and next_emit == next_id:
+            if exhausted and not tasks and next_emit == pool.next_id:
                 return
             timeout = _POLL_S
-            for w in pool:
+            for w in pool.workers:
                 if w.task is not None and w.deadline is not None:
                     timeout = min(timeout, max(0.0, w.deadline - now))
             if delayed:
                 timeout = min(timeout, max(0.0, delayed[0][0] - now))
-            busy = [w for w in pool if w.task is not None]
+            busy = [w for w in pool.workers if w.task is not None]
             if busy:
                 reported = _wait_connections([w.conn for w in busy], timeout)
-                for w in list(busy):
+                for w in busy:
                     if w.conn in reported:
                         handle_report(w)
             elif delayed:
                 time.sleep(max(0.0, min(timeout, delayed[0][0] - now)))
             now = time.monotonic()
-            for w in list(pool):
+            for w in list(pool.workers):
                 if w.task is None:
                     continue
                 if w.deadline is not None and now >= w.deadline:
@@ -670,11 +741,10 @@ def supervised_iter_ordered(
                         f"worker process died abruptly (exitcode {exitcode})",
                     )
     finally:
-        for w in pool:
-            if w.task is not None:
-                w.kill()
-            else:
-                w.shutdown()
+        if own:
+            pool.close()
+        else:
+            pool.release()
 
 
 def _serial_supervised(

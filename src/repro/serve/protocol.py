@@ -34,6 +34,7 @@ GET      ``/api/v1/jobs/<id>/result``  the records, in grid order
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Sequence, Tuple
 
@@ -48,16 +49,18 @@ from ..core.experiment import DEFAULT_ITERATIONS, KERNELS, MODES
 from ..core.mapping import MAPPINGS
 from ..machine.base import DEFAULT_MACHINE
 from ..machine.registry import get_machine
-from ..sparse.suite import entry_by_id
+from ..sparse.suite import build_matrix, entry_by_id
 from ..store import digest_parts
 
 __all__ = [
     "API_ROOT",
     "JOB_STATES",
+    "MEMO_CAPACITY",
     "POINT_ORIGINS",
     "SERVE_POINT_SCHEMA_VERSION",
     "SpecError",
     "CampaignSpec",
+    "ExperimentMemo",
     "point_store_key",
     "execute_point",
 ]
@@ -111,6 +114,38 @@ def point_store_key(pt: CampaignPoint, ctx: CampaignContext) -> str:
         ctx.iterations,
         ctx.mode,
     )
+
+
+#: default :class:`ExperimentMemo` capacity: the number of matrices
+#: :func:`~repro.sparse.suite.build_matrix` keeps in memory.
+MEMO_CAPACITY: int = build_matrix.cache_parameters()["maxsize"]
+
+
+class ExperimentMemo(OrderedDict):
+    """A least-recently-used experiment memo for a long-lived process.
+
+    :func:`execute_point`'s ``cache``: it holds at most ``capacity``
+    experiments (default :data:`MEMO_CAPACITY`), so a process serving
+    many scales or machines holds no more experiments than it already
+    holds matrices.  An evicted experiment is rebuilt on demand; records
+    are pure in the point, so eviction never changes an answer.
+    """
+
+    def __init__(self, capacity: int = MEMO_CAPACITY) -> None:
+        super().__init__()
+        self.capacity = capacity
+
+    def get(self, key: Any, default: Any = None) -> Any:
+        if key not in self:
+            return default
+        self.move_to_end(key)
+        return self[key]
+
+    def __setitem__(self, key: Any, value: Any) -> None:
+        super().__setitem__(key, value)
+        self.move_to_end(key)
+        while len(self) > self.capacity:
+            self.popitem(last=False)
 
 
 def execute_point(pt: CampaignPoint, ctx: CampaignContext, cache: Dict) -> dict:

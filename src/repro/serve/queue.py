@@ -27,56 +27,96 @@ server's journal and the content store, both of which survive restarts.
 
 from __future__ import annotations
 
+import json
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+import zlib
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.campaign import CampaignContext, CampaignPoint
 from ..store import ContentStore
-from .protocol import POINT_ORIGINS, CampaignSpec, execute_point, point_store_key
+from .protocol import (
+    POINT_ORIGINS,
+    CampaignSpec,
+    ExperimentMemo,
+    execute_point,
+    point_store_key,
+)
 
 __all__ = ["Job", "PointQueue"]
+
+
+#: the one already-set event every finished job shares.
+_DONE = threading.Event()
+_DONE.set()
 
 
 class Job:
     """One submission's lifecycle: points, per-point records, counters.
 
     Created (and every record attached) only while the owning queue's
-    lock is held; readers go through :meth:`PointQueue.job_status` /
-    :meth:`PointQueue.job_result`, which take the same lock, so no
-    partially-updated state is ever observable.
+    lock is held.  A finished job shrinks to its answer: id, machine,
+    mode and origins, plus its records as compressed JSON
+    (:attr:`frozen`).  Points and keys are dropped, so a long-lived
+    server keeps about 0.6 KB per finished two-point job.
     """
+
+    __slots__ = (
+        "job_id", "machine", "mode", "points", "keys", "origins", "done",
+        "_records", "_frozen",
+    )
 
     def __init__(self, job_id: str, spec: CampaignSpec, ctx: CampaignContext) -> None:
         self.job_id = job_id
-        self.spec = spec
-        self.ctx = ctx
-        self.points: List[CampaignPoint] = spec.points()
-        self.keys: List[str] = [point_store_key(pt, ctx) for pt in self.points]
-        #: per-point record, filled as results arrive (grid order kept).
-        self.records: List[Optional[dict]] = [None] * len(self.points)
+        self.machine = spec.machine
+        self.mode = spec.mode
+        self.points: Sequence[CampaignPoint] = spec.points()
+        #: store key per point; empty once the job is finished.
+        self.keys: Sequence[str] = [point_store_key(pt, ctx) for pt in self.points]
         #: per-point origin (``store``/``shared``/``simulated``/``quarantined``).
         self.origins: List[Optional[str]] = [None] * len(self.points)
         self.done = threading.Event()
+        #: per-point record, filled as results arrive (grid order kept).
+        self._records: Sequence[Optional[dict]] = [None] * len(self.points)
+        self._frozen = b""
         if not self.points:
-            self.done.set()
+            self._freeze()
 
     # -- mutation (queue-lock-only) --------------------------------------
 
     def attach(self, index: int, record: dict, origin: str) -> None:
-        """Fill one point's slot; marks the job done on the last slot."""
-        if self.records[index] is None:
-            self.records[index] = record
+        """Fill one point's slot; finishes the job on the last slot."""
+        if self.origins[index] is None:
+            self._records[index] = record
             self.origins[index] = origin
-        if all(r is not None for r in self.records):
-            self.done.set()
+        if all(o is not None for o in self.origins):
+            self._freeze()
+
+    def _freeze(self) -> None:
+        """Finish: keep the answer, drop everything that produced it."""
+        self._frozen = zlib.compress(json.dumps(self._records).encode(), 1)
+        self.done.set()
+        self.done = _DONE
+        self.points = self.keys = self._records = ()
 
     # -- read-side views -------------------------------------------------
+
+    @property
+    def records(self) -> Sequence[Optional[dict]]:
+        """Per-point records in grid order (decoded anew once finished)."""
+        if self.done.is_set():
+            return json.loads(self.frozen)
+        return self._records
+
+    @property
+    def frozen(self) -> str:
+        """A finished job's records as ``json.dumps`` encodes them."""
+        return zlib.decompress(self._frozen).decode()
 
     @property
     def state(self) -> str:
         if self.done.is_set():
             return "done"
-        if any(r is not None for r in self.records):
+        if any(o is not None for o in self.origins):
             return "running"
         return "queued"
 
@@ -87,8 +127,8 @@ class Job:
             if origin is not None:
                 by_origin[origin] += 1
         return {
-            "points": len(self.points),
-            "completed": sum(r is not None for r in self.records),
+            "points": len(self.origins),
+            "completed": sum(o is not None for o in self.origins),
             "dedup_hits": by_origin["store"] + by_origin["shared"],
             "simulated": by_origin["simulated"],
             "quarantined": by_origin["quarantined"],
@@ -100,8 +140,8 @@ class Job:
         return {
             "job_id": self.job_id,
             "state": self.state,
-            "machine": self.spec.machine,
-            "mode": self.spec.mode,
+            "machine": self.machine,
+            "mode": self.mode,
             **self.counts(),
         }
 
@@ -139,7 +179,7 @@ class PointQueue:
         #: predict fast path state: its own lock + experiment memo, so
         #: feature extraction never runs under the queue lock.
         self._predict_lock = threading.Lock()
-        self._predict_experiments: Dict = {}
+        self._predict_experiments = ExperimentMemo()
 
     # -- submission ------------------------------------------------------
 

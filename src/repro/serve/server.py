@@ -6,11 +6,13 @@ service.  One :class:`CampaignServer` owns four cooperating pieces:
 * a :class:`~repro.serve.queue.PointQueue` holding the dedup/claim
   invariants (see that module's docstring);
 * a **scheduler thread** that drains the queue in batches and shards
-  each batch across a supervised fork pool
-  (:func:`repro.core.supervise.supervised_iter_ordered`) — the same
-  timeouts, seeded-backoff retries, degradation ladder and quarantine
-  semantics campaign sweeps get, so a SIGKILLed worker or a poison
-  point never takes the service down;
+  each batch across one supervised fork pool
+  (:class:`repro.core.supervise.WorkerPool`, forked on the first batch
+  and kept until :meth:`CampaignServer.stop`, so each worker's
+  experiment memo stays warm) — the same timeouts, seeded-backoff
+  retries, degradation ladder and quarantine semantics campaign sweeps
+  get, so a SIGKILLed worker or a poison point never takes the service
+  down;
 * a **journal** (``jobs.jsonl``, append + fsync per event) from which
   a restarted server resubmits every journaled job: finished points
   answer from the content store instantly, interrupted ones re-run,
@@ -37,11 +39,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..core.campaign import CampaignContext, CampaignPoint
-from ..core.experiment import SpMVExperiment
-from ..core.supervise import SupervisePolicy, supervised_iter_ordered
+from ..core.supervise import SupervisePolicy, WorkerPool, supervised_iter_ordered
 from ..obs.metrics import MetricsRegistry, summary_prefix
 from ..store import ContentStore
-from .protocol import API_ROOT, CampaignSpec, SpecError, execute_point
+from .protocol import API_ROOT, CampaignSpec, ExperimentMemo, SpecError, execute_point
 from .queue import Job, PointQueue
 
 __all__ = ["CampaignServer", "STORE_NAMESPACE"]
@@ -55,8 +56,9 @@ _IDLE_WAIT_S = 0.2
 
 
 #: per-worker-process experiment memo (inherited empty at fork, filled
-#: as the forked worker sees matrices).
-_SERVE_EXPERIMENTS: Dict = {}
+#: as the worker sees matrices, kept across batches by the server's
+#: long-lived pool).
+_SERVE_EXPERIMENTS = ExperimentMemo()
 
 
 def _serve_task(item: Tuple[CampaignPoint, CampaignContext]) -> dict:
@@ -96,7 +98,9 @@ class CampaignServer:
         self.queue = PointQueue(self.store)
         self._wire_counters()
         #: parent-process experiment memo for serial fallbacks.
-        self._experiments: Dict = {}
+        self._experiments = ExperimentMemo()
+        #: the workers every batch runs on, from the first batch to stop().
+        self._pool = WorkerPool(_serve_task, workers, _serve_identity)
         self._host = host
         self._requested_port = port
         self._httpd: Optional[ThreadingHTTPServer] = None
@@ -267,6 +271,7 @@ class CampaignServer:
                     identity=_serve_identity,
                     fallbacks=self._fallbacks(),
                     metrics=self.metrics,
+                    pool=self._pool,
                 ),
             ):
                 with self._health_lock:
@@ -333,13 +338,15 @@ class CampaignServer:
 
         In-flight batch work finishes (the scheduler checks the stop
         flag between batches, never mid-batch), so completed records
-        are persisted and journaled before the process exits.
+        are persisted and journaled before the process exits.  Then the
+        worker pool shuts down.
         """
         self._stop.set()
         self.queue.wake()
         if self._scheduler_thread is not None:
             self._scheduler_thread.join()
             self._scheduler_thread = None
+        self._pool.close()
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
@@ -395,7 +402,10 @@ def _make_handler(server: CampaignServer):
             pass  # the service speaks through /metrics, not stderr
 
         def _reply(self, status: int, body: Dict[str, object]) -> None:
-            data = json.dumps(body).encode()
+            self._send(status, json.dumps(body))
+
+        def _send(self, status: int, text: str) -> None:
+            data = text.encode()
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
@@ -433,13 +443,16 @@ def _make_handler(server: CampaignServer):
                             },
                         )
                         return
-                    self._reply(
+                    # Splice the frozen records in: the same bytes as
+                    # json.dumps({**summary, "records": ..., "origins": ...}).
+                    self._send(
                         200,
-                        {
-                            **job.summary(),
-                            "records": job.records,
-                            "origins": job.origins,
-                        },
+                        json.dumps(job.summary())[:-1]
+                        + ', "records": '
+                        + job.frozen
+                        + ', "origins": '
+                        + json.dumps(job.origins)
+                        + "}",
                     )
                 else:
                     job = self._job_or_404(rest)

@@ -89,9 +89,12 @@ def test_poison_point_quarantines_and_stays_retryable(tmp_path, chaos_env, monke
         assert client.healthz()["store_entries"] == len(spec.points()) - 1
         assert client.metrics()["worker_health"]["quarantined"] == 1
 
-        # Clear the chaos; resubmission retries exactly the poison point.
+        # Clear the chaos; resubmission retries exactly the poison point,
+        # on the same workers, without a single crash.
+        crashes = client.metrics()["supervise"]["worker_crashes"]
         monkeypatch.delenv(CHAOS_ENV)
         retry = client.wait(str(client.submit(spec)["job_id"]), timeout=300.0)
+        assert client.metrics()["supervise"]["worker_crashes"] == crashes
         assert retry["quarantined"] == 0
         assert retry["simulated"] == 1
         assert retry["dedup_hits"] == len(spec.points()) - 1

@@ -10,6 +10,9 @@ poisoning, the purity rule ``docs/PREDICTOR.md`` documents).
 
 from __future__ import annotations
 
+import json
+import urllib.request
+
 import pytest
 
 from repro.core.supervise import fork_context
@@ -104,3 +107,17 @@ def test_predicted_records_never_persisted_and_model_still_simulates(
     metrics = client.metrics()
     assert metrics["serve"]["predictions"] == 6
     assert metrics["serve"]["simulations"] == 6
+
+
+def test_result_body_is_the_dict_encoding(server, client):
+    """A predict job finishes at admission, so its answer is frozen there;
+    the result body must still be the plain ``json.dumps`` of the dicts."""
+    job_id = str(client.submit(_spec())["job_id"])
+    with urllib.request.urlopen(f"{server.url}/api/v1/jobs/{job_id}/result") as resp:
+        body = resp.read()
+    job = server.queue.job(job_id)
+    assert job.keys == () and job.points == ()
+    assert body == json.dumps(
+        {**job.summary(), "records": job.records, "origins": job.origins}
+    ).encode()
+    assert json.loads(body)["origins"] == ["predicted"] * 6

@@ -12,6 +12,8 @@ faults (the :data:`~repro.core.supervise.CHAOS_ENV` schedule).
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import time
 
 import pytest
@@ -22,6 +24,7 @@ from repro.core.supervise import (
     QuarantinedTaskError,
     SupervisePolicy,
     TaskOutcome,
+    WorkerPool,
     backoff_delay,
     chaos_spec,
     fork_context,
@@ -47,6 +50,11 @@ def _square(x: int) -> int:
 def _sleep_forever(x: int) -> int:
     time.sleep(300)
     return x
+
+
+def _nap(seconds: float) -> int:
+    time.sleep(seconds)
+    return os.getpid()
 
 
 def _chaos(monkeypatch, schedule: dict) -> None:
@@ -264,6 +272,101 @@ class TestSupervisedIterOrdered:
             assert len(pulled) <= 2 + 4 * 2 + 1
         finally:
             it.close()
+
+
+class TestWorkerPool:
+    """A pool passed to several calls, the way the campaign server uses it."""
+
+    POLICY = SupervisePolicy(**FAST)
+
+    def _run(self, func, items, pool, registry=None):
+        return list(
+            supervised_iter_ordered(
+                func, items, len(pool.workers), self.POLICY, metrics=registry, pool=pool
+            )
+        )
+
+    def test_two_calls_run_on_the_same_worker(self):
+        pool = WorkerPool(_nap, workers=1)
+        try:
+            first = [o.value for o in self._run(_nap, [0, 0], pool)]
+            second = [o.value for o in self._run(_nap, [0, 0], pool)]
+        finally:
+            pool.close()
+        assert len(set(first + second)) == 1
+        assert first[0] != os.getpid()
+
+    def test_chaos_kill_in_one_call_is_retried_and_the_next_call_completes(
+        self, monkeypatch
+    ):
+        _chaos(monkeypatch, {"2": {"action": "kill", "attempts": [1]}})
+        pool = WorkerPool(_square, workers=2)
+        registry = MetricsRegistry()
+        try:
+            first = self._run(_square, range(5), pool, registry)
+            second = self._run(_square, range(5, 9), pool)
+        finally:
+            pool.close()
+        assert [o.value for o in first] == [0, 1, 4, 9, 16]
+        assert first[2].attempts == 2 and first[2].failures[0].kind == "crash"
+        m = summary_prefix(registry.flat_summary(), "supervise")
+        assert m["worker_crashes"] >= 1 and m["respawns"] >= 1
+        assert [o.value for o in second] == [25, 36, 49, 64]
+        assert all(o.ok and o.attempts == 1 for o in second)
+
+    def test_fault_hooks_are_read_at_dispatch_not_at_fork(self, monkeypatch):
+        # Every worker is forked while the schedule is set.  Once it is
+        # cleared, the same identities run clean on those same workers.
+        _chaos(monkeypatch, {"2": {"action": "kill", "attempts": [1]}})
+        pool = WorkerPool(_square, workers=2)
+        before, after = MetricsRegistry(), MetricsRegistry()
+        try:
+            self._run(_square, range(5), pool, before)
+            monkeypatch.delenv(CHAOS_ENV)
+            second = self._run(_square, range(5), pool, after)
+        finally:
+            pool.close()
+        assert summary_prefix(before.flat_summary(), "supervise")["worker_crashes"] >= 1
+        assert "worker_crashes" not in summary_prefix(after.flat_summary(), "supervise")
+        assert [o.value for o in second] == [0, 1, 4, 9, 16]
+
+    def test_abandoned_call_kills_only_busy_workers(self):
+        pool = WorkerPool(_nap, workers=2)
+        if len(pool.workers) < 2:
+            pytest.skip("needs two CPUs for an idle and a busy worker")
+        try:
+            it = supervised_iter_ordered(_nap, [0, 300], 2, self.POLICY, pool=pool)
+            idle_pid = next(it).value
+            [busy] = [w for w in pool.workers if w.task is not None]
+            it.close()
+            assert not busy.process.is_alive()
+            assert [w.process.pid for w in pool.workers if w is not None] == [idle_pid]
+            again = self._run(_nap, [0, 0], pool)
+        finally:
+            pool.close()
+        assert all(o.ok and o.attempts == 1 for o in again)
+        assert idle_pid in {o.value for o in again}
+
+    def test_close_leaves_no_children(self):
+        pool = WorkerPool(_square, workers=2)
+        self._run(_square, range(4), pool)
+        assert multiprocessing.active_children()  # the workers outlive the call
+        pool.close()
+        assert multiprocessing.active_children() == []
+
+    def test_stale_report_cannot_complete_a_later_task(self):
+        pool = WorkerPool(_square, workers=1)
+        try:
+            assert [o.value for o in self._run(_square, [1, 2, 3], pool)] == [1, 4, 9]
+            # Leave a second answer to call 1's first task (id 0) in the
+            # pipe, as if that call had moved on without reading it.
+            [w] = pool.workers
+            w.dispatch(0, 1, 1, None)
+            w.task = None
+            second = self._run(_square, [10, 20, 30], pool)
+        finally:
+            pool.close()
+        assert [o.value for o in second] == [100, 400, 900]
 
 
 class TestSupervisedParallelMap:
