@@ -509,17 +509,17 @@ def _measure_serve_dedup(args: argparse.Namespace) -> dict:
         )
         server.start()
         try:
-            client = ServeClient(server.url)
-            t0 = time.perf_counter()
-            cold = client.wait(
-                str(client.submit(spec)["job_id"]), timeout=600.0, poll_s=0.01
-            )
-            cold_s = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            hit = client.wait(
-                str(client.submit(spec)["job_id"]), timeout=600.0, poll_s=0.01
-            )
-            hit_s = time.perf_counter() - t0
+            with ServeClient(server.url) as client:
+                t0 = time.perf_counter()
+                cold = client.wait(
+                    str(client.submit(spec)["job_id"]), timeout=600.0, poll_s=0.01
+                )
+                cold_s = time.perf_counter() - t0
+                t0 = time.perf_counter()
+                hit = client.wait(
+                    str(client.submit(spec)["job_id"]), timeout=600.0, poll_s=0.01
+                )
+                hit_s = time.perf_counter() - t0
         finally:
             server.stop()
     return {

@@ -489,6 +489,7 @@ def _serve_leg_impl(args: argparse.Namespace, workdir: Path) -> dict:
     )
     quarantined_keys: List[str] = []
     resubmit_counts: Dict[str, object] = {}
+    client: Optional[ServeClient] = None
     try:
         with _env(CHAOS_ENV, json.dumps(schedule)):
             server.start()
@@ -580,6 +581,8 @@ def _serve_leg_impl(args: argparse.Namespace, workdir: Path) -> dict:
                     "bit-flipped entry was not quarantined to corrupt/"
                 )
     finally:
+        if client is not None:
+            client.close()
         server.stop()
 
     return {

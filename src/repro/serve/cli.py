@@ -225,11 +225,11 @@ def run_submit(args: argparse.Namespace, out=None) -> int:
     from .client import ServeClient, ServeError
 
     spec = _spec_from_args(args)
-    client = ServeClient(args.server)
     try:
-        summary = client.submit(spec)
-        if args.wait:
-            summary = client.wait(str(summary["job_id"]), timeout=args.timeout)
+        with ServeClient(args.server) as client:
+            summary = client.submit(spec)
+            if args.wait:
+                summary = client.wait(str(summary["job_id"]), timeout=args.timeout)
     except ServeError as exc:
         raise SystemExit(f"repro submit: {exc}") from exc
     except (ConnectionError, OSError) as exc:
@@ -274,14 +274,14 @@ def configure_status_parser(p: argparse.ArgumentParser) -> None:
 def run_status(args: argparse.Namespace, out=None) -> int:
     from .client import ServeClient, ServeError
 
-    client = ServeClient(args.server)
     try:
-        if args.job_id:
-            payload: object = client.status(args.job_id)
-            rows = [payload]
-        else:
-            rows = client.jobs()
-            payload = {"jobs": rows}
+        with ServeClient(args.server) as client:
+            if args.job_id:
+                payload: object = client.status(args.job_id)
+                rows = [payload]
+            else:
+                rows = client.jobs()
+                payload = {"jobs": rows}
     except ServeError as exc:
         raise SystemExit(f"repro status: {exc}") from exc
     except (ConnectionError, OSError) as exc:
@@ -313,9 +313,9 @@ def run_result(args: argparse.Namespace, out=None) -> int:
     from ..core.report import format_table
     from .client import ServeClient, ServeError
 
-    client = ServeClient(args.server)
     try:
-        result = client.result(args.job_id)
+        with ServeClient(args.server) as client:
+            result = client.result(args.job_id)
     except ServeError as exc:
         raise SystemExit(f"repro result: {exc}") from exc
     except (ConnectionError, OSError) as exc:

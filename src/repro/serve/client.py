@@ -4,12 +4,21 @@
 test suite all speak to a running server through this class, so the
 tests exercise exactly the code path a user does (black-box testing —
 nothing reaches into server internals).
+
+Connections are kept alive between requests: a client holds a small
+stack of idle ``HTTPConnection``s, takes one (or opens one) per request
+and puts it back once the response is read.  A reused connection the
+server has since closed (idle timeout, restart) fails before any
+response byte arrives; only that case is retried, once, on a fresh
+connection.  :meth:`ServeClient.close` (or a ``with`` block) closes the
+idle connections.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
@@ -29,7 +38,7 @@ class ServeError(RuntimeError):
 
 
 class ServeClient:
-    """One server address; a fresh connection per request (thread-safe)."""
+    """One server address over kept-alive connections (thread-safe)."""
 
     def __init__(self, url: str, timeout: float = 30.0) -> None:
         parts = urlsplit(url if "//" in url else f"http://{url}")
@@ -38,24 +47,63 @@ class ServeClient:
         self.host = parts.hostname
         self.port = parts.port or 80
         self.timeout = timeout
+        self._lock = threading.Lock()
+        self._idle: List[http.client.HTTPConnection] = []
+
+    def __enter__(self) -> ServeClient:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every idle connection (a later request opens a new one)."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _connect(self) -> http.client.HTTPConnection:
+        return http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
 
     def _request(
         self, method: str, path: str, body: Optional[Dict] = None
     ) -> Tuple[int, Dict[str, object]]:
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+        payload = json.dumps(body).encode() if body is not None else None
+        headers = {"Content-Type": "application/json"} if payload else {}
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        reused = conn is not None
+        if conn is None:
+            conn = self._connect()
         try:
-            payload = json.dumps(body).encode() if body is not None else None
-            headers = {"Content-Type": "application/json"} if payload else {}
-            conn.request(method, path, body=payload, headers=headers)
-            resp = conn.getresponse()
-            data = resp.read()
             try:
-                decoded = json.loads(data) if data else {}
-            except json.JSONDecodeError:
-                decoded = {"error": data.decode(errors="replace")}
-            return resp.status, decoded
-        finally:
+                conn.request(method, path, body=payload, headers=headers)
+                resp = conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                # A reused socket the server has closed fails here, before
+                # any response byte (RemoteDisconnected is a
+                # ConnectionResetError): the one case retried.
+                if not reused:
+                    raise
+                conn.close()
+                conn = self._connect()
+                conn.request(method, path, body=payload, headers=headers)
+                resp = conn.getresponse()
+            data = resp.read()
+        except BaseException:
             conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        try:
+            decoded = json.loads(data) if data else {}
+        except json.JSONDecodeError:
+            decoded = {"error": data.decode(errors="replace")}
+        return resp.status, decoded
 
     def _ok(self, method: str, path: str, body: Optional[Dict] = None) -> Dict:
         status, decoded = self._request(method, path, body)

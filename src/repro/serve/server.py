@@ -18,7 +18,9 @@ service.  One :class:`CampaignServer` owns four cooperating pieces:
   answer from the content store instantly, interrupted ones re-run,
   quarantined ones retry — crash recovery is just dedup replayed;
 * a threaded **HTTP server** (stdlib ``http.server``) exposing the
-  ``/api/v1`` surface documented in :mod:`repro.serve.protocol`.
+  ``/api/v1`` surface documented in :mod:`repro.serve.protocol` over
+  kept-alive HTTP/1.1 connections (``TCP_NODELAY``, closed after
+  :data:`_KEEPALIVE_IDLE_S` idle and at :meth:`CampaignServer.stop`).
 
 Observability: every ``serve.*`` counter mutation is funnelled through
 the queue lock (the :class:`~repro.obs.metrics.MetricsRegistry`
@@ -33,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -53,6 +56,11 @@ STORE_NAMESPACE = "serve-points"
 #: scheduler poll period: how long a claim waits before re-checking the
 #: shutdown flag when the queue is idle.
 _IDLE_WAIT_S = 0.2
+
+#: how long a kept-alive connection may wait for its next request
+#: before the server closes it (a client retries that stale-socket
+#: case once on a fresh connection).
+_KEEPALIVE_IDLE_S = 15.0
 
 
 #: per-worker-process experiment memo (inherited empty at fork, filled
@@ -103,7 +111,7 @@ class CampaignServer:
         self._pool = WorkerPool(_serve_task, workers, _serve_identity)
         self._host = host
         self._requested_port = port
-        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._httpd: Optional[_HTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
         self._scheduler_thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
@@ -322,8 +330,7 @@ class CampaignServer:
         """Recover the journal, bind the port, start both threads."""
         self._recover()
         handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer((self._host, self._requested_port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _HTTPServer((self._host, self._requested_port), handler)
         self._http_thread = threading.Thread(
             target=self._httpd.serve_forever, name="serve-http", daemon=True
         )
@@ -339,7 +346,8 @@ class CampaignServer:
         In-flight batch work finishes (the scheduler checks the stop
         flag between batches, never mid-batch), so completed records
         are persisted and journaled before the process exits.  Then the
-        worker pool shuts down.
+        worker pool shuts down, and the HTTP server ends its kept-alive
+        connections and waits for their handlers.
         """
         self._stop.set()
         self.queue.wake()
@@ -349,6 +357,7 @@ class CampaignServer:
         self._pool.close()
         if self._httpd is not None:
             self._httpd.shutdown()
+            self._httpd.close_connections()
             self._httpd.server_close()
             self._httpd = None
         if self._http_thread is not None:
@@ -390,6 +399,48 @@ class CampaignServer:
 # -- the HTTP layer --------------------------------------------------------
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """A threaded HTTP server that knows its open connections.
+
+    A kept-alive connection holds its (daemon) handler thread until the
+    client closes it or it idles out, and ``server_close()`` joins no
+    daemon thread.  :meth:`close_connections` ends them all and waits
+    until every handler has closed its socket.  Sockets are registered
+    in ``process_request``, on the accepting thread, so none accepted
+    before ``shutdown()`` returns can be missed.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._open_changed = threading.Condition()
+        self._open: set = set()
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_changed:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        with self._open_changed:
+            self._open.discard(request)
+            self._open_changed.notify_all()
+
+    def close_connections(self) -> None:
+        """Shut the read side of every open connection and wait for its
+        handler to finish: one waiting for its next request reads EOF at
+        once, one in the middle of a reply completes it first."""
+        with self._open_changed:
+            for sock in self._open:
+                try:
+                    sock.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # not connected any more; its handler is ending
+            self._open_changed.wait_for(lambda: not self._open, _KEEPALIVE_IDLE_S)
+
+
 def _make_handler(server: CampaignServer):
     """A request handler class bound to one :class:`CampaignServer`."""
 
@@ -397,6 +448,11 @@ def _make_handler(server: CampaignServer):
         # Route table lives in do_GET/do_POST below; every response is
         # JSON, every error is ``{"error": ...}`` with a proper status.
         protocol_version = "HTTP/1.1"
+        # Headers and body leave in two sends; with Nagle's algorithm on,
+        # the body of every reply on a reused connection waits out the
+        # client's delayed ACK (~40 ms).
+        disable_nagle_algorithm = True
+        timeout = _KEEPALIVE_IDLE_S
 
         def log_message(self, format: str, *args) -> None:  # noqa: A002
             pass  # the service speaks through /metrics, not stderr
@@ -409,6 +465,8 @@ def _make_handler(server: CampaignServer):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(data)
 
@@ -461,14 +519,29 @@ def _make_handler(server: CampaignServer):
             else:
                 self._reply(404, {"error": f"unknown path {self.path!r}"})
 
+        def _read_body(self) -> Optional[bytes]:
+            """The request body, read in full before any routing, so the
+            next request on a kept-alive connection starts where the
+            client sent it.  Without a usable ``Content-Length`` that
+            start is unknown: returns None and closes the connection
+            after the reply."""
+            try:
+                length = int(self.headers["Content-Length"])
+            except (TypeError, ValueError):
+                length = -1
+            if length < 0:
+                self.close_connection = True
+                return None
+            return self.rfile.read(length)
+
         def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+            raw = self._read_body()
             if self.path.rstrip("/") != f"{API_ROOT}/jobs":
                 self._reply(404, {"error": f"unknown path {self.path!r}"})
                 return
             try:
-                length = int(self.headers.get("Content-Length", "0"))
-                body = json.loads(self.rfile.read(length) or b"null")
-            except (ValueError, json.JSONDecodeError):
+                body = json.loads(raw or b"null")
+            except ValueError:
                 self._reply(400, {"error": "request body must be JSON"})
                 return
             if not isinstance(body, dict) or "spec" not in body:

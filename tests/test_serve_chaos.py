@@ -58,8 +58,8 @@ def test_transient_worker_kill_mid_job_recovers(tmp_path, chaos_env):
     chaos_env({victim: {"action": "kill", "attempts": [1]}})
     server = CampaignServer(tmp_path / "serve-data", workers=2, policy=FAST_POLICY)
     server.start()
+    client = ServeClient(server.url)
     try:
-        client = ServeClient(server.url)
         result = client.wait(
             str(client.submit(spec)["job_id"]), timeout=300.0
         )
@@ -70,6 +70,7 @@ def test_transient_worker_kill_mid_job_recovers(tmp_path, chaos_env):
         assert metrics["worker_health"]["failures"].get("crash", 0) >= 1
         assert client.healthz()["ok"] is True
     finally:
+        client.close()
         server.stop()
 
 
@@ -79,8 +80,8 @@ def test_poison_point_quarantines_and_stays_retryable(tmp_path, chaos_env, monke
     chaos_env({poison: {"action": "kill", "attempts": "all"}})
     server = CampaignServer(tmp_path / "serve-data", workers=2, policy=FAST_POLICY)
     server.start()
+    client = ServeClient(server.url)
     try:
-        client = ServeClient(server.url)
         result = client.wait(str(client.submit(spec)["job_id"]), timeout=300.0)
         assert result["quarantined"] == 1
         statuses = [r["status"] for r in result["records"]]
@@ -101,6 +102,7 @@ def test_poison_point_quarantines_and_stays_retryable(tmp_path, chaos_env, monke
         assert all(r["status"] == "ok" for r in retry["records"])
         assert client.healthz()["ok"] is True
     finally:
+        client.close()
         server.stop()
 
 
@@ -108,8 +110,8 @@ def test_bitflipped_store_entry_is_requarantined_and_resimulated(tmp_path):
     spec = _spec()
     server = CampaignServer(tmp_path / "serve-data", workers=2, policy=FAST_POLICY)
     server.start()
+    client = ServeClient(server.url)
     try:
-        client = ServeClient(server.url)
         first = client.wait(str(client.submit(spec)["job_id"]), timeout=300.0)
 
         target = spec.points()[0]
@@ -130,6 +132,7 @@ def test_bitflipped_store_entry_is_requarantined_and_resimulated(tmp_path):
         assert health["ok"] is True
         assert health["store_corrupt"] == 1
     finally:
+        client.close()
         server.stop()
 
 

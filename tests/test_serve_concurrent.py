@@ -134,10 +134,10 @@ def test_concurrent_clients_simulate_each_unique_key_exactly_once(tmp_path):
 
         def submit_and_wait(i, grid):
             try:
-                client = ServeClient(server.url)
-                start.wait()
-                summary = client.submit(_spec(grid))
-                results[i] = client.wait(str(summary["job_id"]), timeout=300.0)
+                with ServeClient(server.url) as client:
+                    start.wait()
+                    summary = client.submit(_spec(grid))
+                    results[i] = client.wait(str(summary["job_id"]), timeout=300.0)
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append((i, exc))
 
@@ -151,8 +151,9 @@ def test_concurrent_clients_simulate_each_unique_key_exactly_once(tmp_path):
             t.join()
         assert not errors, errors
 
-        client = ServeClient(server.url)
-        serve_metrics = client.metrics()["serve"]
+        with ServeClient(server.url) as client:
+            serve_metrics = client.metrics()["serve"]
+            store_entries = client.healthz()["store_entries"]
         # The exactly-once invariant, from the server's own counters:
         # every unique store key simulated once, every other request for
         # it answered by dedup (store hit or shared flight).
@@ -162,7 +163,7 @@ def test_concurrent_clients_simulate_each_unique_key_exactly_once(tmp_path):
         assert sum(r["dedup_hits"] for r in results.values()) == total_points - len(
             unique_keys
         )
-        assert client.healthz()["store_entries"] == len(unique_keys)
+        assert store_entries == len(unique_keys)
 
         # Merged records equal the serial baseline of the union grid.
         baseline = Campaign(

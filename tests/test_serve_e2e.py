@@ -40,7 +40,8 @@ def server(tmp_path):
 
 @pytest.fixture()
 def client(server):
-    return ServeClient(server.url)
+    with ServeClient(server.url) as c:
+        yield c
 
 
 def _spec(machine="scc-48", **overrides):
@@ -176,17 +177,18 @@ def test_journal_recovery_restores_jobs_from_the_store(tmp_path):
 
     first_srv = CampaignServer(data_dir, workers=2)
     first_srv.start()
+    client = ServeClient(first_srv.url)
     try:
-        client = ServeClient(first_srv.url)
         job_id = str(client.submit(spec)["job_id"])
         first = client.wait(job_id, timeout=300.0)
     finally:
+        client.close()
         first_srv.stop()
 
     second_srv = CampaignServer(data_dir, workers=2)
     second_srv.start()
+    client = ServeClient(second_srv.url)
     try:
-        client = ServeClient(second_srv.url)
         recovered = client.wait(job_id, timeout=60.0)
         assert [_canon(r) for r in recovered["records"]] == [
             _canon(r) for r in first["records"]
@@ -194,6 +196,7 @@ def test_journal_recovery_restores_jobs_from_the_store(tmp_path):
         # Recovery replayed the journal against the store: no simulation.
         assert client.metrics()["serve"]["simulations"] == 0.0
     finally:
+        client.close()
         second_srv.stop()
 
 

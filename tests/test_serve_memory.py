@@ -119,8 +119,8 @@ def test_result_body_is_the_dict_encoding_for_model_and_quarantined_jobs(
     policy = SupervisePolicy(task_timeout=10.0, max_retries=0, on_failure="quarantine")
     server = CampaignServer(tmp_path / "serve-data", workers=2, policy=policy)
     server.start()
+    client = ServeClient(server.url)
     try:
-        client = ServeClient(server.url)
         clean = client.wait(str(client.submit(_spec(core_counts=(2, 8)))["job_id"]))
         monkeypatch.setenv(CHAOS_ENV, json.dumps({poison: {"action": "raise"}}))
         hurt = client.wait(str(client.submit(spec)["job_id"]))
@@ -130,6 +130,7 @@ def test_result_body_is_the_dict_encoding_for_model_and_quarantined_jobs(
             assert body == _dict_encoding(server, str(job_id))
             assert json.loads(body) == client.result(str(job_id))
     finally:
+        client.close()
         server.stop()
 
 

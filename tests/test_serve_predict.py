@@ -51,7 +51,8 @@ def server(tmp_path):
 
 @pytest.fixture()
 def client(server):
-    return ServeClient(server.url)
+    with ServeClient(server.url) as c:
+        yield c
 
 
 def _spec(mode="predict"):
