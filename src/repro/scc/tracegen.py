@@ -23,8 +23,10 @@ the differential contract, and adds two levers of its own:
 
 * **iteration cycling** — the per-pass trace is identical, so the
   hierarchy state (a finite, deterministic machine) eventually cycles;
-  once a state digest repeats, every remaining iteration's counts are
-  the recorded cycle deltas, summed without simulating; and
+  once a state repeats modulo the pseudo-LRU tree's symmetries, every
+  remaining iteration's counts are the recorded cycle deltas, summed
+  without simulating, and the hierarchy is set to the state the
+  skipped passes would have left; and
 * a **content-addressed disk cache** (:mod:`repro.store`, namespace
   ``replay``) keyed by the matrix pattern digest, row range, layout,
   cache geometry and iteration count, so campaigns and the differential
@@ -257,17 +259,16 @@ def _replay_cache_key(
 
 def _hierarchy_stats(h: VectorCacheHierarchy) -> Tuple[Tuple[int, int, int, int], ...]:
     """Per-level (hits, misses, evictions, writebacks) snapshot."""
-    levels = [h.l1] + ([h.l2] if h.l2 is not None else [])
     return tuple(
         (lv.stats.hits, lv.stats.misses, lv.stats.evictions, lv.stats.writebacks)
-        for lv in levels
+        for lv in h.levels
     )
 
 
-def _state_digest(h: VectorCacheHierarchy) -> str:
-    """Hash of the full hierarchy state (tags, dirty, PLRU, both levels)."""
+def _fingerprint_digest(fp: Tuple[np.ndarray, ...]) -> str:
+    """Hash of a state fingerprint (every array of both levels)."""
     hasher = hashlib.sha256()
-    for arr in h.state_fingerprint():
+    for arr in fp:
         hasher.update(arr.tobytes())
     return hasher.hexdigest()
 
@@ -286,12 +287,16 @@ def _replay_vectorized(
 
     The per-iteration trace is identical, and the hierarchy is a finite
     deterministic state machine driven by it — so the sequence of
-    post-iteration states must eventually enter a cycle.  Once a state
-    recurs (digest match confirmed by exact fingerprint comparison),
-    iteration k reproduces the counts of iteration k - period for every
-    remaining k, and the tail is summed from the recorded per-iteration
-    deltas.  Counts and per-level stats stay bitwise-identical to
-    simulating every iteration.
+    post-iteration states must eventually enter a cycle, sooner modulo
+    the pseudo-LRU tree's symmetries.  Once the state after pass k is
+    canonically equal to the state after an earlier pass j (digest
+    match confirmed by exact comparison), a per-set tree automorphism
+    tau carries state j + r to state k + r for every r, so iteration
+    k + r reproduces the counts of iteration j + r and the tail is
+    summed from the recorded deltas.  With ``iterations - j =
+    m * (k - j) + r``, the hierarchy is left in ``tau**m`` of the
+    recorded state j + r: counts, per-level stats and the final state
+    stay bitwise-identical to simulating every iteration.
     """
     n_total = 3 * (row_stop - row_start) + 3 * int(a.ptr[row_stop] - a.ptr[row_start])
     single_chunk = n_total <= chunk_accesses
@@ -322,7 +327,9 @@ def _replay_vectorized(
             return counts
 
     totals = {"l1": 0, "l2": 0, "mem": 0}
+    # canonical digest -> (passes, canonical fingerprint after them)
     seen: Dict[str, Tuple[int, Tuple[np.ndarray, ...]]] = {}
+    states: List[Tuple[np.ndarray, ...]] = []  # states[i]: after i + 1 passes
     count_deltas: List[Dict[str, int]] = []
     stats_deltas: List[Tuple[Tuple[int, int, int, int], ...]] = []
     simulated = 0
@@ -343,10 +350,12 @@ def _replay_vectorized(
         )
         if simulated == iterations:
             break
-        digest = _state_digest(h)
+        states.append(h.state_fingerprint())
+        canon = h.canonical_fingerprint()
+        digest = _fingerprint_digest(canon)
         hit = seen.get(digest)
-        if hit is not None and fingerprints_equal(hit[1], h.state_fingerprint()):
-            start = hit[0]  # state after `start` iterations == state now
+        if hit is not None and fingerprints_equal(hit[1], canon):
+            start = hit[0]  # state after `start` iterations ~ state now
             period = simulated - start
             remaining = iterations - simulated
             fast_forwarded = remaining
@@ -359,14 +368,15 @@ def _replay_vectorized(
                 for lvl, delta in zip(level_sums, stats_deltas[start + r % period]):
                     for i in range(4):
                         lvl[i] += delta[i]
-            levels = [h.l1] + ([h.l2] if h.l2 is not None else [])
-            for lv, (d_hits, d_misses, d_ev, d_wb) in zip(levels, level_sums):
+            for lv, (d_hits, d_misses, d_ev, d_wb) in zip(h.levels, level_sums):
                 lv.stats.hits += d_hits
                 lv.stats.misses += d_misses
                 lv.stats.evictions += d_ev
                 lv.stats.writebacks += d_wb
+            cycles, r = divmod(iterations - start, period)
+            h.load_image(states[start + r - 1], states[start - 1], states[-1], cycles)
             break
-        seen[digest] = (simulated, h.state_fingerprint())
+        seen[digest] = (simulated, canon)
     detail = {
         "accesses": n_total * iterations,
         "simulated_iterations": simulated,

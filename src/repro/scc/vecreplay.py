@@ -35,7 +35,10 @@ fast:
 The replay driver in :mod:`repro.scc.tracegen` adds a fourth, at the
 iteration level: repeated passes over an identical trace reach a
 periodic cache state, after which every further pass contributes an
-identical count delta (see ``replay_trace``).
+identical count delta (see ``replay_trace``).  The cycle is found
+modulo the pseudo-LRU tree's symmetries
+(:meth:`VectorCache.canonical_fingerprint`), much sooner than by exact
+equality: a 4-way set's tree bits alone cycle with period 4.
 
 ``tests/test_vecreplay.py`` holds the differential property suite that
 enforces the bitwise contract against the scalar oracle.
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -76,17 +79,43 @@ TAIL_WIDTH = 24
 
 # -- pseudo-LRU lookup tables -------------------------------------------------
 
-_PLRU_LUTS: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+class _PLRUTables(NamedTuple):
+    """Lookup tables of one associativity, indexed by packed tree bits."""
+
+    touch: np.ndarray    #: (n_states, ways) post-touch tree state
+    victim: np.ndarray   #: (n_states,) designated way
+    order: np.ndarray    #: (n_states, ways) canonical way order
+    compose: np.ndarray  #: (n_states, n_states) tree automorphism action
+    inverse: np.ndarray  #: (n_states,) inverse automorphism
 
 
-def _plru_tables(ways: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(touch, victim) tables for a ``ways``-way tree: ``touch[bits, way]``
-    is the post-touch tree state, ``victim[bits]`` the designated way.
+_PLRU_LUTS: Dict[int, _PLRUTables] = {}
 
-    Generated by exhaustively driving the scalar :class:`_PLRUTree`, so
-    the vectorized engine replays *that object's* semantics by
-    construction.  Tree bits occupy heap nodes ``1..ways-1``, hence
-    ``2**ways`` states.
+
+def _plru_tables(ways: int) -> _PLRUTables:
+    """Pseudo-LRU tables for a ``ways``-way tree.
+
+    ``touch[bits, way]`` is the post-touch tree state and
+    ``victim[bits]`` the designated way, generated by exhaustively
+    driving the scalar :class:`_PLRUTree`, so the vectorized engine
+    replays *that object's* semantics by construction.  Tree bits
+    occupy heap nodes ``1..ways-1``, hence ``2**ways`` states (bit 0
+    is never set).
+
+    The other three describe the tree's symmetries.  Swapping the two
+    subtrees of any node (their ways and their node bits) while
+    flipping that node's bit commutes with ``touch`` and ``victim``;
+    these automorphisms form a group that acts simply transitively on
+    the tree states, so each state ``b`` names the automorphism that
+    carries state 0 to ``b``.  ``order[b][i]`` is its leaf map: the
+    leaf reached by descending with direction ``bit_i XOR node bit``
+    (``bit_i`` the level's bit of ``i``, root first), so
+    ``order[b][0] == victim[b]``.  Gathering a set's ways in
+    ``order[b]`` therefore yields a form shared by every automorphic
+    image of the set.  ``compose[t, b]`` is the state reached by
+    applying automorphism ``t`` to state ``b`` (equivalently the
+    product ``t * b``), and ``inverse[t]`` undoes ``t``.
     """
     tables = _PLRU_LUTS.get(ways)
     if tables is None:
@@ -101,7 +130,32 @@ def _plru_tables(ways: int) -> Tuple[np.ndarray, np.ndarray]:
                 tree.bits = bits
                 tree.touch(way)
                 touch[bits, way] = tree.bits
-        tables = _PLRU_LUTS[ways] = (touch, victim)
+        # Flipping every node bit of one tree level flips that level's
+        # descent direction, so the descent for canonical index i is the
+        # victim of the state with the levels named by i's bits flipped.
+        levels = tree.levels
+        level_masks = [((1 << (1 << d)) - 1) << (1 << d) for d in range(levels)]
+        flips = np.array(
+            [
+                sum(m for d, m in enumerate(level_masks) if (i >> (levels - 1 - d)) & 1)
+                for i in range(ways)
+            ],
+            dtype=np.int64,
+        )
+        order = victim[np.arange(n_states)[:, None] ^ flips]
+        assert (order[:, 0] == victim).all()
+        assert (np.sort(order, axis=1) == np.arange(ways)).all()
+        # Automorphism t after b has leaf map order[t][order[b]]; look
+        # the composed map up among the tree states' own maps.
+        weights = ways ** np.arange(ways, dtype=np.int64)
+        codes = order @ weights
+        valid = np.arange(0, n_states, 2)  # bit 0 never set
+        by_code = np.argsort(codes[valid])
+        composed = order[:, order] @ weights
+        compose = valid[by_code[np.searchsorted(codes[valid], composed, sorter=by_code)]]
+        assert (codes[compose] == composed).all()  # closed: a group
+        inverse = np.argmax(compose == 0, axis=0)
+        tables = _PLRU_LUTS[ways] = _PLRUTables(touch, victim, order, compose, inverse)
     return tables
 
 
@@ -250,7 +304,8 @@ class VectorCache:
         # does): the step loop switches to a leaner body.  Derived
         # state — recomputed on entry, reset by flush().
         self._full = False
-        self._touch_lut, self._victim_lut = _plru_tables(assoc)
+        self._luts = _plru_tables(assoc)
+        self._touch_lut, self._victim_lut = self._luts.touch, self._luts.victim
         self.stats = CacheStats()
         #: steps narrower than this fall back to the scalar tail path
         #: (0 forces pure-vector, a huge value forces pure-scalar —
@@ -484,6 +539,66 @@ class VectorCache:
         """Copies of (tags, dirty, plru) — equality means identical state."""
         return (self._tags.copy(), self._dirty.copy(), self._plru.copy())
 
+    @staticmethod
+    def _frames(tags: np.ndarray, plru: np.ndarray) -> np.ndarray:
+        """Per-set automorphism carrying the canonical form to the state.
+
+        A full set's PLRU state names it; a set with an invalid way
+        gets the identity (0), because the first-invalid-way search is
+        not symmetric and such sets must match exactly.
+        """
+        return np.where((tags != -1).all(axis=1), plru, 0)
+
+    def canonical_fingerprint(self) -> Tuple[np.ndarray, ...]:
+        """(tags, dirty, plru) modulo the pseudo-LRU tree's symmetries.
+
+        Full sets have their tags and dirty bits gathered in canonical
+        way order (:func:`_plru_tables`) and their tree bits zeroed;
+        sets with an invalid way are kept as they are.  Equal results
+        mean each set is a tree automorphism's image of the other's,
+        so the same stream yields the same counts and miss mask from
+        both, and again equal results.
+        """
+        frames = self._frames(self._tags, self._plru)
+        idx = self._luts.order[frames]
+        return (
+            np.take_along_axis(self._tags, idx, axis=1),
+            np.take_along_axis(self._dirty, idx, axis=1),
+            self._plru ^ frames,  # 0 for full sets
+        )
+
+    def load_image(
+        self,
+        state: Tuple[np.ndarray, ...],
+        src: Tuple[np.ndarray, ...],
+        dst: Tuple[np.ndarray, ...],
+        power: int,
+    ) -> None:
+        """Set the cache to ``tau**power`` applied to ``state``.
+
+        ``tau`` is the per-set automorphism that carries fingerprint
+        ``src`` onto ``dst`` (two canonically equal
+        :meth:`state_fingerprint` results of this cache): fixed by their
+        PLRU states for full sets, the identity otherwise.  All three
+        are (tags, dirty, plru) triples; the stats are left alone.
+        """
+        luts = self._luts
+        tags, dirty, plru = state
+        tau = luts.compose[
+            self._frames(dst[0], dst[2]), luts.inverse[self._frames(src[0], src[2])]
+        ]
+        image = plru
+        # The automorphism group has 2**(assoc-1) elements, so tau's
+        # order divides that.
+        for _ in range(power % (1 << (self.assoc - 1))):
+            image = luts.compose[tau, image]
+        # tau**power carries way order[plru][i] to way order[image][i].
+        src_ways, dst_ways = luts.order[plru], luts.order[image]
+        for out, arr in ((self._tags, tags), (self._dirty, dirty)):
+            np.put_along_axis(out, dst_ways, np.take_along_axis(arr, src_ways, axis=1), axis=1)
+        self._plru[:] = image
+        self._full = False  # recomputed on the next replay
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<VectorCache {self.name} {self.size_bytes // 1024}KB "
@@ -561,12 +676,35 @@ class VectorCacheHierarchy:
         if self.l2 is not None:
             self.l2.flush()
 
+    @property
+    def levels(self) -> Tuple[VectorCache, ...]:
+        """The enabled levels, L1 first."""
+        return (self.l1,) if self.l2 is None else (self.l1, self.l2)
+
     def state_fingerprint(self) -> Tuple[np.ndarray, ...]:
         """Concatenated level fingerprints; equality means identical state."""
-        fp = self.l1.state_fingerprint()
-        if self.l2 is not None:
-            fp = fp + self.l2.state_fingerprint()
-        return fp
+        return tuple(a for lv in self.levels for a in lv.state_fingerprint())
+
+    def canonical_fingerprint(self) -> Tuple[np.ndarray, ...]:
+        """Concatenated canonical level fingerprints.
+
+        The L2's input is the L1's miss mask, so equal results mean the
+        same stream yields the same counts at both levels.
+        """
+        return tuple(a for lv in self.levels for a in lv.canonical_fingerprint())
+
+    def load_image(
+        self,
+        state: Tuple[np.ndarray, ...],
+        src: Tuple[np.ndarray, ...],
+        dst: Tuple[np.ndarray, ...],
+        power: int,
+    ) -> None:
+        """Per level, :meth:`VectorCache.load_image` on the level's slice
+        of these :meth:`state_fingerprint` results."""
+        for i, lv in enumerate(self.levels):
+            part = slice(3 * i, 3 * i + 3)
+            lv.load_image(state[part], src[part], dst[part], power)
 
     @property
     def steps_run(self) -> int:

@@ -23,24 +23,27 @@ ZOO = ("scc-48", "xeonphi-61", "ft2000plus-64")
 
 
 @pytest.fixture(scope="module")
-def report():
-    rep = differential_report(
-        machine_ids=ZOO,
-        ids=(2, 7),
-        core_counts=(1, 2, 4, 8, 16),
-        scale=0.05,
-        iterations=2,
-        n_rounds=100,
-        include_exact=True,
-        exact_ids=(2,),
-        exact_core_counts=(2, 8),
-    )
-    # Captured here, inside the same per-test store sandbox the harness
-    # ran in (the autouse cache-dir fixture is function-scoped).
-    rep["_store_counts"] = {
-        ns: ContentStore(namespace=ns).entry_count()
-        for ns in ("serve-points", "predict-models")
-    }
+def report(tmp_path_factory):
+    # A module fixture is built before the function-scoped autouse
+    # cache-dir fixture, so it points the store at a directory of its
+    # own; the counts are captured inside that same sandbox.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro-cache")))
+        rep = differential_report(
+            machine_ids=ZOO,
+            ids=(2, 7),
+            core_counts=(1, 2, 4, 8, 16),
+            scale=0.05,
+            iterations=2,
+            n_rounds=100,
+            include_exact=True,
+            exact_ids=(2,),
+            exact_core_counts=(2, 8),
+        )
+        rep["_store_counts"] = {
+            ns: ContentStore(namespace=ns).entry_count()
+            for ns in ("serve-points", "predict-models")
+        }
     return rep
 
 

@@ -19,6 +19,7 @@ from repro.scc.vecreplay import (
     TAIL_WIDTH,
     VectorCache,
     VectorCacheHierarchy,
+    _plru_tables,
     compile_schedule,
     fingerprints_equal,
 )
@@ -242,3 +243,148 @@ class TestFingerprints:
         fp = vec.state_fingerprint()
         vec.access_trace(np.array([0]))
         assert not fingerprints_equal(fp, vec.state_fingerprint())
+
+
+# -- pseudo-LRU tree symmetries -----------------------------------------------
+
+ASSOCS = (1, 2, 4, 8)
+
+
+def _automorphisms(ways):
+    """Every tree automorphism as (leaf map, state map), built independently.
+
+    Automorphism ``flags`` swaps the two subtrees of each heap node whose
+    bit ``node - 1`` is set: a path's direction at a source node is
+    flipped when that node is swapped, and the node's bit moves to its
+    image node, flipped likewise.
+    """
+    n_states = 1 << ways
+
+    def image(node):
+        depth = node.bit_length() - 1
+        src, prefix = 1, 0
+        for k in range(depth):
+            d = (node >> (depth - 1 - k)) & 1
+            prefix = (prefix << 1) | (d ^ ((flags >> (src - 1)) & 1))
+            src = 2 * src + d
+        return (1 << depth) | prefix
+
+    for flags in range(1 << (ways - 1)):
+        leaf = np.array([image(ways + w) - ways for w in range(ways)], dtype=np.int64)
+        states = np.zeros(n_states, dtype=np.int64)
+        for node in range(1, ways):
+            bit = ((np.arange(n_states) >> node) & 1) ^ ((flags >> (node - 1)) & 1)
+            states |= bit << image(node)
+        yield leaf, states
+
+
+def _valid_states(ways):
+    return np.arange(0, 1 << ways, 2)  # heap node bits 1..ways-1
+
+
+def _apply(leaf, states, tags, dirty, plru):
+    """The automorphism applied to every set of a (tags, dirty, plru) state."""
+    out_tags, out_dirty = np.empty_like(tags), np.empty_like(dirty)
+    out_tags[:, leaf], out_dirty[:, leaf] = tags, dirty
+    return out_tags, out_dirty, states[plru]
+
+
+def _random_cache(rng, ways, n_sets=16, invalid_frac=0.0):
+    """A cache in a random state: distinct lines per set, some ways invalid."""
+    vec = VectorCache(size_bytes=n_sets * ways * 32, assoc=ways)
+    lines = rng.permuted(np.tile(np.arange(4 * ways), (n_sets, 1)), axis=1)[:, :ways]
+    tags = lines * n_sets + np.arange(n_sets)[:, None]
+    tags[rng.random(tags.shape) < invalid_frac] = -1
+    vec._tags[:] = tags
+    vec._dirty[:] = rng.random(tags.shape) < 0.5
+    vec._plru[:] = rng.choice(_valid_states(ways), size=n_sets)
+    return vec
+
+
+class TestTreeSymmetry:
+    @pytest.mark.parametrize("ways", ASSOCS)
+    def test_victim_and_touch_are_equivariant(self, ways):
+        t = _plru_tables(ways)
+        b = _valid_states(ways)
+        n_auts = 0
+        for leaf, states in _automorphisms(ways):
+            n_auts += 1
+            assert (t.victim[states[b]] == leaf[t.victim[b]]).all()
+            for way in range(ways):
+                assert (t.touch[states[b], leaf[way]] == states[t.touch[b, way]]).all()
+        assert n_auts == b.size  # one automorphism per tree state
+
+    @pytest.mark.parametrize("ways", ASSOCS)
+    def test_order_starts_at_the_victim_and_is_a_permutation(self, ways):
+        t = _plru_tables(ways)
+        assert (t.order[:, 0] == t.victim).all()
+        assert (np.sort(t.order, axis=1) == np.arange(ways)).all()
+
+    @pytest.mark.parametrize("ways", ASSOCS)
+    def test_compose_and_inverse_match_the_automorphisms(self, ways):
+        # State t names the automorphism carrying state 0 to t, and
+        # compose[t] is that automorphism's action on states.
+        t = _plru_tables(ways)
+        b = _valid_states(ways)
+        for leaf, states in _automorphisms(ways):
+            label = states[0]
+            assert (t.order[label] == leaf).all()
+            assert (t.compose[label, b] == states[b]).all()
+            assert (t.compose[t.inverse[label], states[b]] == b).all()
+
+    @pytest.mark.parametrize("ways", ASSOCS)
+    def test_canonical_fingerprint_is_invariant(self, ways):
+        rng = np.random.default_rng(ways)
+        for _ in range(3):
+            vec = _random_cache(rng, ways)
+            base = vec.canonical_fingerprint()
+            raw = vec.state_fingerprint()
+            images = set()
+            for leaf, states in _automorphisms(ways):
+                image = VectorCache(size_bytes=vec.size_bytes, assoc=ways)
+                image._tags[:], image._dirty[:], image._plru[:] = _apply(leaf, states, *raw)
+                assert fingerprints_equal(image.canonical_fingerprint(), base)
+                images.add(image._tags.tobytes() + image._plru.tobytes())
+            # The action is free: distinct automorphisms, distinct images.
+            assert len(images) == 1 << (ways - 1)
+
+    @pytest.mark.parametrize("ways", ASSOCS)
+    def test_sets_with_an_invalid_way_are_never_permuted(self, ways):
+        rng = np.random.default_rng(100 + ways)
+        vec = _random_cache(rng, ways, n_sets=64, invalid_frac=0.3)
+        partial = (vec._tags == -1).any(axis=1)
+        assert partial.any() and not partial.all()
+        canon = vec.canonical_fingerprint()
+        for got, raw in zip(canon, vec.state_fingerprint()):
+            np.testing.assert_array_equal(got[partial], raw[partial])
+        assert (canon[2][~partial] == 0).all()
+
+    @pytest.mark.parametrize("ways", ASSOCS)
+    def test_load_image_applies_the_carrying_automorphism(self, ways):
+        # Per set, a random automorphism carries src onto dst;
+        # load_image(y, src, dst, p) must apply its p-th power to y.
+        rng = np.random.default_rng(200 + ways)
+        auts = list(_automorphisms(ways))
+        src = _random_cache(rng, ways, invalid_frac=0.2).state_fingerprint()
+        y = _random_cache(rng, ways).state_fingerprint()
+        partial = (src[0] == -1).any(axis=1)
+        pick = rng.integers(len(auts), size=src[0].shape[0])
+        pick[partial] = 0  # the identity: such sets match exactly
+        per_set = [auts[k] for k in pick]
+
+        def apply(state, power):
+            rows = []
+            for s, (leaf, states) in enumerate(per_set):
+                row = tuple(arr[s : s + 1] for arr in state)
+                for _ in range(power):
+                    row = _apply(leaf, states, *row)
+                rows.append(row)
+            return tuple(np.concatenate(parts) for parts in zip(*rows))
+
+        dst = apply(src, 1)
+        vec = VectorCache(size_bytes=src[0].size * 32, assoc=ways)
+        for power in (0, 1, 2, 3, 5):
+            vec.load_image(y, src, dst, power)
+            assert fingerprints_equal(vec.state_fingerprint(), apply(y, power)), power
+        vec.load_image(src, src, dst, 1)
+        assert fingerprints_equal(vec.state_fingerprint(), dst)
