@@ -7,33 +7,20 @@ Two cooperating layers (see ``docs/ANALYSIS.md``):
   protocol bugs (unmatched tags, rank-dependent collectives, reserved
   tags, self-sends), determinism hazards (wall-clock time, unseeded
   randomness, mutable defaults) and yield-protocol misuse before a
-  single simulated cycle runs.  On top of it,
-  :mod:`repro.analysis.dataflow` abstractly interprets each UE program
-  into a symbolic communication graph (:mod:`repro.analysis.commgraph`)
-  and *proves* liveness properties over a whole range of core counts:
-  static deadlocks (DF501), collective congruence (DF502) and MPB
-  capacity bounds (DF503), exported as text/JSON/SARIF via ``repro
-  analyze`` and cross-validated against the dynamic checkers by
-  :mod:`repro.analysis.crosscheck`.
+  single simulated cycle runs.
 
 - **Dynamic pass** — :class:`~repro.analysis.runtime_checks.RuntimeChecker`
   hooks into the runtime (deadlock wait-for graphs, MPB overwrite races,
   collective mismatches) and
   :mod:`repro.analysis.determinism` replays runs to verify bit-identical
-  schedules.
+  schedules.  The SCC has at most 48 cores, so ``repro check --ues 2:48``
+  runs a program at every core count and its verdict holds for all of
+  them.
 
 Both surfaces report structured :class:`~repro.analysis.findings.Finding`
 objects and drive the ``repro lint`` / ``repro check`` CLI subcommands.
 """
 
-from .commgraph import CommEvent, CommGraph, Span, UETrace
-from .dataflow import (
-    DataflowRule,
-    all_dataflow_rules,
-    analyze_file,
-    analyze_paths,
-    analyze_source,
-)
 from .determinism import DeterminismReport, verify_program_determinism
 from .findings import (
     Finding,
@@ -45,7 +32,6 @@ from .findings import (
 from .lint import lint_file, lint_paths, lint_source
 from .rules import Rule, all_rules, get_rule, register_rule, rule
 from .runtime_checks import RuntimeChecker
-from .sarif import findings_to_sarif, validate_sarif
 
 __all__ = [
     "Finding",
@@ -64,15 +50,4 @@ __all__ = [
     "RuntimeChecker",
     "DeterminismReport",
     "verify_program_determinism",
-    "CommEvent",
-    "CommGraph",
-    "Span",
-    "UETrace",
-    "DataflowRule",
-    "all_dataflow_rules",
-    "analyze_file",
-    "analyze_paths",
-    "analyze_source",
-    "findings_to_sarif",
-    "validate_sarif",
 ]

@@ -10,7 +10,9 @@ Two modes:
 
 - **program**: load ``path.py:function`` and drive it the same way, so
   a suspect UE program can be checked in isolation (this is how the
-  test fixtures demonstrate each runtime checker).
+  test fixtures demonstrate each runtime checker).  ``repro check
+  --ues MIN:MAX`` runs it once per core count; over ``2:48`` that
+  covers every job size the SCC can boot.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ class CheckResult:
     """Findings and status of one checked program."""
 
     name: str
+    n_ues: int
     findings: List[Finding] = field(default_factory=list)
     completed: bool = False
     deterministic: Optional[bool] = None
@@ -132,7 +135,7 @@ def run_checked(
     from ..core.mapping import distance_reduction_mapping
     from ..rcce.runtime import RCCERuntime
 
-    result = CheckResult(name=name)
+    result = CheckResult(name=name, n_ues=n_ues)
     checker = RuntimeChecker()
     rt = RCCERuntime(distance_reduction_mapping(n_ues), config=CONF0, checker=checker)
     extra = list(args_factory()) if args_factory is not None else []

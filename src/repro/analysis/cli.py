@@ -1,4 +1,4 @@
-"""``repro lint`` / ``repro check`` / ``repro analyze`` implementations.
+"""``repro lint`` / ``repro check`` implementations.
 
 Kept separate from :mod:`repro.cli` (which owns the paper-artifact
 commands) so the analysis layer stays importable without the figure
@@ -18,6 +18,7 @@ import json
 from typing import List, Optional, Sequence, TextIO
 
 from ..cliutil import add_json_flag, add_output_flag, open_output, resolve_format, str_list
+from ..scc.topology import N_CORES
 from .findings import Finding, Severity, findings_to_json, format_findings, has_errors
 from .lint import lint_paths
 from .rules import all_rules
@@ -25,13 +26,10 @@ from .rules import all_rules
 __all__ = [
     "lint_main",
     "check_main",
-    "analyze_main",
     "configure_lint_parser",
     "configure_check_parser",
-    "configure_analyze_parser",
     "run_lint",
     "run_check",
-    "run_analyze",
 ]
 
 
@@ -95,6 +93,25 @@ def lint_main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None
     return run_lint(build_lint_parser().parse_args(argv), out=out)
 
 
+def _parse_ues_range(text: str) -> tuple[int, int]:
+    """``'2:48'`` (or a single ``'8'``) -> (min_ues, max_ues)."""
+    try:
+        if ":" in text:
+            lo_s, _, hi_s = text.partition(":")
+            lo, hi = int(lo_s), int(hi_s)
+        else:
+            lo = hi = int(text)
+    except ValueError as exc:
+        raise SystemExit(
+            f"repro check: --ues must be 'N' or 'MIN:MAX', got {text!r}"
+        ) from exc
+    if not 1 <= lo <= hi <= N_CORES:
+        raise SystemExit(
+            f"repro check: need 1 <= MIN <= MAX <= {N_CORES} in --ues, got {text!r}"
+        )
+    return lo, hi
+
+
 def configure_check_parser(p: argparse.ArgumentParser) -> None:
     """Add the ``repro check`` arguments to an existing parser."""
     p.add_argument(
@@ -105,7 +122,12 @@ def configure_check_parser(p: argparse.ArgumentParser) -> None:
         "built-in battery",
     )
     p.add_argument(
-        "--ues", type=int, default=4, help="number of UEs for --program (default 4)"
+        "--ues",
+        type=str,
+        default="4",
+        metavar="N|MIN:MAX",
+        help=f"UE count for --program, or a range run once per count "
+        f"(default 4; 1 <= MIN <= MAX <= {N_CORES})",
     )
     p.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
@@ -135,13 +157,15 @@ def run_check(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
 
     verify = not args.no_determinism
     if args.program:
-        if args.ues < 1:
-            raise SystemExit(f"--ues must be >= 1, got {args.ues}")
+        min_ues, max_ues = _parse_ues_range(args.ues)
         try:
             name, fn = load_program(args.program)
         except (ValueError, OSError, AttributeError, TypeError) as exc:
             raise SystemExit(f"repro check: {exc}") from exc
-        results = [run_checked(name, fn, args.ues, verify_determinism=verify)]
+        results = [
+            run_checked(name, fn, n_ues, verify_determinism=verify)
+            for n_ues in range(min_ues, max_ues + 1)
+        ]
     else:
         results = check_battery(verify_determinism=verify)
 
@@ -153,6 +177,7 @@ def run_check(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
                 payload.append(
                     {
                         "program": r.name,
+                        "n_ues": r.n_ues,
                         "completed": r.completed,
                         "deterministic": r.deterministic,
                         "ok": r.ok,
@@ -169,8 +194,9 @@ def run_check(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
                     if r.deterministic is None
                     else f", deterministic={'yes' if r.deterministic else 'NO'}"
                 )
+                done = "yes" if r.completed else "NO"
                 print(
-                    f"[{status}] {r.name}: completed={'yes' if r.completed else 'NO'}{det}",
+                    f"[{status}] {r.name} @ n_ues={r.n_ues}: completed={done}{det}",
                     file=stream,
                 )
                 for f in r.findings:
@@ -189,147 +215,3 @@ def run_check(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
 def check_main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> int:
     """Entry point for ``repro check``; returns a process exit code."""
     return run_check(build_check_parser().parse_args(argv), out=out)
-
-
-def _parse_ues_range(text: str) -> tuple[int, int]:
-    """``'2:16'`` (or a single ``'8'``) -> (min_ues, max_ues)."""
-    try:
-        if ":" in text:
-            lo_s, _, hi_s = text.partition(":")
-            lo, hi = int(lo_s), int(hi_s)
-        else:
-            lo = hi = int(text)
-    except ValueError as exc:
-        raise SystemExit(
-            f"repro analyze: --ues-range must be 'MIN:MAX' or 'N', got {text!r}"
-        ) from exc
-    if lo < 1 or hi < lo:
-        raise SystemExit(
-            f"repro analyze: need 1 <= MIN <= MAX in --ues-range, got {text!r}"
-        )
-    return lo, hi
-
-
-def configure_analyze_parser(p: argparse.ArgumentParser) -> None:
-    """Add the ``repro analyze`` arguments to an existing parser."""
-    p.add_argument(
-        "paths",
-        nargs="*",
-        help="files, directories, or 'file.py:function' specs to analyze",
-    )
-    p.add_argument(
-        "--ues-range",
-        type=str,
-        default="2:16",
-        metavar="MIN:MAX",
-        help="core-count range the provers must hold over (default 2:16)",
-    )
-    p.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (sarif = SARIF 2.1.0 for code scanning)",
-    )
-    p.add_argument(
-        "--select",
-        type=str,
-        default="",
-        help="comma-separated DF rule ids to report (default: all)",
-    )
-    p.add_argument(
-        "--list-rules", action="store_true", help="print the DF rule catalogue and exit"
-    )
-    p.add_argument(
-        "--compare-runtime",
-        action="store_true",
-        help="also execute each 'file.py:function' spec under the RT80x "
-        "runtime checkers and fail on static/dynamic disagreement",
-    )
-    p.add_argument(
-        "--ues",
-        type=int,
-        default=4,
-        help="number of UEs for the --compare-runtime execution (default 4)",
-    )
-    add_json_flag(p)
-    add_output_flag(p)
-
-
-def build_analyze_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="repro analyze",
-        description="Symbolically analyze RCCE programs: static deadlock "
-        "proofs (DF501), collective congruence (DF502) and MPB capacity "
-        "bounds (DF503) over a range of core counts.",
-    )
-    configure_analyze_parser(p)
-    return p
-
-
-def run_analyze(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
-    """Execute ``repro analyze`` from a parsed namespace."""
-    from .crosscheck import crosscheck_findings, crosscheck_program
-    from .dataflow import all_dataflow_rules, analyze_paths
-    from .sarif import sarif_to_json
-
-    min_ues, max_ues = _parse_ues_range(args.ues_range)
-    select = str_list(args.select) or None
-    fmt = resolve_format(args)
-    with open_output(args, out) as stream:
-        if args.list_rules:
-            for r in all_dataflow_rules():
-                print(
-                    f"{r.id}  [{r.severity.value:7s}]  {r.name}: {r.summary}",
-                    file=stream,
-                )
-            return 0
-        if not args.paths:
-            raise SystemExit(
-                "repro analyze: at least one path is required (or --list-rules)"
-            )
-        if args.compare_runtime:
-            if fmt == "sarif":
-                raise SystemExit(
-                    "repro analyze: --compare-runtime reports mixed static/"
-                    "runtime findings; use --format text or json"
-                )
-            if args.ues < 1:
-                raise SystemExit(f"--ues must be >= 1, got {args.ues}")
-            findings: List[Finding] = []
-            disagreed = False
-            for spec in args.paths:
-                try:
-                    result = crosscheck_program(
-                        spec, args.ues, min_ues=min_ues, max_ues=max_ues
-                    )
-                except (ValueError, OSError, AttributeError, TypeError) as exc:
-                    raise SystemExit(f"repro analyze: {exc}") from exc
-                disagreed = disagreed or not result.agree
-                findings.extend(crosscheck_findings(result))
-                if fmt == "text":
-                    print(result.describe(), file=stream)
-            if fmt == "json":
-                print(findings_to_json(findings), file=stream)
-            else:
-                print(format_findings(findings), file=stream)
-            return 1 if disagreed or has_errors(findings) else 0
-        try:
-            findings = analyze_paths(
-                args.paths, min_ues=min_ues, max_ues=max_ues, select=select
-            )
-        except (FileNotFoundError, KeyError, ValueError) as exc:
-            raise SystemExit(f"repro analyze: {exc}") from exc
-        if fmt == "sarif":
-            print(sarif_to_json(findings), file=stream)
-        elif fmt == "json":
-            print(findings_to_json(findings), file=stream)
-        else:
-            print(format_findings(findings), file=stream)
-        return 1 if has_errors(findings) else 0
-
-
-def analyze_main(
-    argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None
-) -> int:
-    """Entry point for ``repro analyze``; returns a process exit code."""
-    return run_analyze(build_analyze_parser().parse_args(argv), out=out)

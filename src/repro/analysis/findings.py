@@ -1,11 +1,10 @@
 """Structured diagnostics shared by the static linter and runtime checkers.
 
-Every rule violation — whether found by AST inspection, the symbolic
-dataflow analyzer or observed during a simulation — becomes one
-:class:`Finding` carrying a rule id, severity, a stable source span
-(line, column, end line, end column — all 1-based, 0 = unknown) and a
-fix hint, so tooling (CLI, CI, SARIF export, tests) can consume every
-pass uniformly.
+Every rule violation — whether found by AST inspection or observed
+during a simulation — becomes one :class:`Finding` carrying a rule id,
+severity, a stable source span (line, column, end line, end column —
+all 1-based, 0 = unknown) and a fix hint, so tooling (CLI, CI, tests)
+can consume every pass uniformly.
 """
 
 from __future__ import annotations
@@ -49,11 +48,6 @@ class Finding:
         if self.col:
             return f"{self.path}:{self.line}:{self.col}"
         return f"{self.path}:{self.line}"
-
-    @property
-    def has_span(self) -> bool:
-        """True when the finding points at a concrete source region."""
-        return self.line > 0 and self.path != "<runtime>"
 
     def __str__(self) -> str:
         text = f"{self.location}: {self.severity.value}: {self.rule}: {self.message}"

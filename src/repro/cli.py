@@ -7,8 +7,7 @@ Usage::
     python -m repro run all --scale 0.1
     python -m repro run --validate-exact --scale 0.25
     python -m repro lint examples/ src/repro/apps/
-    python -m repro check --program myprog.py:ue_main --ues 4
-    python -m repro analyze examples/ --ues-range 2:16 --format sarif
+    python -m repro check --program myprog.py:ue_main --ues 2:48
     python -m repro faults --plan crash --ids 2,7 --cores 8
     python -m repro faults --repair results/sweep.jsonl
     python -m repro chaos --seed 0 --workers 4
@@ -25,7 +24,7 @@ Artifacts are generated only through ``run``: a bare artifact name
 Output is the same tabular rendering the benchmark harness prints; the
 benchmark harness additionally asserts the paper's findings, so use
 ``pytest benchmarks/ --benchmark-only`` for a checked reproduction.
-``lint``, ``check`` and ``analyze`` are the correctness tooling of
+``lint`` and ``check`` are the correctness tooling of
 :mod:`repro.analysis` (see ``docs/ANALYSIS.md``); ``faults`` runs the
 fault-tolerant SpMV driver under a seeded fault plan (see
 ``docs/FAULTS.md``); ``trace`` is the observability layer (see
@@ -71,13 +70,13 @@ ARTIFACTS = ("table1", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10")
 
 #: every first-class subcommand of the unified parser.
 COMMANDS = (
-    "run", "lint", "check", "analyze", "faults", "chaos", "trace", "bench",
+    "run", "lint", "check", "faults", "chaos", "trace", "bench",
     "serve", "submit", "status", "result", "predict",
 )
 
 #: subcommands implemented by repro.analysis.cli (kept for callers that
 #: dispatch on these names; the unified parser mounts them directly).
-ANALYSIS_COMMANDS = ("lint", "check", "analyze")
+ANALYSIS_COMMANDS = ("lint", "check")
 #: subcommands implemented by repro.faults.cli.
 FAULTS_COMMANDS = ("faults",)
 
@@ -151,11 +150,7 @@ def _configure_run_parser(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the unified argparse parser for ``python -m repro``."""
-    from .analysis.cli import (
-        configure_analyze_parser,
-        configure_check_parser,
-        configure_lint_parser,
-    )
+    from .analysis.cli import configure_check_parser, configure_lint_parser
     from .bench import configure_bench_parser
     from .faults.chaos import configure_chaos_parser
     from .faults.cli import configure_faults_parser
@@ -185,13 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     configure_check_parser(check_p)
     check_p.set_defaults(handler=_dispatch_check)
-
-    analyze_p = sub.add_parser(
-        "analyze",
-        help="symbolic deadlock/congruence/capacity analysis over core counts",
-    )
-    configure_analyze_parser(analyze_p)
-    analyze_p.set_defaults(handler=_dispatch_analyze)
 
     faults_p = sub.add_parser(
         "faults", help="fault-injection runs and campaign repair"
@@ -587,12 +575,6 @@ def _dispatch_check(args, out=None) -> int:
     from .analysis.cli import run_check
 
     return run_check(args, out=out)
-
-
-def _dispatch_analyze(args, out=None) -> int:
-    from .analysis.cli import run_analyze
-
-    return run_analyze(args, out=out)
 
 
 def _dispatch_faults(args, out=None) -> int:

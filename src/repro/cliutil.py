@@ -2,7 +2,7 @@
 
 Every subcommand takes ``--output FILE`` (write the rendering to a
 file instead of stdout); the subcommands with a text and a JSON
-rendering (``lint``, ``check``, ``analyze``, ``faults``, ``chaos``,
+rendering (``lint``, ``check``, ``faults``, ``chaos``,
 ``submit``, ``status``, ``result``, ``predict``) also take ``--json``
 (shorthand for ``--format json``).  The helpers here keep those flags,
 the single-point flags ``trace`` and ``bench`` share, and the

@@ -15,7 +15,6 @@ from .comm_meta import (
     COMM_GEN_METHODS,
     LOCAL_METHODS,
     P2P_METHODS,
-    ArgSpec,
     CommOp,
 )
 from .collectives import (
@@ -41,7 +40,6 @@ from .runtime import RCCERuntime, UEResult, checks_enabled_by_default
 __all__ = [
     "RCCEComm",
     "payload_bytes",
-    "ArgSpec",
     "CommOp",
     "COMM_API",
     "COMM_GEN_METHODS",

@@ -1,33 +1,22 @@
-"""Pure metadata describing the :class:`~repro.rcce.api.RCCEComm` surface.
+"""Pure metadata naming the :class:`~repro.rcce.api.RCCEComm` surface.
 
 One declarative table — no runtime imports, no side effects — naming
-every communication method a UE program can call, its role (point to
-point, collective, local), whether it blocks, and where its payload /
-peer / tag / root arguments sit in the call signature.
+every communication method a UE program can call and its role (point
+to point, collective, local).
 
-Both halves of the correctness tooling consume this table so they can
-never drift from each other or from the runtime:
-
-- the static layers (:mod:`repro.analysis.rules`,
-  :mod:`repro.analysis.dataflow`) use it to recognize and decode
-  ``comm.<method>(...)`` calls in the AST;
-- a drift test (``tests/test_rcce_runtime.py``) asserts the table
-  matches the *actual* ``RCCEComm`` method signatures via
-  :func:`inspect.signature`, so an API change that forgets the table
-  fails CI immediately.
-
-Argument positions are 0-based indices into the call's positional
-arguments *after* ``self`` (i.e. as written at a ``comm.send(...)``
-call site), paired with the keyword name for keyword-style calls.
+The AST linter (:mod:`repro.analysis.rules`) reads it to recognize
+``comm.<method>(...)`` calls; a drift test
+(``tests/test_rcce_runtime.py``) asserts the table covers the *actual*
+``RCCEComm`` generator methods, so an API change that forgets the
+table fails CI immediately.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet
 
 __all__ = [
-    "ArgSpec",
     "CommOp",
     "COMM_API",
     "COMM_GEN_METHODS",
@@ -35,14 +24,6 @@ __all__ = [
     "P2P_METHODS",
     "LOCAL_METHODS",
 ]
-
-
-@dataclass(frozen=True)
-class ArgSpec:
-    """Position and keyword of one argument of a comm call."""
-
-    index: int    #: 0-based positional index at the call site
-    keyword: str  #: keyword name for ``comm.send(data, dest=1)`` style
 
 
 @dataclass(frozen=True)
@@ -59,85 +40,23 @@ class CommOp:
 
     name: str
     kind: str
-    blocking: bool                    #: can this call block on a peer?
-    payload: Optional[ArgSpec] = None  #: the data argument, if any
-    peer: Optional[ArgSpec] = None     #: dest (sends) / source (recvs)
-    tag: Optional[ArgSpec] = None      #: message tag, if any
-    root: Optional[ArgSpec] = None     #: collective root rank, if any
-    timeout: Optional[ArgSpec] = None  #: deadline argument (recv only)
-    returns_payload: bool = False      #: yields a data value to the caller
-
-    @property
-    def is_communication(self) -> bool:
-        """True for operations that exchange data between UEs."""
-        return self.kind in ("p2p-send", "p2p-recv", "collective")
 
 
-#: The full RCCE-style comm API, one entry per RCCEComm generator method
-#: plus the non-generator query surface the analyzer must understand.
+#: The full RCCE-style comm API, one entry per RCCEComm generator method.
 COMM_API: Dict[str, CommOp] = {
     op.name: op
     for op in (
-        CommOp(
-            "send",
-            "p2p-send",
-            blocking=True,
-            payload=ArgSpec(0, "data"),
-            peer=ArgSpec(1, "dest"),
-            tag=ArgSpec(2, "tag"),
-        ),
-        CommOp(
-            "send_async",
-            "p2p-send",
-            blocking=False,
-            payload=ArgSpec(0, "data"),
-            peer=ArgSpec(1, "dest"),
-            tag=ArgSpec(2, "tag"),
-        ),
-        CommOp(
-            "recv",
-            "p2p-recv",
-            blocking=True,
-            peer=ArgSpec(0, "source"),
-            tag=ArgSpec(1, "tag"),
-            timeout=ArgSpec(2, "timeout"),
-            returns_payload=True,
-        ),
-        CommOp("barrier", "collective", blocking=True),
-        CommOp(
-            "bcast",
-            "collective",
-            blocking=True,
-            payload=ArgSpec(0, "data"),
-            root=ArgSpec(1, "root"),
-            returns_payload=True,
-        ),
-        CommOp(
-            "reduce",
-            "collective",
-            blocking=True,
-            payload=ArgSpec(0, "value"),
-            root=ArgSpec(2, "root"),
-            returns_payload=True,
-        ),
-        CommOp(
-            "allreduce",
-            "collective",
-            blocking=True,
-            payload=ArgSpec(0, "value"),
-            returns_payload=True,
-        ),
-        CommOp(
-            "gather",
-            "collective",
-            blocking=True,
-            payload=ArgSpec(0, "value"),
-            root=ArgSpec(1, "root"),
-            returns_payload=True,
-        ),
-        CommOp("compute", "local", blocking=False, payload=ArgSpec(0, "seconds")),
-        CommOp("compute_cycles", "local", blocking=False, payload=ArgSpec(0, "cycles")),
-        CommOp("set_power", "local", blocking=False, payload=ArgSpec(0, "mhz")),
+        CommOp("send", "p2p-send"),
+        CommOp("send_async", "p2p-send"),
+        CommOp("recv", "p2p-recv"),
+        CommOp("barrier", "collective"),
+        CommOp("bcast", "collective"),
+        CommOp("reduce", "collective"),
+        CommOp("allreduce", "collective"),
+        CommOp("gather", "collective"),
+        CommOp("compute", "local"),
+        CommOp("compute_cycles", "local"),
+        CommOp("set_power", "local"),
     )
 }
 
@@ -158,20 +77,3 @@ P2P_METHODS: FrozenSet[str] = frozenset(
 LOCAL_METHODS: FrozenSet[str] = frozenset(
     name for name, op in COMM_API.items() if op.kind == "local"
 )
-
-
-def signature_table() -> Dict[str, Tuple[Tuple[int, str], ...]]:
-    """(index, keyword) of every declared argument, per method.
-
-    Used by the drift test to diff this table against
-    ``inspect.signature(RCCEComm.<method>)``.
-    """
-    out: Dict[str, Tuple[Tuple[int, str], ...]] = {}
-    for name, op in COMM_API.items():
-        specs = [
-            s
-            for s in (op.payload, op.peer, op.tag, op.root, op.timeout)
-            if s is not None
-        ]
-        out[name] = tuple(sorted((s.index, s.keyword) for s in specs))
-    return out

@@ -6,9 +6,8 @@ destination consumes it, so all ranks block on their ack simultaneously
 and nobody ever reaches the ``recv`` — a wait-for cycle spanning the
 whole ring, at every core count >= 2.
 
-``repro check`` only catches this at runtime (RT801 after executing a
-schedule); the symbolic analyzer must prove it statically (DF501) for
-every core count.  The congruent fix is ``df_ring_fixed.py``.
+``repro check --ues 2:48`` must report it (RT801) at every core count
+the SCC can boot.  The congruent fix is ``df_ring_fixed.py``.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Identical communication structure (same neighbors, same tag, same
 payload, same trailing allreduce), but the exchange is staggered: even
 ranks send before receiving, odd ranks receive before sending, so at
 every core count some rank is always ready to consume a pending
-rendezvous send and the ring drains.  The symbolic analyzer must report
-zero findings on this program at every core count.
+rendezvous send and the ring drains.  ``repro check --ues 2:48`` must
+report zero findings on this program at every core count.
 """
 
 from __future__ import annotations

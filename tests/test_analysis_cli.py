@@ -64,7 +64,7 @@ class TestLintCommand:
             run_cli("lint", "no/such/dir")
 
     def test_analysis_commands_exported(self):
-        assert ANALYSIS_COMMANDS == ("lint", "check", "analyze")
+        assert ANALYSIS_COMMANDS == ("lint", "check")
 
 
 class TestCheckCommand:
@@ -106,131 +106,55 @@ class TestCheckCommand:
         with pytest.raises(SystemExit):
             run_cli("check", "--program", spec, "--ues", "0")
 
+    RING_FIXED = os.path.join(FIXTURES, "df_ring_fixed.py") + ":ring_exchange_fixed"
+    RING_DEADLOCK = (
+        os.path.join(FIXTURES, "df_deadlock_ring.py") + ":ring_exchange_deadlock"
+    )
 
-class TestAnalyzeCommand:
-    def test_list_rules(self):
-        code, text = run_cli("analyze", "--list-rules")
-        assert code == 0
-        for rule_id in ("DF500", "DF501", "DF502", "DF503"):
-            assert rule_id in text
-
-    def test_clean_corpus_exits_zero(self):
+    def test_ues_range_checks_every_count(self):
         code, text = run_cli(
-            "analyze",
-            os.path.join(REPO, "examples"),
-            os.path.join(REPO, "src", "repro", "apps"),
-            "--ues-range",
-            "2:8",
+            "check", "--program", self.RING_FIXED, "--ues", "2:48", "--no-determinism"
         )
         assert code == 0
-        assert "no findings" in text
+        ok_lines = [line for line in text.splitlines() if line.startswith("[ok]")]
+        assert len(ok_lines) == 47
+        for n, line in zip(range(2, 49), ok_lines):
+            assert line.startswith(f"[ok] ring_exchange_fixed @ n_ues={n}:")
+        assert "47 program(s) checked, 0 failing" in text
 
-    def test_deadlock_fixture_exits_one(self):
+    def test_ues_range_fails_at_every_count(self):
         code, text = run_cli(
-            "analyze",
-            os.path.join(FIXTURES, "df_deadlock_ring.py"),
-            "--ues-range",
-            "2:8",
+            "check", "--program", self.RING_DEADLOCK, "--ues", "2:48", "--no-determinism"
         )
         assert code == 1
-        assert "DF501" in text and "n_ues in 2..8" in text
-        assert "df_deadlock_ring.py:27" in text
+        fail_lines = [line for line in text.splitlines() if line.startswith("[FAIL]")]
+        assert len(fail_lines) == 47
+        assert text.count("RT801") == 47
 
-    def test_single_function_spec(self):
-        spec = os.path.join(FIXTURES, "buggy_programs.py") + ":collective_kind_mismatch"
-        code, text = run_cli("analyze", spec, "--ues-range", "2:4")
-        assert code == 1
-        assert "DF502" in text and "collective_kind_mismatch" in text
-
-    def test_json_format(self):
+    def test_ues_range_json_rows_carry_n_ues(self):
         code, text = run_cli(
-            "analyze",
-            os.path.join(FIXTURES, "df_deadlock_ring.py"),
-            "--ues-range",
-            "2:4",
-            "--json",
+            "check", "--program", self.RING_FIXED, "--ues", "3:5",
+            "--no-determinism", "--json",
         )
-        assert code == 1
+        assert code == 0
         payload = json.loads(text)
-        assert payload[0]["rule"] == "DF501"
-        assert payload[0]["col"] > 0 and payload[0]["end_col"] > 0
+        assert [row["n_ues"] for row in payload] == [3, 4, 5]
+        assert all(row["ok"] for row in payload)
 
-    def test_sarif_format_validates(self):
-        from repro.analysis.sarif import validate_sarif
+    def test_ues_range_min_below_one(self):
+        with pytest.raises(SystemExit, match="1 <= MIN <= MAX <= 48"):
+            run_cli("check", "--program", self.RING_FIXED, "--ues", "0:4")
 
-        code, text = run_cli(
-            "analyze",
-            os.path.join(FIXTURES, "df_deadlock_ring.py"),
-            "--format",
-            "sarif",
-            "--ues-range",
-            "2:4",
-        )
-        assert code == 1
-        doc = json.loads(text)
-        assert doc["version"] == "2.1.0"
-        assert validate_sarif(doc) == []
-        assert doc["runs"][0]["results"][0]["ruleId"] == "DF501"
+    def test_ues_range_max_below_min(self):
+        with pytest.raises(SystemExit, match="1 <= MIN <= MAX <= 48"):
+            run_cli("check", "--program", self.RING_FIXED, "--ues", "8:2")
 
-    def test_select_restricts_rules(self):
-        code, text = run_cli(
-            "analyze",
-            os.path.join(FIXTURES, "df_deadlock_ring.py"),
-            "--select",
-            "DF503",
-            "--ues-range",
-            "2:4",
-        )
-        assert code == 0
-        assert "no findings" in text
+    def test_ues_above_chip_size(self):
+        with pytest.raises(SystemExit, match="1 <= MIN <= MAX <= 48"):
+            run_cli("check", "--program", self.RING_FIXED, "--ues", "49")
+        with pytest.raises(SystemExit, match="1 <= MIN <= MAX <= 48"):
+            run_cli("check", "--program", self.RING_FIXED, "--ues", "2:49")
 
-    def test_compare_runtime_agreement(self):
-        bad = os.path.join(FIXTURES, "df_deadlock_ring.py") + ":ring_exchange_deadlock"
-        code, text = run_cli(
-            "analyze", bad, "--compare-runtime", "--ues", "3", "--ues-range", "2:4"
-        )
-        assert code == 1  # findings are errors, but the tools AGREE
-        assert "AGREE" in text and "DISAGREE" not in text
-        assert "DF501" in text and "RT801" in text
-
-    def test_compare_runtime_clean_program(self):
-        good = os.path.join(FIXTURES, "df_ring_fixed.py") + ":ring_exchange_fixed"
-        code, text = run_cli(
-            "analyze", good, "--compare-runtime", "--ues", "5", "--ues-range", "2:6"
-        )
-        assert code == 0
-        assert "AGREE" in text and "static=clean" in text
-
-    def test_compare_runtime_rejects_sarif(self):
-        good = os.path.join(FIXTURES, "df_ring_fixed.py") + ":ring_exchange_fixed"
-        with pytest.raises(SystemExit):
-            run_cli("analyze", good, "--compare-runtime", "--format", "sarif")
-
-    def test_no_paths_errors(self):
-        with pytest.raises(SystemExit):
-            run_cli("analyze")
-
-    def test_bad_range_errors(self):
-        with pytest.raises(SystemExit):
-            run_cli("analyze", "x.py", "--ues-range", "8:2")
-        with pytest.raises(SystemExit):
-            run_cli("analyze", "x.py", "--ues-range", "abc")
-
-    def test_output_file(self, tmp_path):
-        out = tmp_path / "report.sarif"
-        # no explicit stream: --output must win and write the file
-        code = main(
-            [
-                "analyze",
-                os.path.join(FIXTURES, "df_ring_fixed.py"),
-                "--format",
-                "sarif",
-                "--ues-range",
-                "2:4",
-                "--output",
-                str(out),
-            ]
-        )
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["runs"][0]["results"] == []
+    def test_ues_not_a_count(self):
+        with pytest.raises(SystemExit, match="'N' or 'MIN:MAX'"):
+            run_cli("check", "--program", self.RING_FIXED, "--ues", "abc")

@@ -1,567 +1,97 @@
-"""Tests for the symbolic communication-graph analyzer (DF50x rules)."""
+"""The seeded ``df_*`` ring fixtures' message flow, checked at run time.
+
+``df_deadlock_ring.py`` sends before it receives on every rank, so the
+blocked sends form one wait-for cycle around the whole ring;
+``df_ring_fixed.py`` staggers the exchange and drains it.  These tests
+pin what the runtime checkers report about that flow (the cycle, each
+count on its own, the delivered payloads) and that ``repro check``
+reports nothing on the clean fixtures, determinism included.
+"""
 
 from __future__ import annotations
 
-import ast
+import io
+import json
 import os
-import textwrap
 
 import pytest
 
-from repro.analysis.commgraph import (
-    CommEvent,
-    Span,
-    UETrace,
-    simulate_schedule,
-)
-from repro.analysis.crosscheck import crosscheck_findings, crosscheck_program
-from repro.analysis.dataflow import (
-    DATAFLOW_RULES,
-    Value,
-    all_dataflow_rules,
-    analyze_file,
-    analyze_source,
-    build_graph,
-    explore_ue,
-    get_dataflow_rule,
-)
+from repro.analysis.check import load_program, run_checked
 from repro.analysis.findings import Severity
+from repro.cli import main
+from repro.scc.topology import N_CORES
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEADLOCK = os.path.join(FIXTURES, "df_deadlock_ring.py") + ":ring_exchange_deadlock"
+FIXED = os.path.join(FIXTURES, "df_ring_fixed.py") + ":ring_exchange_fixed"
+ALL_N = range(2, N_CORES + 1)
+RING_TAG = 3
 
 
-def analyze(code, **kw):
-    return analyze_source(textwrap.dedent(code), "<test>", **kw)
-
-
-def first_function(code):
-    tree = ast.parse(textwrap.dedent(code))
-    return next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))
-
-
-class TestValueDomain:
-    def test_known_int(self):
-        v = Value.of(7)
-        assert v.as_int() == 7 and v.truthiness() is True and v.uniform
-
-    def test_bool_is_not_int(self):
-        assert Value.of(True).as_int() is None
-
-    def test_unknown(self):
-        v = Value.unknown()
-        assert v.as_int() is None and v.truthiness() is None and not v.uniform
-
-    def test_unknown_with_nbytes(self):
-        assert Value.unknown(uniform=True, nbytes=64).nbytes == 64
-
-
-class TestInterpreter:
-    def test_rank_arithmetic_is_concrete(self):
-        fn = first_function(
-            """
-            def prog(comm):
-                right = (comm.ue + 1) % comm.num_ues
-                yield from comm.send_async(1.0, right, tag=9)
-                yield from comm.recv(source=(comm.ue - 1) % comm.num_ues, tag=9)
-            """
-        )
-        graph = build_graph(fn, 4)
-        for ue in range(4):
-            (trace,) = graph.traces[ue]
-            send, recv = trace.events
-            assert send.op == "send_async" and send.peer == (ue + 1) % 4
-            assert send.tag == 9 and recv.tag == 9
-            assert recv.peer == (ue - 1) % 4
-            assert not trace.incomplete
-
-    def test_concrete_rank_branch_no_fork(self):
-        fn = first_function(
-            """
-            def prog(comm):
-                if comm.ue == 0:
-                    yield from comm.send(b"x", 1)
-                else:
-                    yield from comm.recv(source=0)
-            """
-        )
-        graph = build_graph(fn, 2)
-        assert len(graph.traces[0]) == 1 and len(graph.traces[1]) == 1
-        assert graph.traces[0][0].events[0].op == "send"
-        assert graph.traces[1][0].events[0].op == "recv"
-        assert graph.traces[0][0].decisions == ()
-
-    def test_unknown_branch_with_comm_forks(self):
-        fn = first_function(
-            """
-            def prog(comm, threshold):
-                x = yield from comm.allreduce(1.0)
-                if x > threshold:
-                    yield from comm.barrier()
-            """
-        )
-        traces = explore_ue(fn, 0, 4)
-        assert len(traces) == 2
-        lengths = sorted(len(t.events) for t in traces)
-        assert lengths == [1, 2]
-        # the allreduce-derived condition is provably rank-uniform
-        assert all(d.uniform for t in traces for d in t.decisions)
-
-    def test_comm_free_unknown_branch_does_not_fork(self):
-        fn = first_function(
-            """
-            def prog(comm, flag):
-                x = 1
-                if flag:
-                    x = 2
-                yield from comm.barrier()
-            """
-        )
-        traces = explore_ue(fn, 0, 2)
-        assert len(traces) == 1 and traces[0].decisions == ()
-
-    def test_concrete_loop_unrolls_exactly(self):
-        fn = first_function(
-            """
-            def prog(comm):
-                for _ in range(comm.num_ues - 1):
-                    yield from comm.barrier()
-            """
-        )
-        graph = build_graph(fn, 5)
-        assert len(graph.traces[0][0].events) == 4
-
-    def test_module_constants_resolve(self):
-        findings = analyze(
-            """
-            TAG = 11
-
-            def prog(comm):
-                if comm.ue == 0:
-                    yield from comm.send(1.0, 1, tag=TAG)
-                elif comm.ue == 1:
-                    yield from comm.recv(source=0, tag=TAG)
-            """,
-            min_ues=2,
-            max_ues=4,
-        )
-        assert findings == []
-
-    def test_collective_return_none_on_non_root(self):
-        # `blocks is None` must be concretely decidable per rank
-        findings = analyze(
-            """
-            def prog(comm):
-                blocks = yield from comm.gather(float(comm.ue), root=0)
-                if blocks is None:
-                    yield from comm.compute(1e-6)
-                else:
-                    yield from comm.compute(2e-6)
-                yield from comm.barrier()
-            """,
-            min_ues=2,
-            max_ues=6,
-        )
-        assert findings == []
-
-    def test_uniform_while_loop_is_silent(self):
-        findings = analyze(
-            """
-            def prog(comm):
-                err = yield from comm.allreduce(1.0)
-                while err > 0.5:
-                    err = yield from comm.allreduce(err)
-            """,
-            min_ues=2,
-            max_ues=4,
-        )
-        assert findings == []
-
-    def test_rank_dependent_while_reports_df500(self):
-        findings = analyze(
-            """
-            def prog(comm):
-                x = yield from comm.recv(source=None)
-                while x > 0:
-                    yield from comm.barrier()
-                    x = x - 1
-            """,
-            min_ues=2,
-            max_ues=3,
-        )
-        assert [f.rule for f in findings] == ["DF500"]
-        assert findings[0].severity is Severity.INFO
-        assert "rank-dependent while" in findings[0].message
-
-    def test_helper_generator_with_comm_reports_df500(self):
-        findings = analyze(
-            """
-            def prog(comm, helper):
-                yield from helper(comm)
-                yield from comm.barrier()
-            """,
-            min_ues=2,
-            max_ues=3,
-        )
-        assert [f.rule for f in findings] == ["DF500"]
-        assert "helper generator" in findings[0].message
-
-
-class TestAbstentionSoundness:
-    """Incomplete analysis must never invent findings (review fixes)."""
-
-    def test_truncated_trace_does_not_fake_congruence(self):
-        # UE 0's send sits inside a match statement the interpreter
-        # cannot model, truncating only UE 0's trace; the program is
-        # correct, so DF502 must abstain (DF500 speaks instead).
-        findings = analyze(
-            """
-            def prog(comm):
-                if comm.ue == 0:
-                    match comm.num_ues:
-                        case _:
-                            yield from comm.send(1.0, 1)
-                    yield from comm.barrier()
-                else:
-                    if comm.ue == 1:
-                        yield from comm.recv(source=0)
-                    yield from comm.barrier()
-            """,
-            min_ues=2,
-            max_ues=4,
-        )
-        assert {f.rule for f in findings} == {"DF500"}
-        assert any("match" in f.message for f in findings)
-
-    def test_rank_conditional_raise_is_crash_not_hang(self):
-        # the job aborts on UE 0's exception; the other ranks' barrier
-        # never hangs in reality, so DF501 must not fire
-        findings = analyze(
-            """
-            def prog(comm):
-                if comm.ue == 0:
-                    raise ValueError("boom")
-                yield from comm.barrier()
-            """,
-            min_ues=2,
-            max_ues=4,
-        )
-        assert {f.rule for f in findings} == {"DF500"}
-        assert any("raise aborts the job" in f.message for f in findings)
-
-    def test_send_with_omitted_dest_reports_df500(self):
-        # the runtime rejects send() without a dest; the simulator must
-        # not silently model it as an always-completing wildcard
-        findings = analyze(
-            """
-            def prog(comm):
-                yield from comm.send(1.0)
-                yield from comm.barrier()
-            """,
-            min_ues=2,
-            max_ues=3,
-        )
-        assert {f.rule for f in findings} == {"DF500"}
-        assert any("dest" in f.message for f in findings)
-
-    def test_send_with_non_int_dest_reports_df500(self):
-        findings = analyze(
-            """
-            def prog(comm):
-                if comm.ue == 0:
-                    yield from comm.send(1.0, "east")
-                elif comm.ue == 1:
-                    yield from comm.recv(source=0, timeout=1.0)
-            """,
-            min_ues=2,
-            max_ues=3,
-        )
-        assert {f.rule for f in findings} == {"DF500"}
-        assert any("not an integer" in f.message for f in findings)
-
-    def test_dynamic_dest_still_reports_df500(self):
-        findings = analyze(
-            """
-            def prog(comm, table):
-                yield from comm.send(1.0, table[comm.ue])
-                yield from comm.recv(timeout=1.0)
-            """,
-            min_ues=2,
-            max_ues=3,
-        )
-        assert {f.rule for f in findings} == {"DF500"}
-        assert any("not statically computable" in f.message for f in findings)
-
-
-class TestAssignmentEnumeration:
-    """Consistent-prefix backtracking replaces the filtered product."""
-
-    UNIFORM_BRANCHES = """
-        def prog(comm, a, b, c):
-            if a:
-                yield from comm.barrier()
-            if b:
-                yield from comm.barrier()
-            if c:
-                yield from comm.barrier()
-        """
-
-    def test_uniform_branches_enumerate_consistent_vectors_only(self):
-        fn = first_function(self.UNIFORM_BRANCHES)
-        graph = build_graph(fn, 6)
-        combos = list(graph.assignments(cap=256))
-        # 3 uniform branches -> exactly 2^3 consistent global vectors
-        assert len(combos) == 8
-        assert graph.enumeration_note is None
-        for combo in combos:
-            sigs = {tr.collective_signature() for tr in combo}
-            assert len(sigs) == 1  # every rank took the same decisions
-
-    def test_many_ues_with_uniform_branches_analyze_quickly(self):
-        # regression: the filtered cross product iterated (2^3)^n combos
-        # and never finished at n_ues >= 12; backtracking is linear-ish
-        findings = analyze(self.UNIFORM_BRANCHES, min_ues=12, max_ues=16)
-        assert findings == []
-
-    def test_work_guard_records_enumeration_note(self):
-        fn = first_function(self.UNIFORM_BRANCHES)
-        graph = build_graph(fn, 4)
-        assert list(graph.assignments(cap=256, work_cap=3)) == []
-        assert graph.enumeration_note is not None
-        assert "enumeration" in graph.enumeration_note
-
-    def test_work_guard_surfaces_as_df500_finding(self, monkeypatch):
-        import repro.analysis.commgraph as cg
-
-        monkeypatch.setattr(cg, "ENUM_WORK_FLOOR", 2)
-        findings = analyze(self.UNIFORM_BRANCHES, min_ues=4, max_ues=4)
-        assert {f.rule for f in findings} == {"DF500"}
-        assert any("enumeration" in f.message for f in findings)
-
-
-class TestScheduleSimulator:
-    def _trace(self, ue, *events):
-        return UETrace(ue=ue, events=list(events))
-
-    def test_matching_pair_completes(self):
-        send = CommEvent(op="send", span=Span(), peer=1, tag=5)
-        recv = CommEvent(op="recv", span=Span(), peer=0, tag=5)
-        res = simulate_schedule(2, [self._trace(0, send), self._trace(1, recv)])
-        assert res.completed
-
-    def test_mutual_rendezvous_send_cycles(self):
-        s01 = CommEvent(op="send", span=Span(), peer=1, tag=0)
-        s10 = CommEvent(op="send", span=Span(), peer=0, tag=0)
-        r0 = CommEvent(op="recv", span=Span(), peer=1, tag=0)
-        r1 = CommEvent(op="recv", span=Span(), peer=0, tag=0)
-        res = simulate_schedule(2, [self._trace(0, s01, r0), self._trace(1, s10, r1)])
-        assert res.deadlocked and sorted(res.cycle) == [0, 1]
-
-    def test_async_send_breaks_cycle(self):
-        s01 = CommEvent(op="send_async", span=Span(), peer=1, tag=0)
-        s10 = CommEvent(op="send_async", span=Span(), peer=0, tag=0)
-        r0 = CommEvent(op="recv", span=Span(), peer=1, tag=0)
-        r1 = CommEvent(op="recv", span=Span(), peer=0, tag=0)
-        res = simulate_schedule(2, [self._trace(0, s01, r0), self._trace(1, s10, r1)])
-        assert res.completed
-
-    def test_timed_recv_never_blocks(self):
-        recv = CommEvent(op="recv", span=Span(), peer=1, tag=0, bounded=True)
-        res = simulate_schedule(2, [self._trace(0, recv), self._trace(1)])
-        assert res.completed
-
-    def test_self_send_is_a_crash(self):
-        send = CommEvent(op="send", span=Span(), peer=0, tag=0)
-        res = simulate_schedule(2, [self._trace(0, send), self._trace(1)])
-        assert not res.completed and res.crashes
-        assert "itself" in res.crashes[0][2]
-
-    def test_collective_epoch_needs_all_ranks(self):
-        bar = CommEvent(op="barrier", span=Span())
-        res = simulate_schedule(2, [self._trace(0, bar), self._trace(1)])
-        assert res.deadlocked and 0 in res.blocked
-        res2 = simulate_schedule(2, [self._trace(0, bar), self._trace(1, bar)])
-        assert res2.completed
+def run_cli(*argv):
+    buf = io.StringIO()
+    code = main(list(argv), out=buf)
+    return code, buf.getvalue()
 
 
 class TestSeededFixturePair:
-    """The acceptance-criterion pair: DF501 fires statically at every
-    core count in 2..48 on the broken ring, never on the fix."""
+    """The broken ring's wait-for cycle spans every rank; the fix drains."""
 
     def test_deadlock_ring_detected_for_all_core_counts(self):
-        path = os.path.join(FIXTURES, "df_deadlock_ring.py")
-        findings = analyze_file(path, min_ues=2, max_ues=48)
-        df501 = [f for f in findings if f.rule == "DF501"]
-        assert len(df501) == 1
-        f = df501[0]
-        assert f.severity is Severity.ERROR
-        assert "n_ues in 2..48" in f.message
-        assert "wait-for cycle" in f.message
-        assert f.line == 27 and f.col > 0  # the blocking send call
+        fn = load_program(DEADLOCK)[1]
+        for n in ALL_N:
+            result = run_checked("ring", fn, n, verify_determinism=False)
+            assert not result.completed, f"completed at n_ues={n}"
+            [finding] = result.findings
+            assert finding.rule == "RT801" and finding.severity is Severity.ERROR
+            assert f"{n} UE(s) blocked" in finding.message
+            for ue in range(n):
+                edge = f"UE {ue}: blocked in send to UE {(ue + 1) % n} (tag={RING_TAG})"
+                assert edge in finding.message, f"n_ues={n}: no edge {edge!r}"
 
     def test_deadlock_ring_at_each_count_individually(self):
-        path = os.path.join(FIXTURES, "df_deadlock_ring.py")
         for n in (2, 3, 17, 48):
-            findings = analyze_file(path, min_ues=n, max_ues=n)
-            assert any(f.rule == "DF501" for f in findings), f"missed at n={n}"
+            code, text = run_cli(
+                "check", "--program", DEADLOCK, "--ues", str(n), "--no-determinism"
+            )
+            assert code == 1, f"passed at n_ues={n}"
+            fail_lines = [ln for ln in text.splitlines() if ln.startswith("[FAIL]")]
+            assert len(fail_lines) == 1
+            assert fail_lines[0].startswith(f"[FAIL] ring_exchange_deadlock @ n_ues={n}:")
+            assert "RT801" in text and f"{n} UE(s) blocked" in text
 
     def test_fixed_ring_is_clean_for_all_core_counts(self):
-        path = os.path.join(FIXTURES, "df_ring_fixed.py")
-        assert analyze_file(path, min_ues=2, max_ues=48) == []
+        fixed = load_program(FIXED)[1]
+        for n in ALL_N:
+            totals = {}
 
-    def test_crosscheck_agrees_on_both(self):
-        bad = os.path.join(FIXTURES, "df_deadlock_ring.py") + ":ring_exchange_deadlock"
-        good = os.path.join(FIXTURES, "df_ring_fixed.py") + ":ring_exchange_fixed"
-        r_bad = crosscheck_program(bad, n_ues=4)
-        assert r_bad.agree and r_bad.static_hangs and r_bad.runtime_hangs
-        r_good = crosscheck_program(good, n_ues=4)
-        assert r_good.agree and not r_good.static_hangs and not r_good.runtime_hangs
-        # odd ring size exercises the staggered schedule's hard case
-        r_odd = crosscheck_program(good, n_ues=5)
-        assert r_odd.agree and not r_odd.runtime_hangs
+            def recorded(comm):
+                totals[comm.ue] = yield from fixed(comm)
 
-    def test_crosscheck_findings_carry_both_tools(self):
-        bad = os.path.join(FIXTURES, "df_deadlock_ring.py") + ":ring_exchange_deadlock"
-        result = crosscheck_program(bad, n_ues=3)
-        rules = {f.rule for f in crosscheck_findings(result)}
-        assert "DF501" in rules and "RT801" in rules
-        assert "XCHECK" not in rules  # they agree
+            result = run_checked("ring", recorded, n, verify_determinism=False)
+            assert result.completed and result.findings == [], f"n_ues={n}"
+            # each UE receives its left neighbour's rank, so the allreduce
+            # of what arrived is the sum of all ranks on every UE
+            assert totals == {ue: float(sum(range(n))) for ue in range(n)}
 
 
 class TestZeroFalsePositiveCorpus:
-    """Every shipped correct RCCE program must analyze perfectly clean
-    (no findings of any severity) over a representative core range."""
+    """The clean fixtures pass ``repro check`` at every count, with no
+    finding of any severity and determinism verified."""
 
     CLEAN = (
-        os.path.join(REPO, "examples", "rcce_programming.py"),
-        os.path.join(REPO, "examples", "power_aware_spmv.py"),
-        os.path.join(REPO, "src", "repro", "apps", "cg.py"),
-        os.path.join(REPO, "src", "repro", "apps", "pagerank.py"),
-        os.path.join(REPO, "src", "repro", "analysis", "check.py"),
-        os.path.join(FIXTURES, "lint_clean.py"),
-        os.path.join(FIXTURES, "df_ring_fixed.py"),
+        os.path.join(FIXTURES, "lint_clean.py") + ":program",
+        FIXED,
     )
 
-    @pytest.mark.parametrize("path", CLEAN, ids=[os.path.basename(p) for p in CLEAN])
-    def test_clean(self, path):
-        findings = analyze_file(path, min_ues=2, max_ues=10)
-        assert findings == [], "\n".join(str(f) for f in findings)
-
-
-class TestBuggyFixtures:
-    """The runtime-checker fixtures: each seeded bug is also provable
-    statically (except the one-sided MPB race, which is out of model)."""
-
-    PATH = os.path.join(FIXTURES, "buggy_programs.py")
-
-    def _rules_for(self, function):
-        findings = analyze_file(self.PATH, min_ues=2, max_ues=6, function=function)
-        return {f.rule for f in findings}
-
-    def test_tag_mismatch_deadlocks(self):
-        assert "DF501" in self._rules_for("deadlock_tag_mismatch")
-
-    def test_all_recv_deadlocks(self):
-        assert "DF501" in self._rules_for("deadlock_all_recv")
-
-    def test_collective_kind_mismatch(self):
-        assert "DF502" in self._rules_for("collective_kind_mismatch")
-
-    def test_collective_size_mismatch(self):
-        rules = self._rules_for("collective_size_mismatch")
-        assert "DF502" in rules
-
-    def test_onesided_race_is_out_of_model(self):
-        # one-sided MPB accesses are invisible to the comm graph: the
-        # analyzer must stay silent (no false DF501), RT802 owns this bug
-        assert "DF501" not in self._rules_for("mpb_overwrite_race")
-
-
-class TestCapacityAndCongruence:
-    def test_df503_oversized_payload(self):
-        findings = analyze(
-            """
-            import numpy as np
-
-            def prog(comm):
-                big = np.zeros(4096)
-                if comm.ue == 0:
-                    yield from comm.send(big, 1)
-                elif comm.ue == 1:
-                    yield from comm.recv(source=0)
-            """,
-            min_ues=2,
-            max_ues=4,
-        )
-        df503 = [f for f in findings if f.rule == "DF503"]
-        assert len(df503) == 1
-        assert df503[0].severity is Severity.WARNING
-        assert "32768 B" in df503[0].message and "4 chunk" in df503[0].message
-
-    def test_df502_divergent_root(self):
-        findings = analyze(
-            """
-            def prog(comm):
-                yield from comm.reduce(1.0, root=comm.ue % 2)
-            """,
-            min_ues=2,
-            max_ues=4,
-        )
-        assert any(f.rule == "DF502" and "root" in f.message for f in findings)
-
-    def test_df502_count_divergence(self):
-        findings = analyze(
-            """
-            def prog(comm):
-                if comm.ue == 0:
-                    yield from comm.barrier()
-                    yield from comm.barrier()
-                else:
-                    yield from comm.barrier()
-            """,
-            min_ues=2,
-            max_ues=4,
-        )
-        assert any(f.rule == "DF502" and "count" in f.message for f in findings)
-        assert any(f.rule == "DF501" for f in findings)  # the extra barrier hangs
-
-
-class TestAnalyzeApi:
-    def test_rule_catalogue(self):
-        ids = [r.id for r in all_dataflow_rules()]
-        assert ids == ["DF500", "DF501", "DF502", "DF503"]
-        assert get_dataflow_rule("DF501").severity is Severity.ERROR
-        with pytest.raises(KeyError):
-            get_dataflow_rule("DF999")
-
-    def test_select_filters_rules(self):
-        path = os.path.join(FIXTURES, "df_deadlock_ring.py")
-        only_503 = analyze_file(path, min_ues=2, max_ues=4, select=["DF503"])
-        assert only_503 == []
-        only_501 = analyze_file(path, min_ues=2, max_ues=4, select=["DF501"])
-        assert [f.rule for f in only_501] == ["DF501"]
-
-    def test_unknown_select_rejected(self):
-        with pytest.raises(KeyError):
-            analyze_source("def prog(comm):\n    yield from comm.barrier()\n",
-                           select=["NOPE"])
-
-    def test_unknown_function_rejected(self):
-        path = os.path.join(FIXTURES, "df_ring_fixed.py")
-        with pytest.raises(ValueError):
-            analyze_file(path, function="nope")
-
-    def test_syntax_error_becomes_finding(self):
-        findings = analyze_source("def prog(comm:\n", "bad.py")
-        assert findings and findings[0].rule == "PARSE"
-
-    def test_non_comm_source_has_no_findings(self):
-        assert analyze_source("x = 1\n") == []
-
-    def test_bad_range_rejected(self):
-        with pytest.raises(ValueError):
-            analyze_source("def prog(comm):\n    yield from comm.barrier()\n",
-                           min_ues=4, max_ues=2)
-
-    def test_rule_table_exposes_all_rules(self):
-        assert set(DATAFLOW_RULES) == {"DF500", "DF501", "DF502", "DF503"}
+    @pytest.mark.parametrize(
+        "spec", CLEAN, ids=[os.path.basename(s.split(":")[0]) for s in CLEAN]
+    )
+    def test_clean(self, spec):
+        code, text = run_cli("check", "--program", spec, "--ues", f"2:{N_CORES}", "--json")
+        assert code == 0
+        rows = json.loads(text)
+        assert [row["n_ues"] for row in rows] == list(ALL_N)
+        for row in rows:
+            assert row["ok"] and row["deterministic"] is True, row
+            assert row["findings"] == [], row

@@ -14,7 +14,14 @@ from repro.analysis import (
     lint_paths,
     lint_source,
 )
-from repro.analysis.findings import findings_to_json, format_findings, has_errors
+from repro.analysis.findings import (
+    Finding,
+    findings_from_json,
+    findings_to_json,
+    format_findings,
+    has_errors,
+    sort_findings,
+)
 from repro.analysis.rules import Rule, register_rule
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -210,3 +217,67 @@ class TestDriversAndFormats:
         assert payload[0]["rule"] == "SIM301"
         assert payload[0]["severity"] == "error"
         assert has_errors(findings)
+
+
+SPANNED = Finding(
+    rule="RCCE110",
+    severity=Severity.ERROR,
+    message="send with no matching recv",
+    path="prog.py",
+    line=27,
+    hint="match the tag",
+    col=16,
+    end_line=27,
+    end_col=55,
+)
+RUNTIME_ONLY = Finding(
+    rule="RT801",
+    severity=Severity.ERROR,
+    message="deadlock at t=1.5",
+)
+
+
+class TestFindingSpans:
+    def test_location_renders_column(self):
+        assert SPANNED.location == "prog.py:27:16"
+        assert Finding(rule="X", severity=Severity.INFO, message="m",
+                       path="a.py", line=3).location == "a.py:3"
+        assert RUNTIME_ONLY.location == "<runtime>"
+
+    def test_str_includes_column(self):
+        assert str(SPANNED).startswith("prog.py:27:16: error: RCCE110:")
+
+    def test_lint_findings_carry_spans(self):
+        findings = lint_file(fixture("lint_bad_rcce110.py"))
+        assert findings
+        for f in findings:
+            assert f.line > 0 and f.col > 0
+            assert f.end_line >= f.line
+            assert f.end_col > 0
+
+    def test_sort_orders_by_span(self):
+        a = Finding(rule="B", severity=Severity.INFO, message="m", path="p", line=1, col=9)
+        b = Finding(rule="A", severity=Severity.INFO, message="m", path="p", line=1, col=2)
+        assert sort_findings([a, b]) == [b, a]
+
+
+class TestJsonRoundTrip:
+    def test_round_trip_exact(self):
+        text = findings_to_json([SPANNED, RUNTIME_ONLY])
+        back = findings_from_json(text)
+        assert back == sort_findings([SPANNED, RUNTIME_ONLY])
+
+    def test_dict_round_trip(self):
+        d = SPANNED.to_dict()
+        assert d["severity"] == "error" and d["col"] == 16 and d["end_col"] == 55
+        assert Finding.from_dict(d) == SPANNED
+
+    def test_from_dict_rejects_unknown_keys(self):
+        bad = SPANNED.to_dict()
+        bad["bogus"] = 1
+        with pytest.raises(ValueError):
+            Finding.from_dict(bad)
+
+    def test_from_json_rejects_non_list(self):
+        with pytest.raises(ValueError):
+            findings_from_json("{}")

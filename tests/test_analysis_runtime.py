@@ -219,9 +219,9 @@ class TestChecksEnvGate:
 
 
 class TestRuntimeCheckerEdgeCases:
-    """Corner cases surfaced while building ``repro analyze
-    --compare-runtime``: crashes, degenerate job sizes and empty
-    payloads must neither hang the checker nor fire false findings."""
+    """Corner cases of checked runs: crashes, degenerate job sizes and
+    empty payloads must neither hang the checker nor fire false
+    findings."""
 
     def test_self_send_crashes_cleanly(self):
         def selfsend(comm):

@@ -18,6 +18,13 @@ from repro.store import (
 )
 
 
+@pytest.fixture(autouse=True)
+def _disk_cache_on(monkeypatch):
+    """These tests exercise the disk store itself, so a caller's
+    ``REPRO_NO_DISK_CACHE`` must not switch it off under them."""
+    monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
+
+
 @pytest.fixture()
 def store(tmp_path):
     return ContentStore(root=tmp_path, namespace="test")
