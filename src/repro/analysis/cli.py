@@ -124,10 +124,10 @@ def configure_check_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--ues",
         type=str,
-        default="4",
+        default=None,
         metavar="N|MIN:MAX",
         help=f"UE count for --program, or a range run once per count "
-        f"(default 4; 1 <= MIN <= MAX <= {N_CORES})",
+        f"(default 4; 1 <= MIN <= MAX <= {N_CORES}); needs --program",
     )
     p.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
@@ -157,7 +157,7 @@ def run_check(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
 
     verify = not args.no_determinism
     if args.program:
-        min_ues, max_ues = _parse_ues_range(args.ues)
+        min_ues, max_ues = _parse_ues_range(args.ues or "4")
         try:
             name, fn = load_program(args.program)
         except (ValueError, OSError, AttributeError, TypeError) as exc:
@@ -166,6 +166,11 @@ def run_check(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
             run_checked(name, fn, n_ues, verify_determinism=verify)
             for n_ues in range(min_ues, max_ues + 1)
         ]
+    elif args.ues is not None:
+        raise SystemExit(
+            "repro check: --ues needs --program (the built-in battery runs "
+            "each program at its own fixed UE count)"
+        )
     else:
         results = check_battery(verify_determinism=verify)
 

@@ -13,7 +13,7 @@ import os
 from typing import Iterable, List, Optional, Sequence
 
 from .findings import Finding, Severity
-from .rules import ModuleContext, Rule, all_rules, get_rule, run_rules
+from .rules import ModuleContext, Rule, get_rule, run_rules
 
 __all__ = ["lint_source", "lint_file", "lint_paths", "iter_python_files"]
 

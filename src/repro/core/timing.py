@@ -250,12 +250,10 @@ def solve_core_times_batched(
         base_times, mem_lines, latencies, mc_index, capacities, groups=groups
     )
     times = base_times + mem_lines * line_time
-    return [
-        CoreTiming(ue=i, core=c, time=t, line_time=lt, mem_lines=m)
-        for i, (c, t, lt, m) in enumerate(
-            zip(core_map, times.tolist(), line_time.tolist(), mem_lines.tolist())
-        )
-    ]
+    rows = zip(
+        range(len(core_map)), core_map, times.tolist(), line_time.tolist(), mem_lines.tolist()
+    )
+    return list(map(CoreTiming._make, rows))
 
 
 @lru_cache(maxsize=None)

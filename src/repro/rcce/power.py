@@ -61,6 +61,9 @@ class PowerManager:
         self.topology = topology or SCCTopology()
         self.config = config
         self.tile_mhz: List[float] = list(config.tile_mhz)
+        self._domain_tiles: List[List[int]] = [[] for _ in range(N_VOLTAGE_DOMAINS)]
+        for t in self.topology.tiles:
+            self._domain_tiles[domain_of_tile(t.x, t.y)].append(t.tile_id)
         self._domain_voltage: List[float] = [0.0] * N_VOLTAGE_DOMAINS
         for d in range(N_VOLTAGE_DOMAINS):
             self._domain_voltage[d] = self._required_voltage(d)
@@ -78,11 +81,7 @@ class PowerManager:
         """Tile ids of one 2x2 voltage island."""
         if not 0 <= domain < N_VOLTAGE_DOMAINS:
             raise ValueError(f"domain {domain} out of range [0, {N_VOLTAGE_DOMAINS})")
-        return [
-            t.tile_id
-            for t in self.topology.tiles
-            if domain_of_tile(t.x, t.y) == domain
-        ]
+        return list(self._domain_tiles[domain])
 
     def frequency_of_core(self, core: int) -> float:
         """Current clock (MHz) of the core's tile."""
@@ -95,7 +94,7 @@ class PowerManager:
         return self._domain_voltage[domain]
 
     def _required_voltage(self, domain: int) -> float:
-        freqs = [self.tile_mhz[t] for t in self.tiles_of_domain(domain)]
+        freqs = [self.tile_mhz[t] for t in self._domain_tiles[domain]]
         return max(core_voltage(f) for f in freqs if f > 0) if any(freqs) else 0.0
 
     # -- mutation ---------------------------------------------------------

@@ -54,6 +54,13 @@ def xy_route(src: Coord, dst: Coord) -> List[Coord]:
 class MeshNetwork:
     """Link-load accounting and message timing over the SCC mesh."""
 
+    #: header seconds of each (src core, dst core) pair, one table per
+    #: (mesh clock, topology class), shared by every mesh with that key
+    #: (a topology's instances are interchangeable).  Only undegraded
+    #: meshes read it, and it is keyed by core pair, never by payload
+    #: size, so it holds at most one entry per pair.
+    _shared_header_tables: Dict[Tuple[float, type], Dict[Tuple[int, int], float]] = {}
+
     def __init__(
         self,
         topology: SCCTopology | None = None,
@@ -71,6 +78,9 @@ class MeshNetwork:
         #: optional :class:`repro.obs.Tracer`: transfers additionally
         #: feed per-link byte/flit counters in its metrics registry.
         self.tracer = tracer
+        self._core_headers = MeshNetwork._shared_header_tables.setdefault(
+            (mesh_mhz, type(self.topology)), {}
+        )
 
     @property
     def cycle_time(self) -> float:
@@ -161,18 +171,40 @@ class MeshNetwork:
         Local transfers (src == dst) still pay one router crossing: the
         MPB sits behind the tile's router.
         """
-        if size_bytes < 0:
-            raise ValueError(f"size_bytes must be >= 0, got {size_bytes}")
-        hops = max(1, self.topology.hops_between(src, dst))
-        header = hops * ROUTER_CYCLES * self.cycle_time
-        serialize = size_bytes / self.link_bandwidth * self.route_slowdown(src, dst)
-        return header + serialize
+        return self._with_payload(
+            self._header_time(src, dst), size_bytes, self.route_slowdown(src, dst)
+        )
 
     def core_message_time(self, src_core: int, dst_core: int, size_bytes: int) -> float:
-        """message_time between two cores' tiles."""
+        """message_time between two cores' tiles.
+
+        An undegraded mesh reads the pair's header from the shared
+        per-pair table; the sum is the one :meth:`message_time` forms.
+        """
+        if self._degraded:
+            return self.message_time(*self._core_coords(src_core, dst_core), size_bytes)
+        header = self._core_headers.get((src_core, dst_core))
+        if header is None:
+            header = self._core_headers[(src_core, dst_core)] = self._header_time(
+                *self._core_coords(src_core, dst_core)
+            )
+        return self._with_payload(header, size_bytes, 1.0)
+
+    def _header_time(self, src: Coord, dst: Coord) -> float:
+        """Router latency of a message from src to dst (at least one hop)."""
+        return max(1, self.topology.hops_between(src, dst)) * ROUTER_CYCLES * self.cycle_time
+
+    def _with_payload(self, header: float, size_bytes: int, slowdown: float) -> float:
+        """``header`` plus the payload's serialization, slowed by ``slowdown``."""
+        if size_bytes < 0:
+            raise ValueError(f"size_bytes must be >= 0, got {size_bytes}")
+        return header + size_bytes / self.link_bandwidth * slowdown
+
+    def _core_coords(self, src_core: int, dst_core: int) -> Tuple[Coord, Coord]:
+        """Mesh coordinates of two cores' tiles."""
         ts = self.topology.tile_of_core(src_core)
         td = self.topology.tile_of_core(dst_core)
-        return self.message_time((ts.x, ts.y), (td.x, td.y), size_bytes)
+        return (ts.x, ts.y), (td.x, td.y)
 
     def routes_through(self, coord: Coord, pairs: Iterable[Tuple[Coord, Coord]]) -> int:
         """How many of the given (src, dst) routes traverse ``coord``."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..obs.tracer import TID_SIM
@@ -24,16 +23,6 @@ __all__ = ["SimEvent", "Simulator", "SimulationError", "any_of"]
 
 class SimulationError(RuntimeError):
     """Raised for illegal scheduler operations (negative delays, etc.)."""
-
-
-@dataclass(order=True)
-class _QueueEntry:
-    """Internal heap entry.  Ordering is (time, seq) so ties resolve in
-    scheduling order, which keeps the simulation deterministic."""
-
-    time: float
-    seq: int
-    event: "SimEvent" = field(compare=False)
 
 
 class SimEvent:
@@ -103,7 +92,11 @@ class Simulator:
 
     def __init__(self, record_trace: bool = False, tracer: Optional[Any] = None) -> None:
         self._now = 0.0
-        self._queue: list[_QueueEntry] = []
+        #: heap of ``(time, seq, item)``: ``item`` is a :class:`SimEvent`
+        #: (a timeout) or a bare thunk from :meth:`schedule`.  ``seq`` is
+        #: unique, so ties resolve in scheduling order and ``item`` is
+        #: never compared.
+        self._queue: list[tuple[float, int, SimEvent | Callable[[], None]]] = []
         self._seq = itertools.count()
         self._handled = 0
         self._record_trace = record_trace
@@ -131,12 +124,14 @@ class Simulator:
         return SimEvent(self, name)
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run ``fn`` after ``delay`` simulated seconds."""
+        """Run ``fn`` after ``delay`` simulated seconds.
+
+        ``fn`` itself is queued (no event is built for it); it is
+        dispatched, and recorded in traces, under the name ``"scheduled"``.
+        """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        ev = SimEvent(self, "scheduled")
-        ev.add_callback(lambda _value: fn())
-        heapq.heappush(self._queue, _QueueEntry(self._now + delay, next(self._seq), ev))
+        heapq.heappush(self._queue, (self._now + delay, next(self._seq), fn))
 
     def timeout(self, delay: float, value: Any = None) -> SimEvent:
         """Return an event that triggers ``delay`` seconds from now."""
@@ -144,23 +139,27 @@ class Simulator:
             raise SimulationError(f"negative delay {delay!r}")
         ev = SimEvent(self, "timeout")
         ev._pending_value = value
-        heapq.heappush(self._queue, _QueueEntry(self._now + delay, next(self._seq), ev))
+        heapq.heappush(self._queue, (self._now + delay, next(self._seq), ev))
         return ev
 
     def _step(self) -> None:
-        entry = heapq.heappop(self._queue)
-        if entry.time < self._now:  # pragma: no cover - defensive
+        time, seq, item = heapq.heappop(self._queue)
+        if time < self._now:  # pragma: no cover - defensive
             raise SimulationError("time went backwards")
-        self._now = entry.time
+        self._now = time
         self._handled += 1
-        ev = entry.event
-        if self._record_trace:
-            self.trace.append((entry.time, entry.seq, ev.name))
         tr = self.tracer
-        if tr is not None and tr.enabled:
-            tr.instant(ev.name or "event", tid=TID_SIM, cat="sim", seq=entry.seq)
-        if not ev.triggered:
-            ev.succeed(ev._pending_value)
+        if self._record_trace or (tr is not None and tr.enabled):
+            name = item.name if isinstance(item, SimEvent) else "scheduled"
+            if self._record_trace:
+                self.trace.append((time, seq, name))
+            if tr is not None and tr.enabled:
+                tr.instant(name or "event", tid=TID_SIM, cat="sim", seq=seq)
+        if isinstance(item, SimEvent):
+            if not item._triggered:
+                item.succeed(item._pending_value)
+        else:
+            item()
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
         """Dispatch events until the queue drains or ``until`` is reached.
@@ -170,7 +169,7 @@ class Simulator:
         """
         dispatched = 0
         while self._queue:
-            if until is not None and self._queue[0].time > until:
+            if until is not None and self._queue[0][0] > until:
                 self._now = until
                 break
             self._step()
@@ -181,7 +180,7 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next pending event, or +inf if none."""
-        return self._queue[0].time if self._queue else float("inf")
+        return self._queue[0][0] if self._queue else float("inf")
 
     def empty(self) -> bool:
         """True when no events are pending."""

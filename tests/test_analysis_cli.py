@@ -158,3 +158,13 @@ class TestCheckCommand:
     def test_ues_not_a_count(self):
         with pytest.raises(SystemExit, match="'N' or 'MIN:MAX'"):
             run_cli("check", "--program", self.RING_FIXED, "--ues", "abc")
+
+    def test_program_without_ues_runs_at_four(self):
+        code, text = run_cli("check", "--program", self.RING_FIXED, "--no-determinism")
+        assert code == 0
+        assert text.splitlines()[0].startswith("[ok] ring_exchange_fixed @ n_ues=4:")
+        assert "1 program(s) checked, 0 failing" in text
+
+    def test_ues_without_program_is_rejected(self):
+        with pytest.raises(SystemExit, match="--ues needs --program"):
+            run_cli("check", "--ues", "2:48", "--no-determinism")

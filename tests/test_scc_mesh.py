@@ -91,6 +91,48 @@ class TestMeshNetwork:
         assert fast.message_time((0, 0), (3, 2), 1024) < slow.message_time((0, 0), (3, 2), 1024)
 
 
+class TestCoreMessageTimeTable:
+    """The shared per-pair header table behind ``core_message_time``."""
+
+    def _tiles(self, mesh, a, b):
+        ta, tb = mesh.topology.tile_of_core(a), mesh.topology.tile_of_core(b)
+        return (ta.x, ta.y), (tb.x, tb.y)
+
+    @pytest.mark.parametrize("mhz", [800, 1600])
+    def test_bitwise_equal_to_message_time(self, mhz):
+        mesh = MeshNetwork(mesh_mhz=mhz)
+        for a in range(0, 48, 5):
+            for b in range(48):
+                for size in (0, 8, 100, 8192):
+                    expected = mesh.message_time(*self._tiles(mesh, a, b), size)
+                    assert mesh.core_message_time(a, b, size) == expected
+
+    def test_bounded_by_core_pairs_not_payload_sizes(self, monkeypatch):
+        monkeypatch.setattr(MeshNetwork, "_shared_header_tables", {})
+        mesh = MeshNetwork(mesh_mhz=533)
+        for size in range(0, 5000, 7):
+            mesh.core_message_time(3, 40, size)
+            mesh.core_message_time(40, 3, size)
+        assert set(mesh._core_headers) == {(3, 40), (40, 3)}
+        assert MeshNetwork(mesh_mhz=533)._core_headers is mesh._core_headers
+
+    def test_degraded_mesh_bypasses_table(self):
+        mesh = MeshNetwork(mesh_mhz=800)
+        healthy = mesh.core_message_time(0, 47, 4096)
+        mesh.set_link_degradation((0, 0), (1, 0), 3.0)
+        degraded = mesh.core_message_time(0, 47, 4096)
+        assert degraded == mesh.message_time((0, 0), (5, 3), 4096) > healthy
+        # Other meshes at the same clock keep the healthy time.
+        assert MeshNetwork(mesh_mhz=800).core_message_time(0, 47, 4096) == healthy
+
+    def test_invalid_core_and_size_still_rejected(self):
+        mesh = MeshNetwork()
+        with pytest.raises(ValueError, match="core 48 out of range"):
+            mesh.core_message_time(0, 48, 0)
+        with pytest.raises(ValueError, match="size_bytes must be >= 0"):
+            mesh.core_message_time(0, 1, -1)
+
+
 class TestLinkLoads:
     def test_record_transfer_accumulates(self):
         mesh = MeshNetwork()

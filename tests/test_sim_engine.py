@@ -153,3 +153,54 @@ class TestSimEvent:
         sim.run()
         assert ev.triggered
         assert sim.now == 0.0
+
+
+class TestQueueEntries:
+    """``schedule()`` thunks and ``timeout()`` events share one heap."""
+
+    def test_mixed_thunks_and_timeouts_fire_in_scheduling_order(self):
+        sim = Simulator()
+        order = []
+        for k in range(6):
+            if k % 2:
+                sim.timeout(1.0, value=k).add_callback(order.append)
+            else:
+                sim.schedule(1.0, lambda k=k: order.append(k))
+        sim.run()
+        assert order == list(range(6))
+
+    def test_thunk_is_recorded_as_scheduled(self):
+        sim = Simulator(record_trace=True)
+        sim.schedule(1.0, lambda: None)
+        sim.timeout(1.0)
+        sim.schedule(0.5, lambda: None)
+        sim.run()
+        assert sim.trace == [
+            (0.5, 2, "scheduled"),
+            (1.0, 0, "scheduled"),
+            (1.0, 1, "timeout"),
+        ]
+
+    def test_thunk_is_a_scheduled_instant_on_the_tracer(self):
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        sim = Simulator(tracer=tracer)
+        tracer.bind_clock(lambda: sim.now)
+        sim.schedule(1.0, lambda: None)
+        sim.timeout(2.0)
+        sim.run()
+        sim_lane = [(e.name, e.args["seq"]) for e in tracer.events if e.cat == "sim"]
+        assert sim_lane == [("scheduled", 0), ("timeout", 1)]
+
+    def test_run_until_and_peek_see_thunks(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(3.0, lambda: seen.append(3))
+        sim.timeout(1.0).add_callback(lambda _v: seen.append(1))
+        assert sim.peek() == 1.0
+        sim.run(until=2.0)
+        assert seen == [1] and sim.now == 2.0
+        assert sim.peek() == 3.0
+        sim.run()
+        assert seen == [1, 3]
