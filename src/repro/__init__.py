@@ -14,8 +14,8 @@ paper's SpMV characterization study on the model:
   metrics and the cross-architecture comparison models.
 - :mod:`repro.analysis` — static linter and dynamic checkers for RCCE
   programs.
-- :mod:`repro.faults` — deterministic fault injection and the
-  fault-tolerant execution layer.
+- :mod:`repro.chaos` — the OS-level chaos harness (``repro chaos``)
+  for the supervised sweep executor and the content store.
 - :mod:`repro.obs` — structured tracing (simulated-time spans, Chrome
   trace export) and a labelled metrics registry.
 

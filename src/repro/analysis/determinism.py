@@ -51,18 +51,12 @@ def verify_program_determinism(
     config: SCCConfig = CONF0,
     core_map: Optional[Sequence[int]] = None,
     runs: int = 2,
-    fault_plan: Optional[Any] = None,
 ) -> DeterminismReport:
     """Run ``fn`` on fresh runtimes ``runs`` times and diff the schedules.
 
     ``args_factory`` rebuilds the program's extra arguments for every
     run (mutable containers like result dicts must not be shared between
     replays, or the replay itself would perturb the program).
-
-    With a ``fault_plan`` the replay runs under fault injection: the
-    determinism contract extends to faulty runs — the same plan must
-    produce the identical dispatch schedule *and* the identical injected
-    fault schedule (DET900 covers both).
     """
     from ..core.mapping import distance_reduction_mapping
     from ..rcce.runtime import RCCERuntime
@@ -72,47 +66,11 @@ def verify_program_determinism(
     cores = list(core_map) if core_map is not None else distance_reduction_mapping(n_ues)
 
     traces: List[Trace] = []
-    fault_schedules: List[List[Tuple]] = []
     for _ in range(runs):
-        rt = RCCERuntime(
-            cores, config=config, record_trace=True, checks=False, fault_plan=fault_plan
-        )
+        rt = RCCERuntime(cores, config=config, record_trace=True, checks=False)
         extra = list(args_factory()) if args_factory is not None else []
         rt.run(fn, *extra)
         traces.append(list(rt.sim.trace))
-        if rt.fault_injector is not None:
-            fault_schedules.append(rt.fault_injector.schedule_signature())
-
-    for i, other in enumerate(fault_schedules[1:], start=1):
-        if other != fault_schedules[0]:
-            diverge = next(
-                (
-                    j
-                    for j, (ea, eb) in enumerate(zip(fault_schedules[0], other))
-                    if ea != eb
-                ),
-                min(len(fault_schedules[0]), len(other)),
-            )
-            description = (
-                f"injected fault schedules differ between run 1 and run {i + 1} "
-                f"at fault #{diverge}"
-            )
-            finding = Finding(
-                rule="DET900",
-                severity=Severity.ERROR,
-                message=f"nondeterministic fault injection: {description}",
-                hint=(
-                    "fault randomness must come only from the plan's seeded "
-                    "streams; check for host-state use in injector hooks"
-                ),
-            )
-            return DeterminismReport(
-                deterministic=False,
-                events_compared=diverge,
-                divergence_index=diverge,
-                first_difference=description,
-                findings=[finding],
-            )
 
     reference = traces[0]
     for other in traces[1:]:

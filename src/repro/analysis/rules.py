@@ -431,74 +431,6 @@ def check_oversized_mpb_payload(ctx: ModuleContext) -> Iterator[Tuple[ast.AST, s
             )
 
 
-#: imported names that mark a module as using the fault-tolerant stack.
-_FAULT_STACK_NAMES = frozenset(
-    {
-        "ReliableComm",
-        "FailureDetector",
-        "FaultPlan",
-        "FaultInjector",
-        "load_plan",
-        "get_plan",
-    }
-)
-
-
-def _uses_fault_stack(tree: ast.Module) -> bool:
-    """True when the module imports from :mod:`repro.faults`."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if "faults" in module.split("."):
-                return True
-            if any(alias.name in _FAULT_STACK_NAMES for alias in node.names):
-                return True
-        elif isinstance(node, ast.Import):
-            if any("faults" in alias.name.split(".") for alias in node.names):
-                return True
-    return False
-
-
-@rule(
-    "RCCE130",
-    "unbounded-recv-with-faults",
-    Severity.WARNING,
-    "unbounded recv in a program that uses the fault-tolerant runtime",
-    "a recv with no timeout hangs forever when the peer crashed or the "
-    "message was dropped; pass timeout=... or use "
-    "repro.faults.reliable.ReliableComm, whose recv is bounded and "
-    "retries for you",
-)
-def check_unbounded_recv_with_faults(ctx: ModuleContext) -> Iterator[Tuple[ast.AST, str]]:
-    """Fault-tolerant programs must bound every receive: under an active
-    fault plan a message can be dropped and a peer can die, so a recv
-    without a deadline turns an injected fault into a deadlock.  Only
-    modules that import the fault stack are held to this — fault-free
-    programs keep their simpler unbounded receives."""
-    if not _uses_fault_stack(ctx.tree):
-        return
-    for fn in ctx.comm_functions():
-        for node in ast.walk(fn):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-                continue
-            if node.func.attr != "recv":
-                continue
-            if not (
-                isinstance(node.func.value, ast.Name)
-                and node.func.value.id in ("comm", "rcomm")
-            ):
-                continue
-            has_timeout = len(node.args) > 2 or any(
-                kw.arg == "timeout" for kw in node.keywords
-            )
-            if not has_timeout:
-                yield node, (
-                    f"{node.func.value.id}.recv(...) has no timeout in a "
-                    f"module that uses fault injection: a dropped message "
-                    f"or dead peer hangs this rank forever"
-                )
-
-
 # --------------------------------------------------------------------------
 # Determinism rules
 # --------------------------------------------------------------------------

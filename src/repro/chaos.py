@@ -1,8 +1,7 @@
 """``repro chaos``: OS-level chaos harness for the supervised runtime.
 
-The fault plans of :mod:`repro.faults.plan` model failures *inside* the
-simulated chip; this harness attacks the reproduction pipeline itself
-with the failures a long campaign meets on a real machine:
+This harness attacks the reproduction pipeline itself with the
+failures a long campaign meets on a real machine:
 
 - **SIGKILL** of live pool workers — transiently (first attempt only)
   and persistently (every attempt: a *poison point*);
@@ -45,7 +44,7 @@ from typing import Dict, Iterator, List, Optional, TextIO, Tuple
 
 import numpy as np
 
-from ..cliutil import (
+from .cliutil import (
     add_json_flag,
     add_output_flag,
     int_list,
@@ -235,8 +234,8 @@ def _campaign_lines(path: Path) -> Dict[str, str]:
 
 def _run_worker_leg(args: argparse.Namespace, workdir: Path) -> dict:
     """Clean serial reference vs supervised run under the chaos schedule."""
-    from ..core.campaign import Campaign
-    from ..core.supervise import CHAOS_ENV, SupervisePolicy
+    from .core.campaign import Campaign
+    from .core.supervise import CHAOS_ENV, SupervisePolicy
 
     ids, cores, configs = _grid_args(args)
     points = Campaign.grid(ids, cores, configs=configs)
@@ -338,7 +337,7 @@ def _run_worker_leg(args: argparse.Namespace, workdir: Path) -> dict:
 
 def _run_store_leg(args: argparse.Namespace, workdir: Path) -> dict:
     """Bit-flip / truncate / ENOSPC the content store; expect quarantines."""
-    from ..store import STORE_ENOSPC_ENV, ContentStore, digest_parts
+    from .store import STORE_ENOSPC_ENV, ContentStore, digest_parts
 
     rng = random.Random(args.seed)
     violations: List[str] = []
@@ -432,12 +431,12 @@ def _run_serve_leg(args: argparse.Namespace, workdir: Path) -> dict:
 
 
 def _serve_leg_impl(args: argparse.Namespace, workdir: Path) -> dict:
-    from ..core.campaign import Campaign
-    from ..core.supervise import CHAOS_ENV, SupervisePolicy
-    from ..serve.client import ServeClient
-    from ..serve.protocol import CampaignSpec, point_store_key
-    from ..serve.server import STORE_NAMESPACE, CampaignServer
-    from ..store import ContentStore
+    from .core.campaign import Campaign
+    from .core.supervise import CHAOS_ENV, SupervisePolicy
+    from .serve.client import ServeClient
+    from .serve.protocol import CampaignSpec, point_store_key
+    from .serve.server import STORE_NAMESPACE, CampaignServer
+    from .store import ContentStore
 
     ids, cores, configs = _grid_args(args)
     violations: List[str] = []
@@ -598,7 +597,7 @@ def _serve_leg_impl(args: argparse.Namespace, workdir: Path) -> dict:
 
 def run_chaos(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
     """Execute ``repro chaos`` from a parsed namespace."""
-    from ..core.report import banner
+    from .core.report import banner
 
     fmt = resolve_format(args)
     if args.workers < 1:
@@ -659,7 +658,7 @@ def run_chaos(args: argparse.Namespace, out: Optional[TextIO] = None) -> int:
             )
             metrics = worker_leg["metrics"]
             if metrics:
-                from ..obs.metrics import summary_prefix
+                from .obs.metrics import summary_prefix
 
                 shown = ", ".join(
                     f"{k}={v:g}"

@@ -8,8 +8,7 @@ Usage::
     python -m repro run --validate-exact --scale 0.25
     python -m repro lint examples/ src/repro/apps/
     python -m repro check --program myprog.py:ue_main --ues 2:48
-    python -m repro faults --plan crash --ids 2,7 --cores 8
-    python -m repro faults --repair results/sweep.jsonl
+    python -m repro run --repair results/sweep.jsonl
     python -m repro chaos --seed 0 --workers 4
     python -m repro trace --cores 4 --export chrome --output trace.json
     python -m repro bench snapshot
@@ -25,9 +24,9 @@ Output is the same tabular rendering the benchmark harness prints; the
 benchmark harness additionally asserts the paper's findings, so use
 ``pytest benchmarks/ --benchmark-only`` for a checked reproduction.
 ``lint`` and ``check`` are the correctness tooling of
-:mod:`repro.analysis` (see ``docs/ANALYSIS.md``); ``faults`` runs the
-fault-tolerant SpMV driver under a seeded fault plan (see
-``docs/FAULTS.md``); ``trace`` is the observability layer (see
+:mod:`repro.analysis` (see ``docs/ANALYSIS.md``); ``chaos`` attacks
+the supervised sweep executor and the content store (see
+``docs/ROBUSTNESS.md``); ``trace`` is the observability layer (see
 ``docs/OBSERVABILITY.md``) and ``bench`` the benchmark snapshot and
 gate (see ``docs/PERFORMANCE.md``); ``serve``/``submit``/``status``/
 ``result`` are the campaign service (see ``docs/SERVING.md``).
@@ -36,10 +35,18 @@ gate (see ``docs/PERFORMANCE.md``); ``serve``/``submit``/``status``/
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional, Sequence
 
-from .cliutil import add_output_flag, add_supervise_flags, int_list, open_output, policy_from_args
+from .cliutil import (
+    add_output_flag,
+    add_supervise_flags,
+    int_list,
+    open_output,
+    policy_from_args,
+    resolve_format,
+)
 from .core.figures import (
     DEFAULT_MODE,
     FIG3_HOPS,
@@ -70,15 +77,13 @@ ARTIFACTS = ("table1", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10")
 
 #: every first-class subcommand of the unified parser.
 COMMANDS = (
-    "run", "lint", "check", "faults", "chaos", "trace", "bench",
+    "run", "lint", "check", "chaos", "trace", "bench",
     "serve", "submit", "status", "result", "predict",
 )
 
 #: subcommands implemented by repro.analysis.cli (kept for callers that
 #: dispatch on these names; the unified parser mounts them directly).
 ANALYSIS_COMMANDS = ("lint", "check")
-#: subcommands implemented by repro.faults.cli.
-FAULTS_COMMANDS = ("faults",)
 
 
 def _configure_run_parser(p: argparse.ArgumentParser) -> None:
@@ -87,7 +92,7 @@ def _configure_run_parser(p: argparse.ArgumentParser) -> None:
         nargs="?",
         choices=ARTIFACTS + ("all", "validate"),
         help="which paper artifact to regenerate ('validate' runs model "
-        "self-checks); optional when --validate-exact is given",
+        "self-checks); optional when --validate-exact or --repair is given",
     )
     p.add_argument(
         "--scale",
@@ -144,6 +149,18 @@ def _configure_run_parser(p: argparse.ArgumentParser) -> None:
         "per matrix (honours --scale/--ids/--iterations; see "
         "docs/MODEL.md)",
     )
+    p.add_argument(
+        "--repair",
+        type=str,
+        default="",
+        metavar="JSONL",
+        help="repair a campaign file (quarantine corrupt lines) and exit",
+    )
+    p.add_argument(
+        "--json",
+        action="store_true",
+        help="with --repair: print the repair summary as JSON",
+    )
     add_supervise_flags(p)
     add_output_flag(p)
 
@@ -152,14 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
     """Construct the unified argparse parser for ``python -m repro``."""
     from .analysis.cli import configure_check_parser, configure_lint_parser
     from .bench import configure_bench_parser
-    from .faults.chaos import configure_chaos_parser
-    from .faults.cli import configure_faults_parser
+    from .chaos import configure_chaos_parser
     from .obs.cli import configure_trace_parser
 
     p = argparse.ArgumentParser(
         prog="repro",
         description="The SCC SpMV paper reproduction: artifacts, analysis "
-        "tooling, fault injection and observability.",
+        "tooling, chaos testing and observability.",
     )
     sub = p.add_subparsers(dest="command", metavar="command")
 
@@ -180,12 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     configure_check_parser(check_p)
     check_p.set_defaults(handler=_dispatch_check)
-
-    faults_p = sub.add_parser(
-        "faults", help="fault-injection runs and campaign repair"
-    )
-    configure_faults_parser(faults_p)
-    faults_p.set_defaults(handler=_dispatch_faults)
 
     chaos_p = sub.add_parser(
         "chaos",
@@ -509,8 +519,45 @@ def _render_exact_validation(args: argparse.Namespace, out) -> int:
     return 0
 
 
+def _repair(path_str: str, fmt: str, out) -> int:
+    """``repro run --repair``: quarantine a campaign file's corrupt lines."""
+    from pathlib import Path
+
+    from .core.campaign import Campaign
+
+    path = Path(path_str)
+    if not path.exists():
+        raise SystemExit(f"repro run: no such campaign file: {path}")
+    if path.suffix != ".jsonl":
+        raise SystemExit(f"repro run: --repair expects a .jsonl file, got {path}")
+    campaign = Campaign(path.stem, path.parent)
+    kept, quarantined = campaign.repair()
+    if fmt == "json":
+        print(
+            json.dumps({"file": str(path), "kept": kept, "quarantined": quarantined}),
+            file=out,
+        )
+    else:
+        print(
+            f"{path}: kept {kept} record(s), quarantined {quarantined} "
+            f"corrupt line(s)"
+            + (
+                f" to {path.with_name(path.stem + '.quarantine.jsonl')}"
+                if quarantined
+                else ""
+            ),
+            file=out,
+        )
+    return 0
+
+
 def _run_artifacts(args: argparse.Namespace, out=None) -> int:
     """Handler of ``repro run``: render the requested artifact(s)."""
+    if args.repair:
+        with open_output(args, out) as stream:
+            return _repair(args.repair, resolve_format(args), stream)
+    if args.json:
+        raise SystemExit("repro run: --json applies only to --repair")
     if not 0 < args.scale <= 1.0:
         raise SystemExit(f"--scale must be in (0, 1], got {args.scale}")
     if args.iterations < 1:
@@ -545,7 +592,7 @@ def _run_artifacts(args: argparse.Namespace, out=None) -> int:
             return _render_exact_validation(args, stream)
         if args.artifact is None:
             raise SystemExit(
-                "repro run: an artifact (or --validate-exact) is required"
+                "repro run: an artifact (or --validate-exact or --repair) is required"
             )
         if args.artifact == "validate":
             return _render_validation(stream)
@@ -577,14 +624,8 @@ def _dispatch_check(args, out=None) -> int:
     return run_check(args, out=out)
 
 
-def _dispatch_faults(args, out=None) -> int:
-    from .faults.cli import run_faults
-
-    return run_faults(args, out=out)
-
-
 def _dispatch_chaos(args, out=None) -> int:
-    from .faults.chaos import run_chaos
+    from .chaos import run_chaos
 
     return run_chaos(args, out=out)
 

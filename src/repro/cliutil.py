@@ -2,8 +2,8 @@
 
 Every subcommand takes ``--output FILE`` (write the rendering to a
 file instead of stdout); the subcommands with a text and a JSON
-rendering (``lint``, ``check``, ``faults``, ``chaos``,
-``submit``, ``status``, ``result``, ``predict``) also take ``--json``
+rendering (``lint``, ``check``, ``chaos``, ``submit``, ``status``,
+``result``, ``predict``, and ``run --repair``) also take ``--json``
 (shorthand for ``--format json``).  The helpers here keep those flags,
 the single-point flags ``trace`` and ``bench`` share, and the
 comma-list parsing of every ``--ids``-style flag identical across the
@@ -116,7 +116,7 @@ def int_list(raw: str, flag: str) -> List[int]:
 
 
 def add_supervise_flags(p: argparse.ArgumentParser) -> None:
-    """The uniform supervised-execution flags (``docs/FAULTS.md``).
+    """The uniform supervised-execution flags (``docs/ROBUSTNESS.md``).
 
     Giving any of them builds a custom policy (:func:`policy_from_args`);
     leaving all unset runs ``--workers 1`` in-process and ``--workers N``

@@ -30,8 +30,6 @@ from .comparison import COMPARISON_SYSTEMS, ArchitectureModel, comparison_table
 from .experiment import (
     DEFAULT_ITERATIONS,
     ExperimentResult,
-    FaultTolerantResult,
-    ResultBase,
     SpMVExperiment,
 )
 from .figures import DEFAULT_MODE, suite_experiments
@@ -84,8 +82,6 @@ __all__ = [
     "comparison_table",
     "DEFAULT_ITERATIONS",
     "ExperimentResult",
-    "FaultTolerantResult",
-    "ResultBase",
     "SpMVExperiment",
     "suite_experiments",
     "MatrixPoint",

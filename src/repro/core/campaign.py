@@ -8,7 +8,7 @@ campaign skips points that are already on disk, so an interrupted sweep
 resumes where it stopped, and the records feed any external analysis
 without re-simulation.
 
-Robustness contract (the parts a crashed or faulty sweep relies on):
+Robustness contract (the parts a crashed sweep relies on):
 
 - appends are flushed *and* fsynced per record, so a killed process
   loses at most the record being written;
@@ -22,8 +22,6 @@ Robustness contract (the parts a crashed or faulty sweep relies on):
   are recorded as ``timeout`` / ``failed`` instead of aborting the
   sweep, and are *not* retried on resume (delete the record or repair
   to retry);
-- with a ``fault_plan`` the sweep runs the fault-tolerant driver and
-  records the fault/recovery counters per point;
 - ``workers > 1`` or a :class:`~repro.core.supervise.SupervisePolicy`
   runs the pool under the self-healing supervisor: worker deaths, hangs
   and task errors are retried with deterministic backoff, and a point
@@ -71,7 +69,7 @@ class CampaignIntegrityError(ValueError):
         self.lineno = lineno
         super().__init__(
             f"{path}:{lineno}: corrupt campaign record ({detail}); "
-            f"run the repair path (CLI: `repro faults --repair {path}`, "
+            f"run the repair path (CLI: `repro run --repair {path}`, "
             f"API: Campaign.repair()) to quarantine bad lines"
         )
 
@@ -110,7 +108,6 @@ class CampaignContext:
     mode: str = "sim"
     point_budget: Optional[float] = None
     collect_metrics: bool = False
-    fault_plan: Optional[object] = None
     #: default machine of points that don't pin one themselves.
     machine: str = DEFAULT_MACHINE
 
@@ -134,18 +131,14 @@ def _grid_fields(pt: CampaignPoint, machine_id: str) -> dict:
 
 
 def validate_points(
-    points: Iterable[CampaignPoint],
-    machine: str,
-    mode: str,
-    fault_plan: Optional[object] = None,
+    points: Iterable[CampaignPoint], machine: str, mode: str
 ) -> List[CampaignPoint]:
     """Check every grid point against its machine before any work runs.
 
     ``machine`` is the default a point with ``machine=""`` inherits.
     Raises ``ValueError`` on an unknown config preset or a mode the
-    point's machine cannot run (a ``fault_plan`` implies the
-    event-driven driver, which validates its own mode), so a bad sweep
-    fails at submission instead of producing a file of failure records.
+    point's machine cannot run, so a bad sweep fails at submission
+    instead of producing a file of failure records.
     Shared by :meth:`Campaign.run` and the campaign server
     (:mod:`repro.serve`).  Returns the points as a list.
     """
@@ -157,7 +150,7 @@ def validate_points(
                 f"unknown config {pt.config!r} for machine "
                 f"{m.machine_id!r}; choose from {sorted(m.presets)}"
             )
-        if fault_plan is None and not m.supports_mode(mode):
+        if not m.supports_mode(mode):
             raise ValueError(
                 f"machine {m.machine_id!r} supports modes "
                 f"{m.supported_modes}, but this campaign runs "
@@ -194,27 +187,16 @@ def run_campaign_point(
 
         tracer = Tracer(categories=())
     try:
-        if ctx.fault_plan is not None:
-            result = exp.run_fault_tolerant(
-                n_cores=pt.n_cores,
-                config=presets[pt.config],
-                mapping=pt.mapping,
-                plan=ctx.fault_plan,
-                iterations=ctx.iterations,
-                time_budget=ctx.point_budget,
-                tracer=tracer,
-            )
-        else:
-            result = exp.run(
-                n_cores=pt.n_cores,
-                config=presets[pt.config],
-                mapping=pt.mapping,
-                kernel=pt.kernel,
-                iterations=ctx.iterations,
-                time_budget=ctx.point_budget,
-                tracer=tracer,
-                mode=ctx.mode,
-            )
+        result = exp.run(
+            n_cores=pt.n_cores,
+            config=presets[pt.config],
+            mapping=pt.mapping,
+            kernel=pt.kernel,
+            iterations=ctx.iterations,
+            time_budget=ctx.point_budget,
+            tracer=tracer,
+            mode=ctx.mode,
+        )
         rec = result.to_record()
         if tracer is not None:
             rec["metrics"] = tracer.metrics.flat_summary()
@@ -286,7 +268,6 @@ class Campaign:
         output_dir: Path | str,
         scale: float = 1.0,
         iterations: int = DEFAULT_ITERATIONS,
-        fault_plan: Optional[object] = None,
         point_budget: Optional[float] = None,
         collect_metrics: bool = False,
         mode: str = "sim",
@@ -300,11 +281,6 @@ class Campaign:
             raise ValueError(f"point_budget must be > 0, got {point_budget}")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if mode != "sim" and fault_plan is not None:
-            raise ValueError(
-                "fault_plan requires mode='sim': fault injection lives in the "
-                "event-driven runtime, which the analytic model does not run"
-            )
         get_machine(machine)  # fail fast (KeyError with suggestions) on typos
         self.name = name
         #: default machine of every point that doesn't pin its own.
@@ -314,8 +290,6 @@ class Campaign:
         self.path = self.output_dir / f"{name}.jsonl"
         self.scale = scale
         self.iterations = iterations
-        #: a FaultPlan switches the sweep to the fault-tolerant driver.
-        self.fault_plan = fault_plan
         #: per-point simulated-time budget (None = unbounded).
         self.point_budget = point_budget
         #: attach a metrics-only tracer per point and append its flat
@@ -426,7 +400,6 @@ class Campaign:
             mode=self.mode,
             point_budget=self.point_budget,
             collect_metrics=self.collect_metrics,
-            fault_plan=self.fault_plan,
             machine=self.machine,
         )
 
@@ -460,7 +433,7 @@ class Campaign:
 
         ``serial`` reruns the point in the parent process (no pool, no
         fork — rules out pool-side failures); ``model`` additionally
-        retries on the analytic fast path with faults disabled, trading
+        retries on the analytic fast path, trading
         exactness for a record instead of a hole.
         """
         ladder: List[Tuple[str, Callable[[CampaignPoint], dict]]] = []
@@ -469,7 +442,7 @@ class Campaign:
                 ("serial", lambda pt: run_campaign_point(pt, ctx, self._experiments))
             )
         if policy.on_failure == "model" and ctx.mode != "model":
-            model_ctx = dataclasses.replace(ctx, mode="model", fault_plan=None)
+            model_ctx = dataclasses.replace(ctx, mode="model")
             ladder.append(
                 ("model", lambda pt: run_campaign_point(pt, model_ctx, self._experiments))
             )
@@ -516,7 +489,7 @@ class Campaign:
         done = self.completed_keys()
         pending: List[CampaignPoint] = []
         skipped = 0
-        for pt in validate_points(points, self.machine, self.mode, self.fault_plan):
+        for pt in validate_points(points, self.machine, self.mode):
             if pt.key() in done:
                 skipped += 1
                 continue

@@ -24,15 +24,14 @@ Performance is reported exactly as in the paper (Sec. IV):
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Counter as TCounter, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..machine.base import DEFAULT_MACHINE, MachineConfig, MachineModel, Topology
 from ..machine.registry import get_machine
-from ..rcce.errors import RCCEBudgetExceededError, RCCETimeoutError
+from ..rcce.errors import RCCEBudgetExceededError
 from ..rcce.runtime import RCCERuntime
 from ..scc.core_model import AccessSummary
 from ..sparse.csr import CSRMatrix
@@ -61,14 +60,10 @@ from .trace import (
 )
 
 __all__ = [
-    "ResultBase",
     "ExperimentResult",
-    "FaultTolerantResult",
     "SpMVExperiment",
     "DEFAULT_ITERATIONS",
     "MODES",
-    "FT_WORK_TAG",
-    "FT_RESULT_TAG",
 ]
 
 #: SpMV repetitions per timed run, matching the usual benchmarking loop.
@@ -88,67 +83,13 @@ KERNELS = ("csr", "no_x_miss")
 MODES = ("sim", "model", "exact-trace", "predict")
 
 
-class ResultBase:
-    """Shared surface of experiment outcomes (plain mixin, not a dataclass).
-
-    Both result dataclasses carry the (matrix, cores, config, mapping,
-    iterations, makespan) identity and report throughput the same way —
-    ``FLOPS = 2 * nnz * iterations`` over the makespan (paper Sec. IV).
-    The derived properties and the JSONL flattening (:meth:`to_record`)
-    live here so campaigns and metrics never special-case the result
-    kind.  Kept a plain class so the frozen dataclasses' field order is
-    untouched.
-    """
-
-    matrix_name: str
-    n: int
-    nnz: int
-    n_cores: int
-    config_name: str
-    mapping: str
-    iterations: int
-    makespan: float
-
-    @property
-    def flops(self) -> int:
-        """Total floating-point operations: 2 * nnz * iterations."""
-        return 2 * self.nnz * self.iterations
-
-    @property
-    def gflops(self) -> float:
-        """Throughput in GFLOPS/s over the makespan."""
-        return self.flops / self.makespan / 1e9
-
-    @property
-    def mflops(self) -> float:
-        """Throughput in MFLOPS/s over the makespan."""
-        return self.flops / self.makespan / 1e6
-
-    def to_record(self) -> dict:
-        """Flatten into the campaign's JSON-serializable record shape.
-
-        Subclasses extend the dict; the shared prefix (through
-        ``mflops``) is identical for every result kind so downstream
-        consumers can group records without caring which driver ran.
-        """
-        return {
-            "status": "ok",
-            "matrix": self.matrix_name,
-            "n": self.n,
-            "nnz": self.nnz,
-            "n_cores": self.n_cores,
-            "config": self.config_name,
-            "mapping": self.mapping,
-            "kernel": getattr(self, "kernel", "csr"),
-            "iterations": self.iterations,
-            "makespan_s": self.makespan,
-            "mflops": self.mflops,
-        }
-
-
 @dataclass(frozen=True)
-class ExperimentResult(ResultBase):
-    """Outcome of one (matrix, cores, config, mapping, kernel) run."""
+class ExperimentResult:
+    """Outcome of one (matrix, cores, config, mapping, kernel) run.
+
+    Throughput is reported as ``FLOPS = 2 * nnz * iterations`` over the
+    makespan (paper Sec. IV).
+    """
 
     matrix_name: str
     n: int
@@ -170,15 +111,43 @@ class ExperimentResult(ResultBase):
     predicted: bool = False
 
     @property
+    def flops(self) -> int:
+        """Total floating-point operations: 2 * nnz * iterations."""
+        return 2 * self.nnz * self.iterations
+
+    @property
+    def gflops(self) -> float:
+        """Throughput in GFLOPS/s over the makespan."""
+        return self.flops / self.makespan / 1e9
+
+    @property
+    def mflops(self) -> float:
+        """Throughput in MFLOPS/s over the makespan."""
+        return self.flops / self.makespan / 1e6
+
+    @property
     def mflops_per_watt(self) -> float:
         """Full-system MFLOPS/s per watt, the paper's efficiency metric."""
         return self.mflops / self.power_watts if self.power_watts > 0 else 0.0
 
     def to_record(self) -> dict:
-        rec = super().to_record()
-        rec["power_watts"] = self.power_watts
-        rec["mflops_per_watt"] = self.mflops_per_watt
-        rec["ws_per_core_bytes"] = self.ws_per_core_bytes
+        """Flatten into the campaign's JSON-serializable record shape."""
+        rec = {
+            "status": "ok",
+            "matrix": self.matrix_name,
+            "n": self.n,
+            "nnz": self.nnz,
+            "n_cores": self.n_cores,
+            "config": self.config_name,
+            "mapping": self.mapping,
+            "kernel": self.kernel,
+            "iterations": self.iterations,
+            "makespan_s": self.makespan,
+            "mflops": self.mflops,
+            "power_watts": self.power_watts,
+            "mflops_per_watt": self.mflops_per_watt,
+            "ws_per_core_bytes": self.ws_per_core_bytes,
+        }
         # Records stay byte-identical to the pre-zoo format on the
         # default machine (the golden campaign fixture contract);
         # machine and predicted markers appear only off the default path.
@@ -207,227 +176,6 @@ def _ue_body(comm, durations, blocks, a, x, kernel, verify):
             return np.concatenate(gathered)
         return None
     return None
-
-
-#: reliable-layer user tags of the fault-tolerant driver.
-FT_WORK_TAG = 1
-FT_RESULT_TAG = 2
-
-
-@dataclass(frozen=True)
-class FaultTolerantResult(ResultBase):
-    """Outcome of one fault-tolerant run under a (possibly faulty) plan."""
-
-    matrix_name: str
-    n: int
-    nnz: int
-    n_cores: int
-    config_name: str
-    mapping: str
-    iterations: int
-    makespan: float
-    plan_name: str
-    plan_seed: int
-    #: assembled result vector (always present; the driver survives).
-    y: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    #: exact equality against the fault-free block-wise computation.
-    verified: bool = False
-    #: fault + recovery counters: injector kinds (drop/duplicate/corrupt/
-    #: core_failure/...) merged with protocol counters (retries,
-    #: repartitions, detected_failures, checkpoints, stale_results, ...).
-    counters: Dict[str, int] = field(default_factory=dict, repr=False)
-    #: ranks that died, with their simulated failure time.
-    failed_ues: Dict[int, float] = field(default_factory=dict)
-    #: the injector's replayable fault schedule (same seed => identical).
-    fault_schedule: List[Tuple] = field(default_factory=list, repr=False, compare=False)
-    #: dispatched-event trace when ``record_trace=True`` (for DET900).
-    trace: List[Tuple] = field(default_factory=list, repr=False, compare=False)
-
-    def to_record(self) -> dict:
-        rec = super().to_record()
-        rec["plan"] = self.plan_name
-        rec["plan_seed"] = self.plan_seed
-        rec["verified"] = self.verified
-        rec["failed_ues"] = sorted(self.failed_ues)
-        rec["fault_counters"] = dict(sorted(self.counters.items()))
-        return rec
-
-
-def _block_nnz(a: CSRMatrix, r0: int, r1: int) -> int:
-    return int(a.ptr[r1] - a.ptr[r0])
-
-
-def _ft_coordinator(
-    comm, rcomm, blocks, a, x, iterations, time_per_nnz, collect_timeout
-):
-    """Rank 0 of the fault-tolerant driver: dispatch, collect, recover.
-
-    Owns the authoritative ``y``.  Work units are whole partition blocks;
-    when a worker dies (discovered by a failed send or a collect timeout
-    plus liveness probe) its blocks are re-dealt round-robin over the
-    surviving workers — or computed locally when none remain.  Results
-    are idempotent (a block is a pure function of the immutable inputs),
-    so a late result from a presumed-dead worker is simply accepted or
-    discarded as stale, never harmful.
-    """
-    from ..faults.reliable import PeerFailedError, ReliableSendError
-
-    n_blocks = len(blocks)
-    owner: Dict[int, int] = {b: b % comm.num_ues for b in range(n_blocks)}
-    dead: set = set()
-    counters: TCounter = Counter()
-    y = np.zeros(a.n_rows)
-    rr = 0  # round-robin pointer for re-deals
-
-    def _mark_dead(w: int) -> None:
-        if w not in dead:
-            dead.add(w)
-            counters["detected_failures"] += 1
-            counters["repartitions"] += 1
-
-    def _pick_owner() -> int:
-        """Next surviving worker (round-robin), or 0 to compute locally."""
-        nonlocal rr
-        live = [w for w in range(1, comm.num_ues) if w not in dead]
-        if not live:
-            return 0
-        w = live[rr % len(live)]
-        rr += 1
-        return w
-
-    for it in range(iterations):
-        filled = [False] * n_blocks
-        for b in range(n_blocks):
-            if owner[b] in dead:
-                owner[b] = _pick_owner()
-
-        # -- dispatch this iteration's work to the (believed-live) owners
-        for b in range(n_blocks):
-            while owner[b] != 0:
-                w = owner[b]
-                try:
-                    yield from rcomm.send(("work", it, b), w, FT_WORK_TAG)
-                    break
-                except PeerFailedError:
-                    _mark_dead(w)
-                    owner[b] = _pick_owner()
-                except ReliableSendError:
-                    # Peer probes alive but never acked: degrade by
-                    # taking the block over rather than stalling the run.
-                    counters["send_failures"] += 1
-                    owner[b] = 0
-
-        # -- compute locally-owned blocks (overlaps with workers)
-        for b in range(n_blocks):
-            if owner[b] == 0 and not filled[b]:
-                r0, r1 = blocks[b]
-                yield from comm.compute(_block_nnz(a, r0, r1) * time_per_nnz)
-                y[r0:r1] = spmv_row_range(a, x, r0, r1)
-                filled[b] = True
-
-        # -- collect, probing and re-dealing on timeout
-        while not all(filled):
-            try:
-                _src, msg = yield from rcomm.recv(
-                    None, FT_RESULT_TAG, timeout=collect_timeout
-                )
-            except RCCETimeoutError:
-                for b in range(n_blocks):
-                    if filled[b] or owner[b] == 0:
-                        continue
-                    w = owner[b]
-                    alive = w not in dead and (yield from rcomm.detector.probe(w))
-                    if alive:
-                        continue
-                    _mark_dead(w)
-                    nw = _pick_owner()
-                    if nw != 0:
-                        try:
-                            yield from rcomm.send(("work", it, b), nw, FT_WORK_TAG)
-                            owner[b] = nw
-                            continue
-                        except (PeerFailedError, ReliableSendError):
-                            _mark_dead(nw)
-                    owner[b] = 0
-                    r0, r1 = blocks[b]
-                    yield from comm.compute(_block_nnz(a, r0, r1) * time_per_nnz)
-                    y[r0:r1] = spmv_row_range(a, x, r0, r1)
-                    filled[b] = True
-                continue
-            if not (isinstance(msg, tuple) and len(msg) == 4 and msg[0] == "result"):
-                counters["garbage_results"] += 1
-                continue
-            _kind, rit, b, arr = msg
-            if rit != it or filled[b]:
-                counters["stale_results"] += 1
-                continue
-            r0, r1 = blocks[b]
-            y[r0:r1] = arr
-            filled[b] = True
-
-        # -- iteration complete: checkpoint the assembled vector
-        counters["checkpoints"] += 1
-
-    # -- release the survivors
-    for w in range(1, comm.num_ues):
-        if w in dead:
-            continue
-        try:
-            yield from rcomm.send(("stop",), w, FT_WORK_TAG)
-        except (PeerFailedError, ReliableSendError):
-            _mark_dead(w)
-    counters.update(rcomm.counters)
-    return {"y": y, "counters": dict(counters)}
-
-
-def _ft_worker(comm, rcomm, blocks, a, x, time_per_nnz, idle_timeout):
-    """Worker loop: compute assigned blocks until told to stop.
-
-    Every receive is bounded (lint rule RCCE130): a worker orphaned by
-    message loss keeps polling instead of hanging the simulation, and
-    the runtime's time budget bounds the whole job.
-    """
-    from ..faults.reliable import PeerFailedError, ReliableSendError
-
-    while True:
-        try:
-            _src, msg = yield from rcomm.recv(0, FT_WORK_TAG, timeout=idle_timeout)
-        except RCCETimeoutError:
-            continue
-        if not (isinstance(msg, tuple) and msg):
-            continue
-        if msg[0] == "stop":
-            break
-        if msg[0] != "work" or len(msg) != 3:
-            continue
-        _kind, it, b = msg
-        r0, r1 = blocks[b]
-        yield from comm.compute(_block_nnz(a, r0, r1) * time_per_nnz)
-        block_y = spmv_row_range(a, x, r0, r1)
-        try:
-            yield from rcomm.send(("result", it, b, block_y), 0, FT_RESULT_TAG)
-        except (PeerFailedError, ReliableSendError):
-            break  # coordinator unreachable: nothing left to contribute
-    return {"counters": dict(rcomm.counters)}
-
-
-def _ft_ue_body(
-    comm, blocks, a, x, iterations, time_per_nnz, collect_timeout, idle_timeout,
-    ack_timeout,
-):
-    """SPMD entry of the fault-tolerant driver (rank 0 coordinates)."""
-    from ..faults.reliable import ReliableComm
-
-    rcomm = ReliableComm(comm, ack_timeout=ack_timeout)
-    if comm.ue == 0:
-        out = yield from _ft_coordinator(
-            comm, rcomm, blocks, a, x, iterations, time_per_nnz, collect_timeout
-        )
-    else:
-        out = yield from _ft_worker(
-            comm, rcomm, blocks, a, x, time_per_nnz, idle_timeout
-        )
-    return out
 
 
 class SpMVExperiment:
@@ -730,8 +478,8 @@ class SpMVExperiment:
         (:func:`repro.core.timing.barrier_exit_times`) — same numbers to
         the tolerance stated in ``docs/PERFORMANCE.md``, orders of
         magnitude faster.  The model times the standard barrier/compute/
-        barrier loop; runtime-only effects (fault injection, per-event
-        tracer spans, the verify gather) exist only in ``sim`` mode.
+        barrier loop; runtime-only effects (per-event tracer spans,
+        the verify gather) exist only in ``sim`` mode.
         ``mode="exact-trace"`` runs the same analytic composition but
         replaces the HOTL cache characterization with trace-exact
         per-UE counts from the vectorized replay engine — the
@@ -955,109 +703,6 @@ class SpMVExperiment:
         )
         m.histogram_observe_many(
             "model.mem_stall_fraction", [t.mem_stall_fraction for t in timings]
-        )
-
-    def run_fault_tolerant(
-        self,
-        n_cores: int = 48,
-        config: Optional[MachineConfig] = None,
-        mapping: Union[str, Sequence[int]] = "distance_reduction",
-        plan: Optional[Any] = None,
-        iterations: int = DEFAULT_ITERATIONS,
-        x: Optional[np.ndarray] = None,
-        time_per_nnz: float = 1e-8,
-        time_budget: Optional[float] = None,
-        record_trace: bool = False,
-        collect_timeout: float = 5e-4,
-        idle_timeout: float = 1e-3,
-        ack_timeout: float = 2e-4,
-        tracer: Optional[Any] = None,
-    ) -> FaultTolerantResult:
-        """Run SpMV fault-tolerantly under a :class:`~repro.faults.plan.FaultPlan`.
-
-        Rank 0 coordinates: it deals partition blocks to the workers over
-        the reliable-messaging layer (:mod:`repro.faults.reliable`),
-        re-deals the blocks of workers that die mid-run, checkpoints the
-        assembled vector every iteration and survives message loss,
-        duplication and corruption.  The returned result carries the
-        merged fault/recovery counters and, per the robustness contract,
-        ``verified`` is exact (bitwise) equality of ``y`` against the
-        fault-free block-wise computation.
-
-        ``plan=None`` (or a faultless plan) runs the same protocol on a
-        perfect machine — useful as the baseline of injection studies.
-        ``time_budget`` bounds the run in simulated seconds
-        (:class:`~repro.rcce.errors.RCCEBudgetExceededError` past it).
-        """
-        if not self.machine.supports_mode("sim"):
-            raise ValueError(
-                f"machine {self.machine.machine_id!r} has no event-driven "
-                "runtime; fault-tolerant runs require the SCC (sim mode)"
-            )
-        if config is None:
-            config = self.machine.default_config
-        core_map, mapping_name = self._core_map(mapping, n_cores)
-
-        blocks = self.partition(n_cores).ranges()
-        x_vec = x if x is not None else np.ones(self.a.n_cols)
-        runtime = RCCERuntime(
-            core_map,
-            config=config,
-            topology=self.topology,
-            record_trace=record_trace,
-            fault_plan=plan,
-            tracer=tracer,
-        )
-        results = runtime.run(
-            _ft_ue_body,
-            blocks,
-            self.a,
-            x_vec,
-            iterations,
-            time_per_nnz,
-            collect_timeout,
-            idle_timeout,
-            ack_timeout,
-            until=time_budget,
-        )
-        makespan = runtime.makespan(results)
-
-        coord = results[0].value
-        if not isinstance(coord, dict) or "y" not in coord:
-            raise RuntimeError(
-                "fault-tolerant coordinator returned no result "
-                "(rank 0 must be protected from injected failures)"
-            )
-        y = coord["y"]
-        counters: TCounter[str] = Counter(coord["counters"])
-        for r in results[1:]:
-            if isinstance(r.value, dict):
-                counters.update(r.value.get("counters", {}))
-        fault_schedule: List[Tuple] = []
-        plan_name, plan_seed = "none", 0
-        if runtime.fault_injector is not None:
-            counters.update(runtime.fault_injector.counters)
-            fault_schedule = runtime.fault_injector.schedule_signature()
-            plan_name = runtime.fault_injector.plan.name
-            plan_seed = runtime.fault_injector.plan.seed
-        reference = self._blockwise_product(n_cores, "csr", x_vec)
-        return FaultTolerantResult(
-            matrix_name=self.name,
-            n=self.a.n_rows,
-            nnz=self.a.nnz,
-            n_cores=n_cores,
-            config_name=config.name,
-            mapping=mapping_name,
-            iterations=iterations,
-            makespan=makespan,
-            plan_name=plan_name,
-            plan_seed=plan_seed,
-            y=y,
-            verified=bool(np.array_equal(y, reference)),
-            counters=dict(counters),
-            failed_ues=dict(runtime.failed_ues),
-            fault_schedule=fault_schedule,
-            trace=list(runtime.sim.trace),
         )
 
     def sweep_cores(

@@ -11,7 +11,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .experiment import ResultBase
+from .experiment import ExperimentResult
 
 __all__ = [
     "average_gflops",
@@ -23,18 +23,18 @@ __all__ = [
 ]
 
 
-def _check_nonempty(results: Sequence[ResultBase]) -> None:
+def _check_nonempty(results: Sequence[ExperimentResult]) -> None:
     if not results:
         raise ValueError("results must be non-empty")
 
 
-def average_gflops(results: Sequence[ResultBase]) -> float:
+def average_gflops(results: Sequence[ExperimentResult]) -> float:
     """Arithmetic mean GFLOPS/s (the paper's headline aggregate)."""
     _check_nonempty(results)
     return float(np.mean([r.gflops for r in results]))
 
 
-def geomean_gflops(results: Sequence[ResultBase]) -> float:
+def geomean_gflops(results: Sequence[ExperimentResult]) -> float:
     """Geometric mean GFLOPS/s (robust to the suite's heavy spread)."""
     _check_nonempty(results)
     vals = np.array([r.gflops for r in results])
@@ -43,7 +43,7 @@ def geomean_gflops(results: Sequence[ResultBase]) -> float:
     return float(np.exp(np.log(vals).mean()))
 
 
-def speedup(fast: ResultBase, slow: ResultBase) -> float:
+def speedup(fast: ExperimentResult, slow: ExperimentResult) -> float:
     """Time ratio slow/fast of two runs of the same workload."""
     if (fast.matrix_name, fast.nnz, fast.iterations) != (
         slow.matrix_name,
@@ -58,8 +58,8 @@ def speedup(fast: ResultBase, slow: ResultBase) -> float:
 
 
 def speedup_series(
-    fast: Sequence[ResultBase],
-    slow: Sequence[ResultBase],
+    fast: Sequence[ExperimentResult],
+    slow: Sequence[ExperimentResult],
 ) -> List[float]:
     """Element-wise speedups of two equally long result series."""
     if len(fast) != len(slow):
@@ -76,7 +76,7 @@ def average_mflops_per_watt(results: Sequence[ExperimentResult]) -> float:
     return float(np.mean([r.mflops for r in results])) / watts.pop()
 
 
-def parallel_efficiency(results_by_cores: Dict[int, ResultBase]) -> Dict[int, float]:
+def parallel_efficiency(results_by_cores: Dict[int, ExperimentResult]) -> Dict[int, float]:
     """Speedup over the 1-core run divided by core count."""
     if not results_by_cores:
         raise ValueError("results must be non-empty")

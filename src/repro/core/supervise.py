@@ -3,8 +3,8 @@
 The paper's artifacts are hours-long sweeps — the full matrix suite
 crossed with 1–48 cores, mappings and frequency configs — and every grid
 point is an independent deterministic computation.  This module is the
-one executor every sweep uses (campaigns, figures, fault runs, the
-campaign server).  It shards points *without changing the answers*:
+one executor every sweep uses (campaigns, figures, the campaign
+server).  It shards points *without changing the answers*:
 
 - results come back in **submission order**, whatever order workers
   finish in, so a parallel sweep appends records byte-identical to the
@@ -54,7 +54,7 @@ abruptly; :data:`CHAOS_ENV` generalizes it to a *seeded fault schedule*
 applied on selected attempts.  The supervisor reads both variables when
 it dispatches a task and ships their values with it, so a long-lived
 worker follows the schedule as it is now, not as it was at fork.
-``repro chaos`` (:mod:`repro.faults.chaos`) uses it to prove the core
+``repro chaos`` (:mod:`repro.chaos`) uses it to prove the core
 invariant: under any chaos schedule the surviving records are bitwise
 identical to the clean run and the quarantined set is exactly the
 injected poison set.
@@ -278,10 +278,9 @@ class TaskOutcome:
     def failure_kinds(self) -> Dict[str, int]:
         """Failure count per kind (``crash``/``timeout``/``error``/...).
 
-        The evidence a health board wants from an outcome: like the
-        simulated :class:`repro.faults.reliable.FailureDetector`, this
-        reports only *observed* deaths and hangs — there is no
-        heartbeat guessing, so a nonzero count is authoritative.  The
+        The evidence a health board wants from an outcome: it reports
+        only *observed* deaths and hangs — there is no heartbeat
+        guessing, so a nonzero count is authoritative.  The
         campaign server's per-pool worker health view is built from
         these.
         """

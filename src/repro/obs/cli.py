@@ -37,7 +37,7 @@ def configure_trace_parser(p: argparse.ArgumentParser) -> None:
         type=str,
         default="",
         help="comma-separated event categories to record (default: all); "
-        "e.g. rcce,sim,fault",
+        "e.g. rcce,sim",
     )
     add_output_flag(p)
 

@@ -8,7 +8,7 @@ single truthiness check::
 
     tr = self.tracer
     if tr:
-        tr.instant("drop", tid=ue, cat="fault", tag=tag)
+        tr.instant("recv", tid=ue, cat="rcce", tag=tag)
 
 ``None`` and the shared :data:`NULL_TRACER` are both falsy, so a
 disabled tracer costs one attribute load and one branch — nothing is
@@ -76,7 +76,7 @@ class Tracer:
     """Event recorder bound to a (simulated) clock.
 
     ``categories`` optionally restricts recording to a set of category
-    strings (``{"rcce", "fault"}``); events from other categories are
+    strings (``{"rcce", "sched"}``); events from other categories are
     dropped at the recording site.  Counter samples use the ``"metric"``
     category.
     """

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
-from typing import List, Sequence
+from typing import List
 
 from ..cliutil import add_output_flag, int_list, open_output, str_list
 from ..machine.registry import get_machine, list_machines

@@ -27,8 +27,7 @@ from typing import Any, Callable, Generator, Optional
 
 import numpy as np
 
-from ..sim import SimEvent, any_of
-from .errors import RCCETimeoutError
+from ..sim import SimEvent
 from .mpb import Envelope, chunked_transfer_time
 
 __all__ = ["payload_bytes", "RCCEComm"]
@@ -68,7 +67,7 @@ class RCCEComm:
         """Called by the collective layer on entry (outermost call only
         is reported, so a barrier's internal reduce+bcast don't count)."""
         self._collective_depth += 1
-        checker = getattr(self._rt, "checker", None)
+        checker = self._rt.checker
         if checker is not None and self._collective_depth == 1:
             nbytes = 0 if payload is None else payload_bytes(payload)
             checker.on_collective_enter(self.ue, kind, nbytes, self._rt.sim.now)
@@ -94,15 +93,8 @@ class RCCEComm:
 
     # -- time modelling ---------------------------------------------------------
 
-    def _stall_penalty(self, seconds: float) -> float:
-        """Extra time injected by pending transient core stalls (if any)."""
-        injector = getattr(self._rt, "fault_injector", None)
-        if injector is None:
-            return 0.0
-        return injector.consume_stalls(self.ue, self._rt.sim.now, seconds)
-
     def _tracer(self) -> Any:
-        return getattr(self._rt, "tracer", None)
+        return self._rt.tracer
 
     def _traced(self, gen: CommGen, name: str, **args: Any) -> CommGen:
         """Wrap a communication generator in a begin/end span pair."""
@@ -121,20 +113,15 @@ class RCCEComm:
         return _wrapped()
 
     def compute(self, seconds: float) -> CommGen:
-        """Model ``seconds`` of local computation (yield from it).
-
-        Injected transient core stalls (fault plans) manifest here: a
-        stall scheduled inside the compute window stretches it by the
-        stall's duration.
-        """
+        """Model ``seconds`` of local computation (yield from it)."""
         if seconds < 0:
             raise ValueError(f"seconds must be >= 0, got {seconds}")
         tr = self._tracer()
         if tr:
             with tr.span("compute", tid=self.ue, cat="rcce", seconds=seconds):
-                yield self._rt.sim.timeout(seconds + self._stall_penalty(seconds))
+                yield self._rt.sim.timeout(seconds)
         else:
-            yield self._rt.sim.timeout(seconds + self._stall_penalty(seconds))
+            yield self._rt.sim.timeout(seconds)
 
     def compute_cycles(self, cycles: float) -> CommGen:
         """Model ``cycles`` of work at this core's *current* frequency.
@@ -149,7 +136,7 @@ class RCCEComm:
         if mhz <= 0:
             raise ValueError(f"core {self.core} is power-gated (0 MHz)")
         seconds = cycles / (mhz * 1e6)
-        yield self._rt.sim.timeout(seconds + self._stall_penalty(seconds))
+        yield self._rt.sim.timeout(seconds)
 
     # -- power management (RCCE_iset_power / RCCE_wait_power) -------------
 
@@ -191,49 +178,8 @@ class RCCEComm:
             if tr:
                 tr.end("send", tid=self.ue, cat="rcce")
 
-    def send_async(self, data: Any, dest: int, tag: int = 0) -> CommGen:
-        """Eager (non-rendezvous) send: deliver and return without waiting.
-
-        The transfer still pays full MPB/mesh time, but the sender does
-        not block on the receiver's ack — the buffered-send behaviour the
-        reliable-messaging layer (:mod:`repro.faults.reliable`) builds
-        its own ack/retry protocol on.  A dropped message is therefore
-        *lost*, not a hang: callers must tolerate that or use the
-        rendezvous :meth:`send`.
-        """
-        if not 0 <= dest < self.num_ues:
-            raise ValueError(f"dest {dest} out of range [0, {self.num_ues})")
-        if dest == self.ue:
-            raise ValueError("send to self is not supported (use local state)")
-        nbytes = payload_bytes(data)
-        tr = self._tracer()
-        if tr:
-            tr.begin("send_async", tid=self.ue, cat="rcce", dest=dest, tag=tag, bytes=nbytes)
-            self._record_mesh_transfer(dest, nbytes)
-        try:
-            t = chunked_transfer_time(self._rt.mesh, self.core, self._rt.core_map[dest], nbytes)
-            yield self._rt.sim.timeout(t)
-            ack = self._rt.sim.event(f"async-ack:{self.ue}->{dest}")
-            self._rt.mailboxes[dest].deliver(Envelope(self.ue, tag, data, ack))
-        finally:
-            if tr:
-                tr.end("send_async", tid=self.ue, cat="rcce")
-
-    def recv(
-        self,
-        source: Optional[int] = None,
-        tag: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ) -> CommGen:
-        """Blocking matched receive; returns the payload.
-
-        With ``timeout`` (simulated seconds) the receive raises
-        :class:`~repro.rcce.errors.RCCETimeoutError` if no matching
-        message arrived in time; a message that lands exactly at the
-        deadline wins the race.  Unbounded receives hang forever when the
-        peer crashed or the message was lost — fault-tolerant programs
-        should always bound their receives (lint rule RCCE130).
-        """
+    def recv(self, source: Optional[int] = None, tag: Optional[int] = None) -> CommGen:
+        """Blocking matched receive; returns the payload."""
         mailbox = self._rt.mailboxes[self.ue]
         tr = self._tracer()
         if tr:
@@ -245,21 +191,7 @@ class RCCEComm:
                 tag=-1 if tag is None else tag,
             )
         try:
-            ev = mailbox.receive(source, tag)
-            if timeout is None:
-                env: Envelope = yield ev
-            else:
-                if timeout < 0:
-                    raise ValueError(f"timeout must be >= 0, got {timeout}")
-                sim = self._rt.sim
-                timer = sim.timeout(timeout)
-                yield any_of(sim, [ev, timer], name=f"recv-race:ue{self.ue}")
-                if not ev.triggered:
-                    mailbox.cancel_wait(ev)
-                    if tr:
-                        tr.instant("recv.timeout", tid=self.ue, cat="rcce", timeout=timeout)
-                    raise RCCETimeoutError(self.ue, source, tag, timeout, sim.now)
-                env = ev.value
+            env: Envelope = yield mailbox.receive(source, tag)
             env.ack.succeed()
             return env.payload
         finally:

@@ -63,15 +63,11 @@ def _absolute_rank(rel: int, root: int, n: int) -> int:
 
 def _enter(comm, kind: str, payload: Any) -> None:
     """Notify the runtime checker (if any) that a collective started."""
-    hook = getattr(comm, "_enter_collective", None)
-    if hook is not None:
-        hook(kind, payload)
+    comm._enter_collective(kind, payload)
 
 
 def _exit(comm) -> None:
-    hook = getattr(comm, "_exit_collective", None)
-    if hook is not None:
-        hook()
+    comm._exit_collective()
 
 
 def reduce(comm, value: Any, op: Optional[Callable[[Any, Any], Any]] = None, root: int = 0) -> CommGen:

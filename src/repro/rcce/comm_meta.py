@@ -47,7 +47,6 @@ COMM_API: Dict[str, CommOp] = {
     op.name: op
     for op in (
         CommOp("send", "p2p-send"),
-        CommOp("send_async", "p2p-send"),
         CommOp("recv", "p2p-recv"),
         CommOp("barrier", "collective"),
         CommOp("bcast", "collective"),

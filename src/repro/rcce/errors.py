@@ -14,7 +14,6 @@ from typing import Dict, Optional, Tuple
 __all__ = [
     "RCCEError",
     "RCCEDeadlockError",
-    "RCCETimeoutError",
     "RCCEBudgetExceededError",
     "WaitInfo",
     "format_wait_for",
@@ -30,26 +29,9 @@ class RCCEError(RuntimeError):
     """Base class for RCCE protocol and usage errors."""
 
 
-def format_wait_for(
-    wait_for: Dict[int, Optional[WaitInfo]],
-    failed_ues: Optional[Dict[int, float]] = None,
-) -> str:
-    """Render a wait-for graph as one line per blocked UE.
-
-    ``failed_ues`` maps crashed ranks to their simulated failure time;
-    when the peer a UE waits on is in that map the line says so, which
-    separates "peer crashed" from "peer never sent" in diagnostics.
-    """
+def format_wait_for(wait_for: Dict[int, Optional[WaitInfo]]) -> str:
+    """Render a wait-for graph as one line per blocked UE."""
     from .collectives import tag_name  # local import avoids a cycle
-
-    failed = failed_ues or {}
-
-    def _peer(peer: Optional[int]) -> str:
-        if peer is None:
-            return "any"
-        if peer in failed:
-            return f"{peer} [CRASHED at t={failed[peer]:.9f}]"
-        return str(peer)
 
     lines = []
     for ue in sorted(wait_for):
@@ -58,7 +40,7 @@ def format_wait_for(
             lines.append(f"  UE {ue}: blocked on an untracked event")
             continue
         kind, peer, tag = info
-        peer_s = _peer(peer)
+        peer_s = "any" if peer is None else str(peer)
         tag_s = "any" if tag is None else tag_name(tag)
         if kind == "recv":
             lines.append(f"  UE {ue}: waits in recv(source={peer_s}, tag={tag_s})")
@@ -71,54 +53,18 @@ class RCCEDeadlockError(RCCEError):
     """The event queue drained while UEs were still blocked.
 
     Carries the wait-for graph: for every stuck UE, what it was waiting
-    on when the simulation ran out of events.  When core failures were
-    injected (``failed_ues``) the rendering names the crash as the root
-    cause instead of an unexplained missing message.
+    on when the simulation ran out of events.
     """
 
     def __init__(
-        self,
-        wait_for: Dict[int, Optional[WaitInfo]],
-        sim_time: float,
-        failed_ues: Optional[Dict[int, float]] = None,
-        fault_note: str = "",
+        self, wait_for: Dict[int, Optional[WaitInfo]], sim_time: float
     ) -> None:
         self.wait_for = wait_for
         self.sim_time = sim_time
-        self.failed_ues = dict(failed_ues or {})
-        self.fault_note = fault_note
         stuck = sorted(wait_for)
-        message = (
-            f"deadlock: UEs {stuck} never finished (event queue drained at "
-            f"t={sim_time:.9f}); wait-for graph:\n"
-            f"{format_wait_for(wait_for, self.failed_ues)}"
-        )
-        if fault_note:
-            message += f"\n  {fault_note}"
-        super().__init__(message)
-
-
-class RCCETimeoutError(RCCEError):
-    """A timed receive expired before a matching message arrived."""
-
-    def __init__(
-        self,
-        ue: int,
-        source: Optional[int],
-        tag: Optional[int],
-        timeout: float,
-        sim_time: float,
-    ) -> None:
-        self.ue = ue
-        self.source = source
-        self.tag = tag
-        self.timeout = timeout
-        self.sim_time = sim_time
-        src_s = "any" if source is None else str(source)
-        tag_s = "any" if tag is None else str(tag)
         super().__init__(
-            f"UE {ue}: recv(source={src_s}, tag={tag_s}) timed out after "
-            f"{timeout:.9f}s at t={sim_time:.9f}"
+            f"deadlock: UEs {stuck} never finished (event queue drained at "
+            f"t={sim_time:.9f}); wait-for graph:\n{format_wait_for(wait_for)}"
         )
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Deque, List, Optional, Tuple
 
 from ..sim import SimEvent, Simulator
 from .errors import RCCEError
@@ -70,14 +70,6 @@ class Mailbox:
     unconditionally: the runtime reserves a positive high-tag range for
     collectives (see :mod:`repro.rcce.collectives`) and user tags must
     be non-negative.
-
-    Fault hooks: an attached :class:`~repro.faults.injector.FaultInjector`
-    decides, per delivery, whether the envelope is dropped, duplicated or
-    corrupted (the SCC's flaky-mesh failure modes); ``failed_at`` marks
-    the owning core dead, after which deliveries are blackholed exactly
-    as a message to a crashed core would be; ``on_deliver`` is observed
-    by the reliable-messaging layer to acknowledge arrivals (modelling
-    its interrupt-driven comm driver) without involving the UE process.
     """
 
     def __init__(
@@ -86,22 +78,15 @@ class Mailbox:
         owner: int,
         n_peers: Optional[int] = None,
         checker: Optional[Any] = None,
-        injector: Optional[Any] = None,
         tracer: Optional[Any] = None,
     ) -> None:
         self.sim = sim
         self.owner = owner
         self.n_peers = n_peers
         self.checker = checker
-        self.injector = injector
         #: optional :class:`repro.obs.Tracer`: queued-envelope occupancy
         #: (the model's MPB pressure signal) is sampled on every change.
         self.tracer = tracer
-        #: simulated time at which the owning core died (None = alive).
-        self.failed_at: Optional[float] = None
-        #: observer invoked with every envelope that is actually queued
-        #: or handed to a receiver (after fault injection).
-        self.on_deliver: Optional[Callable[[Envelope], None]] = None
         self._pending: Deque[Envelope] = deque()
         self._waiting: Deque[Tuple[Optional[int], Optional[int], SimEvent]] = deque()
 
@@ -123,54 +108,8 @@ class Mailbox:
                 )
 
     def deliver(self, env: Envelope) -> None:
-        """Enqueue an envelope or hand it to a waiting matching receiver.
-
-        When the owning core has failed, the envelope is blackholed (the
-        sender's rendezvous ack never fires — exactly the hang a message
-        to a crashed core produces on the chip).  When a fault injector
-        is attached it may drop, duplicate or corrupt the delivery.
-        """
+        """Enqueue an envelope or hand it to a waiting matching receiver."""
         self._validate(env.source, env.tag, "deliver")
-        if self.failed_at is not None:
-            if self.injector is not None:
-                self.injector.on_blackhole(env.source, self.owner, env.tag, self.sim.now)
-            return
-        if self.injector is not None:
-            fate = self.injector.message_fate(env.source, self.owner, env.tag, self.sim.now)
-            if fate == "drop":
-                return
-            if fate == "corrupt":
-                env = Envelope(
-                    env.source,
-                    env.tag,
-                    self.injector.corrupt_payload(env.payload),
-                    env.ack,
-                )
-            elif fate == "duplicate":
-                # The copy carries its own ack event: only the original's
-                # ack releases a rendezvous sender, and acking the copy
-                # must not double-trigger it.
-                copy = Envelope(
-                    env.source,
-                    env.tag,
-                    env.payload,
-                    self.sim.event(f"dup-ack:{env.source}->{self.owner}"),
-                )
-                self._deliver_one(env)
-                self._deliver_one(copy)
-                return
-        self._deliver_one(env)
-
-    def _occupancy_changed(self) -> None:
-        tr = self.tracer
-        if tr:
-            depth = len(self._pending)
-            tr.counter("mpb.pending", depth, tid=self.owner)
-            tr.metrics.gauge("mpb.pending", ue=self.owner).set(depth)
-
-    def _deliver_one(self, env: Envelope) -> None:
-        if self.on_deliver is not None:
-            self.on_deliver(env)
         tr = self.tracer
         if tr:
             tr.metrics.counter("mpb.delivered", ue=self.owner).inc()
@@ -189,6 +128,13 @@ class Mailbox:
         self._pending.append(env)
         self._occupancy_changed()
 
+    def _occupancy_changed(self) -> None:
+        tr = self.tracer
+        if tr:
+            depth = len(self._pending)
+            tr.counter("mpb.pending", depth, tid=self.owner)
+            tr.metrics.gauge("mpb.pending", ue=self.owner).set(depth)
+
     def receive(self, source: Optional[int] = None, tag: Optional[int] = None) -> SimEvent:
         """Event that triggers with the next (source, tag)-matching envelope."""
         self._validate(source, tag, "receive")
@@ -201,20 +147,6 @@ class Mailbox:
                 return ev
         self._waiting.append((source, tag, ev))
         return ev
-
-    def cancel_wait(self, ev: SimEvent) -> bool:
-        """Withdraw a still-blocked receive (a timed recv that expired).
-
-        Returns False when the request was not waiting — either it was
-        never registered or a message already matched it, in which case
-        the caller must consume the event's envelope instead of
-        abandoning it (abandoning would silently lose the message).
-        """
-        for i, (_src, _tag, waiting_ev) in enumerate(self._waiting):
-            if waiting_ev is ev:
-                del self._waiting[i]
-                return True
-        return False
 
     @property
     def pending_count(self) -> int:

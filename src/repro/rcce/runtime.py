@@ -67,7 +67,6 @@ class RCCERuntime:
         checks: Optional[bool] = None,
         checker: Optional[Any] = None,
         record_trace: bool = False,
-        fault_plan: Optional[Any] = None,
         tracer: Optional[Any] = None,
     ) -> None:
         core_list = list(core_map)
@@ -83,7 +82,7 @@ class RCCERuntime:
         self.config = config
         self.topology = topology or SCCTopology()
         #: optional :class:`repro.obs.Tracer` shared by every layer of
-        #: this job (simulator, mesh, mailboxes, fault injector).
+        #: this job (simulator, mesh, mailboxes).
         self.tracer = tracer if tracer else None
         self.sim = Simulator(record_trace=record_trace, tracer=self.tracer)
         if self.tracer is not None:
@@ -97,18 +96,6 @@ class RCCERuntime:
         self.checker = checker
         if checker is not None:
             checker.attach(self)
-        #: deterministic fault injection (None = the perfect machine).
-        self.fault_injector: Optional[Any] = None
-        if fault_plan is not None:
-            from ..faults.injector import FaultInjector  # lazy: avoids a cycle
-
-            self.fault_injector = FaultInjector(
-                fault_plan, self.n_ues, self.sim, tracer=self.tracer
-            )
-            for src_tile, dst_tile, factor in self.fault_injector.link_degradations():
-                self.mesh.set_link_degradation(src_tile, dst_tile, factor)
-        #: crashed ranks and their simulated failure time.
-        self.failed_ues: Dict[int, float] = {}
         #: rendezvous sends currently blocked on their ack: ue -> (dest, tag)
         self.blocked_sends: Dict[int, Tuple[int, int]] = {}
         self.mailboxes = [
@@ -117,7 +104,6 @@ class RCCERuntime:
                 ue,
                 n_peers=self.n_ues,
                 checker=checker,
-                injector=self.fault_injector,
                 tracer=self.tracer,
             )
             for ue in range(self.n_ues)
@@ -131,9 +117,7 @@ class RCCERuntime:
         the event queue drains — silent partial completion would mask
         protocol bugs — and :class:`RCCEBudgetExceededError` when an
         ``until`` budget expires with work still pending (the job was
-        live, it just ran out of simulated time).  Injected permanent
-        core failures kill the victim's process at the planned time; a
-        killed UE counts as finished (dead), not stuck.
+        live, it just ran out of simulated time).
         """
         finish_times = [0.0] * self.n_ues
 
@@ -154,73 +138,20 @@ class RCCERuntime:
             proc.done.add_callback(_stamp)
             procs.append(proc)
 
-        if self.fault_injector is not None:
-            for ue, fail_time in self.fault_injector.core_failures():
-                self.sim.schedule(
-                    fail_time, lambda ue=ue: self._kill_ue(procs[ue], ue)
-                )
-
         self.sim.run(until=until)
 
-        stuck = [
-            ue
-            for ue in range(self.n_ues)
-            if not procs[ue].finished and ue not in self.failed_ues
-        ]
+        stuck = [ue for ue in range(self.n_ues) if not procs[ue].finished]
         if stuck:
             if until is not None and not self.sim.empty():
                 raise RCCEBudgetExceededError(until, stuck, self.sim.now)
             wait_for = self._wait_for_graph(stuck)
             if self.checker is not None:
                 self.checker.on_deadlock(wait_for, self.sim.now)
-            raise RCCEDeadlockError(
-                wait_for,
-                self.sim.now,
-                failed_ues=self.failed_ues,
-                fault_note=self._fault_note(),
-            )
+            raise RCCEDeadlockError(wait_for, self.sim.now)
         return [
             UEResult(ue, self.core_map[ue], procs[ue].done.value, finish_times[ue])
             for ue in range(self.n_ues)
         ]
-
-    def _kill_ue(self, proc: Process, ue: int) -> None:
-        """Apply an injected permanent core failure to a running UE."""
-        if proc.finished:
-            return
-        now = self.sim.now
-        self.failed_ues[ue] = now
-        if self.tracer:
-            self.tracer.instant(
-                "core.failure", tid=ue, cat="fault", core=self.core_map[ue]
-            )
-        self.mailboxes[ue].failed_at = now
-        proc.kill(None)
-        if self.fault_injector is not None:
-            self.fault_injector.on_core_failure(ue, now)
-
-    def _fault_note(self) -> str:
-        """One-line injected-fault context appended to deadlock reports."""
-        if self.fault_injector is None:
-            return ""
-        c = self.fault_injector.counters
-        parts = []
-        if self.failed_ues:
-            parts.append(
-                f"{len(self.failed_ues)} injected core failure(s): "
-                + ", ".join(f"UE {u}@t={t:.9f}" for u, t in sorted(self.failed_ues.items()))
-            )
-        for key, label in (
-            ("drop", "dropped message(s)"),
-            ("corrupt", "corrupted message(s)"),
-            ("duplicate", "duplicated message(s)"),
-            ("blackhole", "message(s) blackholed to dead cores"),
-        ):
-            if c.get(key):
-                parts.append(f"{c[key]} {label}")
-        if not parts:
-            return "fault injection active (no faults fired before the deadlock)"
-        return "fault injection: " + "; ".join(parts)
 
     def _wait_for_graph(self, stuck: Sequence[int]) -> Dict[int, Optional[WaitInfo]]:
         """What each stuck UE was blocked on when the queue drained.

@@ -17,34 +17,11 @@ workloads is what licenses using the closed form everywhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
 from ..sim import Process, Resource, Simulator
 
-__all__ = ["CoreWorkload", "StallBurst", "simulate_controller"]
-
-
-@dataclass(frozen=True)
-class StallBurst:
-    """A window during which the controller serves lines ``factor``x slower.
-
-    Models transient DDR3/controller stalls (refresh storms, thermal
-    throttling) the fault plans inject: every line whose service starts
-    inside [start, end) pays ``factor`` times the normal service time.
-    """
-
-    start: float
-    end: float
-    factor: float
-
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
-            raise ValueError(f"burst window [{self.start}, {self.end}) is invalid")
-        if self.factor < 1.0:
-            raise ValueError(f"burst factor must be >= 1.0, got {self.factor}")
-
-    def active_at(self, t: float) -> bool:
-        return self.start <= t < self.end
+__all__ = ["CoreWorkload", "simulate_controller"]
 
 
 @dataclass(frozen=True)
@@ -60,16 +37,6 @@ class CoreWorkload:
             raise ValueError("workload terms must be non-negative (latency positive)")
 
 
-def _burst_factor(bursts: Optional[Sequence[StallBurst]], t: float) -> float:
-    if not bursts:
-        return 1.0
-    worst = 1.0
-    for b in bursts:
-        if b.active_at(t):
-            worst = max(worst, b.factor)
-    return worst
-
-
 def _core_process(
     sim: Simulator,
     mc: Resource,
@@ -77,7 +44,6 @@ def _core_process(
     service: float,
     out: List[float],
     idx: int,
-    bursts: Optional[Sequence[StallBurst]] = None,
     tracer: Optional[Any] = None,
 ):
     gap = wl.compute_time / wl.n_lines if wl.n_lines else 0.0
@@ -91,11 +57,7 @@ def _core_process(
             # Queueing delay in front of the controller: >0 only when
             # the FIFO was busy on arrival (the MC-saturation signal).
             tracer.metrics.histogram("mc.wait_s", core=idx).observe(sim.now - arrival)
-        factor = _burst_factor(bursts, sim.now)
-        if tracer and factor > 1.0:
-            tracer.instant("mc.stall_burst", tid=idx, cat="mc", factor=factor)
-            tracer.metrics.counter("mc.stalled_lines", core=idx).inc()
-        yield sim.timeout(service * factor)
+        yield sim.timeout(service)
         mc.release()
         # The DDR round trip is a latency floor: even an idle controller
         # cannot answer faster than Eq. 1.
@@ -109,18 +71,15 @@ def simulate_controller(
     workloads: Sequence[CoreWorkload],
     capacity_lines_per_sec: float,
     line_pipeline_fraction: float = 1.0,
-    stall_bursts: Optional[Sequence[StallBurst]] = None,
     tracer: Optional[Any] = None,
 ) -> List[float]:
     """Per-core completion times under FIFO service.
 
     ``line_pipeline_fraction`` scales the serialized portion of the
     service (1.0 = fully serialized server, the conservative model the
-    closed form also assumes).  ``stall_bursts`` injects windows of
-    degraded service (see :class:`StallBurst`) — fault plans use this to
-    model flaky memory controllers; the default is a healthy controller.
-    ``tracer`` (a :class:`repro.obs.Tracer`) additionally records queue
-    depth samples plus wait-time and stall histograms per core.
+    closed form also assumes).  ``tracer`` (a :class:`repro.obs.Tracer`)
+    additionally records queue depth samples plus a wait-time histogram
+    per core.
     """
     if capacity_lines_per_sec <= 0:
         raise ValueError("capacity must be positive")
@@ -128,7 +87,6 @@ def simulate_controller(
         raise ValueError("line_pipeline_fraction must be in (0, 1]")
     if not workloads:
         raise ValueError("need at least one workload")
-    bursts: Optional[Tuple[StallBurst, ...]] = tuple(stall_bursts) if stall_bursts else None
     sim = Simulator(tracer=tracer if tracer else None)
     if tracer:
         tracer.bind_clock(lambda: sim.now)
@@ -138,7 +96,7 @@ def simulate_controller(
     for i, wl in enumerate(workloads):
         Process(
             sim,
-            _core_process(sim, mc, wl, service, out, i, bursts, tracer),
+            _core_process(sim, mc, wl, service, out, i, tracer),
             name=f"core{i}",
         )
     sim.run()

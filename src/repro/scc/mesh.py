@@ -56,9 +56,9 @@ class MeshNetwork:
 
     #: header seconds of each (src core, dst core) pair, one table per
     #: (mesh clock, topology class), shared by every mesh with that key
-    #: (a topology's instances are interchangeable).  Only undegraded
-    #: meshes read it, and it is keyed by core pair, never by payload
-    #: size, so it holds at most one entry per pair.
+    #: (a topology's instances are interchangeable).  It is keyed by
+    #: core pair, never by payload size, so it holds at most one entry
+    #: per pair.
     _shared_header_tables: Dict[Tuple[float, type], Dict[Tuple[int, int], float]] = {}
 
     def __init__(
@@ -72,9 +72,6 @@ class MeshNetwork:
         self.topology = topology or SCCTopology()
         self.mesh_mhz = mesh_mhz
         self._link_loads: Counter[Link] = Counter()
-        #: per-link serialization slowdown factor (>= 1.0) for degraded
-        #: links — the fault model's flaky-mesh knob.
-        self._degraded: Dict[Link, float] = {}
         #: optional :class:`repro.obs.Tracer`: transfers additionally
         #: feed per-link byte/flit counters in its metrics registry.
         self.tracer = tracer
@@ -127,40 +124,6 @@ class MeshNetwork:
         """Clear all link-load accounting."""
         self._link_loads.clear()
 
-    # -- degradation (fault model) -----------------------------------------
-
-    def set_link_degradation(
-        self, a: Coord, b: Coord, factor: float, symmetric: bool = True
-    ) -> None:
-        """Mark the (a, b) link as degraded: serialization slows by ``factor``.
-
-        A degraded link models an SCC mesh link running with retries /
-        reduced effective width.  ``factor`` must be >= 1.0; routes that
-        avoid the link are unaffected.
-        """
-        if factor < 1.0:
-            raise ValueError(f"degradation factor must be >= 1.0, got {factor}")
-        for coord in (a, b):
-            x, y = coord
-            if not (0 <= x < GRID_X and 0 <= y < GRID_Y):
-                raise ValueError(f"coordinate {coord} outside {GRID_X}x{GRID_Y} mesh")
-        self._degraded[(tuple(a), tuple(b))] = factor
-        if symmetric:
-            self._degraded[(tuple(b), tuple(a))] = factor
-
-    def clear_link_degradations(self) -> None:
-        """Restore every link to full bandwidth."""
-        self._degraded.clear()
-
-    def route_slowdown(self, src: Coord, dst: Coord) -> float:
-        """Worst degradation factor along the XY route (1.0 = healthy)."""
-        if not self._degraded:
-            return 1.0
-        worst = 1.0
-        for link in self.links_of(xy_route(src, dst)):
-            worst = max(worst, self._degraded.get(link, 1.0))
-        return worst
-
     # -- timing --------------------------------------------------------------
 
     def message_time(self, src: Coord, dst: Coord, size_bytes: int) -> float:
@@ -171,34 +134,30 @@ class MeshNetwork:
         Local transfers (src == dst) still pay one router crossing: the
         MPB sits behind the tile's router.
         """
-        return self._with_payload(
-            self._header_time(src, dst), size_bytes, self.route_slowdown(src, dst)
-        )
+        return self._with_payload(self._header_time(src, dst), size_bytes)
 
     def core_message_time(self, src_core: int, dst_core: int, size_bytes: int) -> float:
         """message_time between two cores' tiles.
 
-        An undegraded mesh reads the pair's header from the shared
-        per-pair table; the sum is the one :meth:`message_time` forms.
+        The pair's header comes from the shared per-pair table; the sum
+        is the one :meth:`message_time` forms.
         """
-        if self._degraded:
-            return self.message_time(*self._core_coords(src_core, dst_core), size_bytes)
         header = self._core_headers.get((src_core, dst_core))
         if header is None:
             header = self._core_headers[(src_core, dst_core)] = self._header_time(
                 *self._core_coords(src_core, dst_core)
             )
-        return self._with_payload(header, size_bytes, 1.0)
+        return self._with_payload(header, size_bytes)
 
     def _header_time(self, src: Coord, dst: Coord) -> float:
         """Router latency of a message from src to dst (at least one hop)."""
         return max(1, self.topology.hops_between(src, dst)) * ROUTER_CYCLES * self.cycle_time
 
-    def _with_payload(self, header: float, size_bytes: int, slowdown: float) -> float:
-        """``header`` plus the payload's serialization, slowed by ``slowdown``."""
+    def _with_payload(self, header: float, size_bytes: int) -> float:
+        """``header`` plus the payload's serialization."""
         if size_bytes < 0:
             raise ValueError(f"size_bytes must be >= 0, got {size_bytes}")
-        return header + size_bytes / self.link_bandwidth * slowdown
+        return header + size_bytes / self.link_bandwidth
 
     def _core_coords(self, src_core: int, dst_core: int) -> Tuple[Coord, Coord]:
         """Mesh coordinates of two cores' tiles."""

@@ -58,7 +58,7 @@ import numpy as np
 #: reduction path.
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
-from .cache import Cache, CacheStats, _PLRUTree
+from .cache import CacheStats, _PLRUTree
 from .params import CACHE_ASSOC, CACHE_LINE_BYTES, L1D_BYTES, L2_BYTES
 
 __all__ = [

@@ -14,9 +14,9 @@ Keying rules follow ``docs/MODEL.md``: the key digests a namespace and
 schema version, the machine's
 :meth:`~repro.machine.base.MachineModel.cache_key`, the full point
 identity and every result-affecting context knob.  Records that are
-*not* pure functions of the spec — quarantined points, metrics-carrying
-records, fault-plan runs — are never stored under these keys;
-:class:`CampaignSpec` rejects the latter two shapes at validation.
+*not* pure functions of the spec — quarantined points and
+metrics-carrying records — are never stored under these keys;
+:class:`CampaignSpec` rejects a ``collect_metrics`` field as unknown.
 
 The HTTP surface (all JSON, rooted at ``/api/v1``) is:
 

@@ -25,9 +25,8 @@ service.  One :class:`CampaignServer` owns four cooperating pieces:
 Observability: every ``serve.*`` counter mutation is funnelled through
 the queue lock (the :class:`~repro.obs.metrics.MetricsRegistry`
 serialization contract), and the worker-health board aggregates
-:meth:`~repro.core.supervise.TaskOutcome.failure_kinds` per outcome —
-the same only-observed-failures semantics as the simulated
-:class:`repro.faults.reliable.FailureDetector`.
+:meth:`~repro.core.supervise.TaskOutcome.failure_kinds` per outcome,
+which counts only observed failures.
 """
 
 from __future__ import annotations
@@ -242,7 +241,7 @@ class CampaignServer:
             def model_rung(item):
                 pt, ctx = item
                 if ctx.mode != "model":
-                    ctx = dataclasses.replace(ctx, mode="model", fault_plan=None)
+                    ctx = dataclasses.replace(ctx, mode="model")
                 return execute_point(pt, ctx, self._experiments)
 
             ladder.append(("model", model_rung))

@@ -9,7 +9,7 @@ Public surface:
   — FIFO contention primitives.
 """
 
-from .engine import SimEvent, SimulationError, Simulator, any_of
+from .engine import SimEvent, SimulationError, Simulator
 from .process import Process, ProcessFailure
 from .resources import Resource, Store
 
@@ -17,7 +17,6 @@ __all__ = [
     "SimEvent",
     "SimulationError",
     "Simulator",
-    "any_of",
     "Process",
     "ProcessFailure",
     "Resource",

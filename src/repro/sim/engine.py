@@ -18,7 +18,7 @@ from typing import Any, Callable, Optional
 
 from ..obs.tracer import TID_SIM
 
-__all__ = ["SimEvent", "Simulator", "SimulationError", "any_of"]
+__all__ = ["SimEvent", "Simulator", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
@@ -188,28 +188,3 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator now={self._now:.9f} pending={len(self._queue)}>"
-
-
-def any_of(sim: Simulator, events: "list[SimEvent]", name: str = "any_of") -> SimEvent:
-    """Event that triggers when the *first* of ``events`` triggers.
-
-    The combined event's value is ``(winner, value)`` — the source event
-    that fired first and the value it carried.  Later events still fire
-    normally but are ignored here, so losers of the race (e.g. a recv
-    timeout that was beaten by the message) are harmless no-ops.
-    """
-    if not events:
-        raise SimulationError("any_of needs at least one event")
-    combined = sim.event(name)
-
-    def _make(ev: SimEvent) -> Callable[[Any], None]:
-        def _cb(value: Any) -> None:
-            if not combined.triggered:
-                combined.succeed((ev, value))
-
-        return _cb
-
-    for ev in events:
-        ev.add_callback(_make(ev))
-    return combined
-

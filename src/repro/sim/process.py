@@ -43,37 +43,16 @@ class Process:
         self._gen = gen
         self.done: SimEvent = sim.event(f"{name}.done")
         self.error: Optional[BaseException] = None
-        self.killed = False
         # Kick off on the next dispatch at the current time so that
         # process creation order, not generator body order, decides ties.
         sim.schedule(0.0, lambda: self._resume(None))
 
     @property
     def finished(self) -> bool:
-        """True once the generator returned (or the process was killed)."""
+        """True once the generator returned."""
         return self.done.triggered
 
-    def kill(self, value: Any = None) -> bool:
-        """Terminate the process now (models a hard core failure).
-
-        The generator is closed, ``done`` triggers with ``value`` so
-        waiters are released, and any event the process was blocked on
-        becomes a no-op when it later fires.  Returns False if the
-        process had already finished.
-        """
-        if self.done.triggered:
-            return False
-        self.killed = True
-        self._gen.close()
-        tr = self.sim.tracer
-        if tr is not None and tr.enabled:
-            tr.instant("proc.kill", tid=TID_SCHED, cat="sched", process=self.name)
-        self.done.succeed(value)
-        return True
-
     def _resume(self, value: Any) -> None:
-        if self.killed:
-            return  # a pending event fired after the core died
         if self.done.triggered:
             raise SimulationError(f"process {self.name!r} resumed after completion")
         tr = self.sim.tracer

@@ -154,43 +154,6 @@ class TestStaticRules:
         assert findings[0].severity is Severity.ERROR
 
 
-class TestUnboundedRecvWithFaults:
-    """RCCE130: unbounded recv only matters once faults are in play."""
-
-    def test_fires_on_fixture_as_warning(self):
-        findings = lint_file(fixture("lint_bad_rcce130.py"))
-        hits = [f for f in findings if f.rule == "RCCE130"]
-        assert len(hits) == 2, findings  # one comm.recv + one rcomm.recv
-        for f in hits:
-            assert f.severity is Severity.WARNING
-            assert "timeout" in f.hint or "ReliableComm" in f.hint
-            assert f.line > 0
-
-    def test_bounded_recv_does_not_fire(self):
-        findings = lint_file(fixture("lint_bad_rcce130.py"))
-        flagged_lines = {f.line for f in findings if f.rule == "RCCE130"}
-        src = open(fixture("lint_bad_rcce130.py")).read().splitlines()
-        for line in flagged_lines:
-            assert "timeout" not in src[line - 1]
-
-    def test_silent_without_fault_stack_import(self):
-        src = (
-            "def program(comm):\n"
-            "    data = yield from comm.recv(1, 0)\n"
-            "    return data\n"
-        )
-        assert "RCCE130" not in rules_fired(lint_source(src))
-
-    def test_plain_import_of_faults_also_arms_the_rule(self):
-        src = (
-            "import repro.faults\n"
-            "def program(comm):\n"
-            "    data = yield from comm.recv(1, 0)\n"
-            "    return data\n"
-        )
-        assert "RCCE130" in rules_fired(lint_source(src))
-
-
 class TestDriversAndFormats:
     def test_shipped_programs_are_clean(self):
         repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

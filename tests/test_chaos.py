@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.campaign import Campaign
 from repro.core.supervise import fork_context
-from repro.faults.chaos import build_chaos_schedule, chaos_main
+from repro.chaos import build_chaos_schedule, chaos_main
 
 pytestmark = pytest.mark.skipif(
     fork_context() is None, reason="requires the fork start method"

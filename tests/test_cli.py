@@ -7,10 +7,10 @@ import json
 
 import pytest
 
+from repro.chaos import _grid_args
 from repro.cli import ARTIFACTS, COMMANDS, build_parser, main
 from repro.cliutil import int_list, str_list
 from repro.core.campaign import Campaign
-from repro.faults.chaos import _grid_args
 
 FAST = ["--scale", "0.04", "--ids", "24,30", "--iterations", "2"]
 
@@ -209,6 +209,63 @@ class TestValidateExact:
         code, text = run_cli("run", "table1", *FAST)
         assert code == 0
         assert "Table I" in text
+
+
+class TestRepair:
+    """``repro run --repair``: quarantine a campaign file's corrupt lines."""
+
+    @staticmethod
+    def _damaged(tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        path.write_text(
+            '{"status": "ok", "matrix": "a"}\n'
+            "not json at all\n"
+            '["a", "list"]\n'
+            '{"status": "ok", "matrix": "b"}\n'
+        )
+        return path
+
+    def test_text_reports_kept_and_quarantined(self, tmp_path):
+        path = self._damaged(tmp_path)
+        code, out = run_cli("run", "--repair", str(path))
+        assert code == 0
+        assert out.strip() == (
+            f"{path}: kept 2 record(s), quarantined 2 corrupt line(s) "
+            f"to {tmp_path / 'sweep.quarantine.jsonl'}"
+        )
+        assert len(Campaign("sweep", tmp_path).load()) == 2
+
+    def test_clean_file_text_names_no_quarantine(self, tmp_path):
+        path = tmp_path / "clean.jsonl"
+        path.write_text('{"status": "ok"}\n')
+        code, out = run_cli("run", "--repair", str(path))
+        assert code == 0
+        assert out.strip() == f"{path}: kept 1 record(s), quarantined 0 corrupt line(s)"
+
+    def test_json_output(self, tmp_path):
+        path = self._damaged(tmp_path)
+        code, out = run_cli("run", "--repair", str(path), "--json")
+        assert code == 0
+        assert json.loads(out) == {"file": str(path), "kept": 2, "quarantined": 2}
+
+    def test_missing_file_exits(self, tmp_path):
+        missing = tmp_path / "nope.jsonl"
+        with pytest.raises(SystemExit, match="no such campaign file"):
+            run_cli("run", "--repair", str(missing))
+
+    def test_non_jsonl_path_exits(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text("{}\n")
+        with pytest.raises(SystemExit, match="expects a .jsonl file"):
+            run_cli("run", "--repair", str(path))
+
+    def test_json_without_repair_exits(self):
+        with pytest.raises(SystemExit, match="only to --repair"):
+            run_cli("run", "table1", "--json", *FAST)
+
+    def test_faults_command_is_gone(self, capsys):
+        assert main(["faults", "--repair", "x.jsonl"]) == 2
+        assert "unknown command 'faults'" in capsys.readouterr().err
 
 
 class TestTrace:

@@ -12,7 +12,6 @@ from repro.core.campaign import (
     CampaignPoint,
 )
 from repro.core.experiment import SpMVExperiment
-from repro.faults.plan import get_plan
 from repro.sparse import banded
 
 SCALE = 0.04
@@ -154,26 +153,3 @@ class TestRobustPersistence:
     def test_point_budget_validation(self, tmp_path):
         with pytest.raises(ValueError):
             Campaign("bad", tmp_path, point_budget=0.0)
-
-
-class TestFaultTolerantCampaign:
-    def test_ft_sweep_records_fault_counters(self, tmp_path):
-        c = Campaign("ft", tmp_path, scale=SCALE, iterations=2,
-                     fault_plan=get_plan("lossy"), point_budget=60.0)
-        ran, _ = c.run(Campaign.grid([30], [2, 4]))
-        assert ran == 2
-        for rec in c.load():
-            assert rec["status"] == "ok"
-            assert rec["plan"] == "lossy"
-            assert rec["plan_seed"] == get_plan("lossy").seed
-            assert rec["verified"] is True
-            assert rec["fault_counters"]["checkpoints"] == 2
-            assert rec["failed_ues"] == []
-        assert c.status_counts() == {"ok": 2}
-
-    def test_ft_summarize_uses_ok_records(self, tmp_path):
-        c = Campaign("ft2", tmp_path, scale=SCALE, iterations=2,
-                     fault_plan=get_plan("lossy"))
-        c.run(Campaign.grid([30], [4]))
-        summary = c.summarize(group_by="n_cores")
-        assert summary[4] > 0

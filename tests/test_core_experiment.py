@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import SpMVExperiment, single_core_at_distance
+from repro.rcce.errors import RCCEBudgetExceededError
 from repro.scc import CONF0, CONF1
 from repro.sparse import banded, random_uniform
 
@@ -51,6 +52,15 @@ class TestRunBasics:
         r = exp.run(n_cores=8, iterations=2)
         assert r.mflops == pytest.approx(r.gflops * 1000)
         assert r.mflops_per_watt == pytest.approx(r.mflops / r.power_watts)
+
+
+class TestBudget:
+    def test_plain_run_accepts_budget(self):
+        exp = SpMVExperiment(banded(400, 6.0, 8, seed=3), name="band")
+        with pytest.raises(RCCEBudgetExceededError):
+            exp.run(n_cores=4, iterations=4, time_budget=1e-9)
+        r = exp.run(n_cores=4, iterations=2, time_budget=60.0)
+        assert r.makespan < 60.0
 
 
 class TestPaperShapes:

@@ -6,9 +6,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.campaign import Campaign
-from repro.core.experiment import ResultBase, SpMVExperiment
+from repro.core.experiment import ExperimentResult, SpMVExperiment
 from repro.core.metrics import parallel_efficiency
-from repro.faults.plan import FaultPlan
 from repro.obs import TID_SCHED, TID_SIM, Tracer
 from repro.scc.cache import CacheHierarchy
 from repro.sparse.suite import build_matrix, entry_by_id
@@ -61,18 +60,6 @@ class TestExperimentWiring:
         without = experiment.run(n_cores=4, iterations=2)
         assert without.makespan == with_tracer.makespan
 
-    def test_fault_events_recorded(self, experiment):
-        tracer = Tracer()
-        plan = FaultPlan(seed=7, drop_rate=0.2)
-        result = experiment.run_fault_tolerant(
-            n_cores=4, plan=plan, iterations=2, time_budget=60.0, tracer=tracer
-        )
-        assert result.verified
-        names = {e.name for e in tracer.events if e.cat == "fault"}
-        assert any(n.startswith("fault.") for n in names)
-        flat = tracer.metrics.flat_summary()
-        assert any(k.startswith("faults.injected") for k in flat)
-
 
 class TestCacheWiring:
     def test_publish_metrics(self):
@@ -92,7 +79,7 @@ class TestCacheWiring:
 class TestResultAPI:
     def test_to_record_shape(self, traced):
         _, result = traced
-        assert isinstance(result, ResultBase)
+        assert isinstance(result, ExperimentResult)
         rec = result.to_record()
         # record shape: key order and content preserved
         assert list(rec)[:4] == ["status", "matrix", "n", "nnz"]
@@ -100,13 +87,6 @@ class TestResultAPI:
         assert rec["kernel"] == "csr"
         assert rec["mflops"] == pytest.approx(result.mflops)
         assert "mflops_per_watt" in rec
-
-    def test_fault_tolerant_to_record(self, experiment):
-        r = experiment.run_fault_tolerant(n_cores=2, plan=None, iterations=2)
-        rec = r.to_record()
-        assert rec["kernel"] == "csr"  # filled even without a kernel field
-        assert rec["verified"] is True
-        assert "fault_counters" in rec
 
 
 class TestCampaignMetrics:

@@ -204,12 +204,6 @@ class TestCampaignParallel:
         with pytest.raises(ValueError, match="workers"):
             c.run(Campaign.grid(**GRID), workers=0)
 
-    def test_model_mode_rejects_fault_plan(self, tmp_path):
-        from repro.faults.plan import EXAMPLE_PLANS
-
-        with pytest.raises(ValueError, match="fault_plan requires mode='sim'"):
-            _campaign(tmp_path, "bad", fault_plan=EXAMPLE_PLANS["lossy"])
-
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="mode"):
             _campaign(tmp_path, "bad", mode="magic")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.rcce import RCCERuntime
+from repro.rcce.errors import RCCEBudgetExceededError, RCCEDeadlockError
 from repro.scc import CONF0, CONF1
 
 
@@ -130,6 +131,27 @@ class TestPointToPoint:
         with pytest.raises(RuntimeError, match="deadlock"):
             rt.run(fn)
 
+    def test_deadlock_report_names_the_wait(self):
+        def fn(comm):
+            if comm.ue == 0:
+                yield from comm.recv(1, 0)
+            return None
+
+        with pytest.raises(RCCEDeadlockError) as err:
+            RCCERuntime([0, 1]).run(fn)
+        assert err.value.wait_for == {0: ("recv", 1, 0)}
+        assert "UE 0: waits in recv(source=1, tag=0)" in str(err.value)
+
+    def test_budget_exceeded_lists_running_ues(self):
+        def fn(comm):
+            yield from comm.compute(1.0)
+
+        with pytest.raises(RCCEBudgetExceededError) as err:
+            RCCERuntime([0, 1]).run(fn, until=1e-3)
+        assert err.value.budget == 1e-3
+        assert set(err.value.running_ues) == {0, 1}
+        assert err.value.sim_time == pytest.approx(1e-3)
+
 
 class TestTiming:
     def test_compute_advances_clock(self):
@@ -215,12 +237,11 @@ class TestCommMetaDrift:
         assert not (P2P_METHODS & LOCAL_METHODS)
 
     def test_tag_defaults_match_api(self):
-        # send/send_async default to tag=0; recv defaults to wildcard
+        # send defaults to tag=0; recv defaults to wildcard
         import inspect
 
         from repro.rcce.api import RCCEComm
 
         assert inspect.signature(RCCEComm.send).parameters["tag"].default == 0
-        assert inspect.signature(RCCEComm.send_async).parameters["tag"].default == 0
         assert inspect.signature(RCCEComm.recv).parameters["tag"].default is None
         assert inspect.signature(RCCEComm.recv).parameters["source"].default is None

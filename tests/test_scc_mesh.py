@@ -116,15 +116,6 @@ class TestCoreMessageTimeTable:
         assert set(mesh._core_headers) == {(3, 40), (40, 3)}
         assert MeshNetwork(mesh_mhz=533)._core_headers is mesh._core_headers
 
-    def test_degraded_mesh_bypasses_table(self):
-        mesh = MeshNetwork(mesh_mhz=800)
-        healthy = mesh.core_message_time(0, 47, 4096)
-        mesh.set_link_degradation((0, 0), (1, 0), 3.0)
-        degraded = mesh.core_message_time(0, 47, 4096)
-        assert degraded == mesh.message_time((0, 0), (5, 3), 4096) > healthy
-        # Other meshes at the same clock keep the healthy time.
-        assert MeshNetwork(mesh_mhz=800).core_message_time(0, 47, 4096) == healthy
-
     def test_invalid_core_and_size_still_rejected(self):
         mesh = MeshNetwork()
         with pytest.raises(ValueError, match="core 48 out of range"):

@@ -14,7 +14,7 @@ import os
 import pytest
 
 from repro.core.supervise import CHAOS_ENV, SupervisePolicy, fork_context
-from repro.faults.chaos import chaos_main
+from repro.chaos import chaos_main
 from repro.serve import CampaignServer, CampaignSpec, ServeClient
 from repro.serve.protocol import point_store_key
 
