@@ -28,6 +28,7 @@ from typing import Any, Callable, Generator, Optional
 import numpy as np
 
 from ..sim import SimEvent
+from . import collectives
 from .mpb import Envelope, chunked_transfer_time
 
 __all__ = ["payload_bytes", "RCCEComm"]
@@ -93,12 +94,9 @@ class RCCEComm:
 
     # -- time modelling ---------------------------------------------------------
 
-    def _tracer(self) -> Any:
-        return self._rt.tracer
-
     def _traced(self, gen: CommGen, name: str, **args: Any) -> CommGen:
         """Wrap a communication generator in a begin/end span pair."""
-        tr = self._tracer()
+        tr = self._rt.tracer
         if not tr:
             return gen
 
@@ -116,7 +114,7 @@ class RCCEComm:
         """Model ``seconds`` of local computation (yield from it)."""
         if seconds < 0:
             raise ValueError(f"seconds must be >= 0, got {seconds}")
-        tr = self._tracer()
+        tr = self._rt.tracer
         if tr:
             with tr.span("compute", tid=self.ue, cat="rcce", seconds=seconds):
                 yield self._rt.sim.timeout(seconds)
@@ -155,33 +153,36 @@ class RCCEComm:
 
     def send(self, data: Any, dest: int, tag: int = 0) -> CommGen:
         """Blocking (rendezvous) send through the MPB."""
-        if not 0 <= dest < self.num_ues:
-            raise ValueError(f"dest {dest} out of range [0, {self.num_ues})")
-        if dest == self.ue:
+        rt = self._rt
+        ue = self.ue
+        if not 0 <= dest < rt.n_ues:
+            raise ValueError(f"dest {dest} out of range [0, {rt.n_ues})")
+        if dest == ue:
             raise ValueError("send to self would deadlock (rendezvous semantics)")
         nbytes = payload_bytes(data)
-        tr = self._tracer()
+        tr = rt.tracer
         if tr:
-            tr.begin("send", tid=self.ue, cat="rcce", dest=dest, tag=tag, bytes=nbytes)
+            tr.begin("send", tid=ue, cat="rcce", dest=dest, tag=tag, bytes=nbytes)
             self._record_mesh_transfer(dest, nbytes)
         try:
-            t = chunked_transfer_time(self._rt.mesh, self.core, self._rt.core_map[dest], nbytes)
-            yield self._rt.sim.timeout(t)
-            ack = self._rt.sim.event(f"ack:{self.ue}->{dest}")
-            self._rt.mailboxes[dest].deliver(Envelope(self.ue, tag, data, ack))
+            sim = rt.sim
+            core_map = rt.core_map
+            yield sim.timeout(chunked_transfer_time(rt.mesh, core_map[ue], core_map[dest], nbytes))
+            ack = SimEvent(sim, ("ack:{}->{}", ue, dest))
+            rt.mailboxes[dest].deliver(Envelope(ue, tag, data, ack))
             # Record the rendezvous block so the deadlock detector can name
             # this sender's (peer, tag) in its wait-for graph.
-            self._rt.blocked_sends[self.ue] = (dest, tag)
+            rt.blocked_sends[ue] = (dest, tag)
             yield ack
-            self._rt.blocked_sends.pop(self.ue, None)
+            rt.blocked_sends.pop(ue, None)
         finally:
             if tr:
-                tr.end("send", tid=self.ue, cat="rcce")
+                tr.end("send", tid=ue, cat="rcce")
 
     def recv(self, source: Optional[int] = None, tag: Optional[int] = None) -> CommGen:
         """Blocking matched receive; returns the payload."""
-        mailbox = self._rt.mailboxes[self.ue]
-        tr = self._tracer()
+        rt = self._rt
+        tr = rt.tracer
         if tr:
             tr.begin(
                 "recv",
@@ -191,7 +192,7 @@ class RCCEComm:
                 tag=-1 if tag is None else tag,
             )
         try:
-            env: Envelope = yield mailbox.receive(source, tag)
+            env: Envelope = yield rt.mailboxes[self.ue].receive(source, tag)
             env.ack.succeed()
             return env.payload
         finally:
@@ -211,35 +212,25 @@ class RCCEComm:
 
     def barrier(self) -> CommGen:
         """RCCE_barrier: synchronize all UEs (yield from it)."""
-        from .collectives import barrier
-
-        return self._traced(barrier(self), "barrier")
+        return self._traced(collectives.barrier(self), "barrier")
 
     def bcast(self, data: Any, root: int = 0) -> CommGen:
         """RCCE_bcast: broadcast ``data`` from ``root`` to every UE."""
-        from .collectives import bcast
-
-        return self._traced(bcast(self, data, root), "bcast", root=root)
+        return self._traced(collectives.bcast(self, data, root), "bcast", root=root)
 
     def reduce(
         self, value: Any, op: Optional[Callable[[Any, Any], Any]] = None, root: int = 0
     ) -> CommGen:
         """RCCE_reduce: fold values onto ``root`` (None elsewhere)."""
-        from .collectives import reduce as _reduce
-
-        return self._traced(_reduce(self, value, op, root), "reduce", root=root)
+        return self._traced(collectives.reduce(self, value, op, root), "reduce", root=root)
 
     def allreduce(self, value: Any, op: Optional[Callable[[Any, Any], Any]] = None) -> CommGen:
         """Reduce then broadcast: every UE gets the folded value."""
-        from .collectives import allreduce
-
-        return self._traced(allreduce(self, value, op), "allreduce")
+        return self._traced(collectives.allreduce(self, value, op), "allreduce")
 
     def gather(self, value: Any, root: int = 0) -> CommGen:
         """Collect one value per UE into a rank-ordered list on ``root``."""
-        from .collectives import gather
-
-        return self._traced(gather(self, value, root), "gather", root=root)
+        return self._traced(collectives.gather(self, value, root), "gather", root=root)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RCCEComm ue={self.ue}/{self.num_ues} core={self.core}>"

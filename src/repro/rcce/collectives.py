@@ -2,8 +2,8 @@
 
 All collectives use binomial trees on UE ranks (the algorithms RCCE
 ships): ``reduce`` folds up the tree, ``bcast`` fans down, ``barrier``
-is a zero-payload reduce+bcast, ``allreduce`` is reduce+bcast of the
-result, ``gather`` folds lists up the tree.
+is a zero-token reduce+bcast run as one flat generator, ``allreduce``
+is reduce+bcast of the result, ``gather`` folds lists up the tree.
 
 Tree communication means collective cost grows with log2(n_ues) mesh
 transfers, so mappings that spread UEs across the chip pay more — a
@@ -14,7 +14,10 @@ model for free.
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+
+if TYPE_CHECKING:
+    from .api import RCCEComm
 
 __all__ = [
     "RESERVED_TAG_BASE",
@@ -61,16 +64,16 @@ def _absolute_rank(rel: int, root: int, n: int) -> int:
     return (rel + root) % n
 
 
-def _enter(comm, kind: str, payload: Any) -> None:
+def _enter(comm: RCCEComm, kind: str, payload: Any) -> None:
     """Notify the runtime checker (if any) that a collective started."""
     comm._enter_collective(kind, payload)
 
 
-def _exit(comm) -> None:
+def _exit(comm: RCCEComm) -> None:
     comm._exit_collective()
 
 
-def reduce(comm, value: Any, op: Optional[Callable[[Any, Any], Any]] = None, root: int = 0) -> CommGen:
+def reduce(comm: RCCEComm, value: Any, op: Optional[Callable[[Any, Any], Any]] = None, root: int = 0) -> CommGen:
     """Binomial-tree reduction; the result lands on ``root`` (None elsewhere)."""
     if not 0 <= root < comm.num_ues:
         raise ValueError(f"root {root} out of range [0, {comm.num_ues})")
@@ -97,7 +100,7 @@ def reduce(comm, value: Any, op: Optional[Callable[[Any, Any], Any]] = None, roo
         _exit(comm)
 
 
-def bcast(comm, value: Any, root: int = 0) -> CommGen:
+def bcast(comm: RCCEComm, value: Any, root: int = 0) -> CommGen:
     """Binomial-tree broadcast; every UE returns the root's value.
 
     Standard MPI algorithm: a non-root rank receives from the rank that
@@ -129,18 +132,37 @@ def bcast(comm, value: Any, root: int = 0) -> CommGen:
         _exit(comm)
 
 
-def barrier(comm) -> CommGen:
-    """All UEs synchronize; returns when every UE has entered."""
+def barrier(comm: RCCEComm) -> CommGen:
+    """All UEs synchronize; returns when every UE has entered.
+
+    ``reduce`` of a zero token to UE 0 then ``bcast``, as one generator:
+    the same messages, partners, tags and order, and one checker entry.
+    """
+    n, ue = comm.num_ues, comm.ue
     _enter(comm, "barrier", None)
     try:
-        token = yield from reduce(comm, 0, operator.add, root=0)
-        yield from bcast(comm, token, root=0)
+        # Up the tree until the lowest set bit, where the parent also
+        # sends the broadcast back; then down to the children below it.
+        mask = 1
+        while mask < n:
+            if ue & mask:
+                yield from comm.send(0, ue - mask, tag=_TAG_REDUCE)
+                yield from comm.recv(ue - mask, tag=_TAG_BCAST)
+                break
+            if ue + mask < n:
+                yield from comm.recv(ue + mask, tag=_TAG_REDUCE)
+            mask <<= 1
+        mask >>= 1
+        while mask > 0:
+            if ue + mask < n:
+                yield from comm.send(0, ue + mask, tag=_TAG_BCAST)
+            mask >>= 1
         return None
     finally:
         _exit(comm)
 
 
-def allreduce(comm, value: Any, op: Optional[Callable[[Any, Any], Any]] = None) -> CommGen:
+def allreduce(comm: RCCEComm, value: Any, op: Optional[Callable[[Any, Any], Any]] = None) -> CommGen:
     """Reduce to UE 0, then broadcast the result to everyone."""
     _enter(comm, "allreduce", value)
     try:
@@ -151,7 +173,7 @@ def allreduce(comm, value: Any, op: Optional[Callable[[Any, Any], Any]] = None) 
         _exit(comm)
 
 
-def gather(comm, value: Any, root: int = 0) -> CommGen:
+def gather(comm: RCCEComm, value: Any, root: int = 0) -> CommGen:
     """Gather one value per UE into a rank-ordered list on ``root``.
 
     Implemented as a binomial-tree fold of (rank, value) pairs; non-root

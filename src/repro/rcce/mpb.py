@@ -19,6 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, List, Optional, Tuple
 
+from ..scc.mesh import MeshNetwork
 from ..sim import SimEvent, Simulator
 from .errors import RCCEError
 
@@ -28,7 +29,7 @@ __all__ = ["MPB_BYTES_PER_CORE", "chunked_transfer_time", "Envelope", "Mailbox"]
 MPB_BYTES_PER_CORE = 8 * 1024
 
 
-def chunked_transfer_time(mesh, src_core: int, dst_core: int, nbytes: int) -> float:
+def chunked_transfer_time(mesh: MeshNetwork, src_core: int, dst_core: int, nbytes: int) -> float:
     """Seconds to move ``nbytes`` through the MPB in 8 KB chunks.
 
     Chunks are strictly sequential: the single per-core buffer must be
@@ -40,13 +41,13 @@ def chunked_transfer_time(mesh, src_core: int, dst_core: int, nbytes: int) -> fl
     if nbytes == 0:
         return mesh.core_message_time(src_core, dst_core, 0)
     full, rem = divmod(nbytes, MPB_BYTES_PER_CORE)
-    t = full * mesh.core_message_time(src_core, dst_core, MPB_BYTES_PER_CORE)
+    t = full * mesh.core_message_time(src_core, dst_core, MPB_BYTES_PER_CORE) if full else 0.0
     if rem:
         t += mesh.core_message_time(src_core, dst_core, rem)
     return t
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """One in-flight message."""
 
@@ -90,11 +91,8 @@ class Mailbox:
         self._pending: Deque[Envelope] = deque()
         self._waiting: Deque[Tuple[Optional[int], Optional[int], SimEvent]] = deque()
 
-    @staticmethod
-    def _matches(env: Envelope, source: Optional[int], tag: Optional[int]) -> bool:
-        return (source is None or env.source == source) and (tag is None or env.tag == tag)
-
     def _validate(self, source: Optional[int], tag: Optional[int], op: str) -> None:
+        """Raise for a bad (source, tag); called only when a guard says one may be."""
         if tag is not None and tag < 0:
             raise RCCEError(
                 f"mailbox[{self.owner}].{op}: negative tag {tag} is invalid "
@@ -109,40 +107,42 @@ class Mailbox:
 
     def deliver(self, env: Envelope) -> None:
         """Enqueue an envelope or hand it to a waiting matching receiver."""
-        self._validate(env.source, env.tag, "deliver")
+        source, tag, peers = env.source, env.tag, self.n_peers
+        if tag < 0 or (peers is not None and not 0 <= source < peers):
+            self._validate(source, tag, "deliver")
         tr = self.tracer
         if tr:
             tr.metrics.counter("mpb.delivered", ue=self.owner).inc()
-        for i, (src, tag, ev) in enumerate(self._waiting):
-            if self._matches(env, src, tag):
+        for i, (src, want, ev) in enumerate(self._waiting):
+            if (src is None or src == source) and (want is None or want == tag):
                 del self._waiting[i]
                 ev.succeed(env)
                 return
         if self.checker is not None:
             for queued in self._pending:
-                if queued.source == env.source and queued.tag == env.tag:
-                    self.checker.on_mailbox_race(
-                        self.owner, env.source, env.tag, self.sim.now
-                    )
+                if queued.source == source and queued.tag == tag:
+                    self.checker.on_mailbox_race(self.owner, source, tag, self.sim.now)
                     break
         self._pending.append(env)
-        self._occupancy_changed()
-
-    def _occupancy_changed(self) -> None:
-        tr = self.tracer
         if tr:
-            depth = len(self._pending)
-            tr.counter("mpb.pending", depth, tid=self.owner)
-            tr.metrics.gauge("mpb.pending", ue=self.owner).set(depth)
+            self._occupancy_changed(tr)
+
+    def _occupancy_changed(self, tr: Any) -> None:
+        depth = len(self._pending)
+        tr.counter("mpb.pending", depth, tid=self.owner)
+        tr.metrics.gauge("mpb.pending", ue=self.owner).set(depth)
 
     def receive(self, source: Optional[int] = None, tag: Optional[int] = None) -> SimEvent:
         """Event that triggers with the next (source, tag)-matching envelope."""
-        self._validate(source, tag, "receive")
-        ev = self.sim.event(f"mailbox[{self.owner}].recv")
+        peers = self.n_peers
+        if source is None or tag is None or tag < 0 or peers is None or not 0 <= source < peers:
+            self._validate(source, tag, "receive")
+        ev = SimEvent(self.sim, ("mailbox[{}].recv", self.owner))
         for i, env in enumerate(self._pending):
-            if self._matches(env, source, tag):
+            if (source is None or env.source == source) and (tag is None or env.tag == tag):
                 del self._pending[i]
-                self._occupancy_changed()
+                if self.tracer:
+                    self._occupancy_changed(self.tracer)
                 ev.succeed(env)
                 return ev
         self._waiting.append((source, tag, ev))

@@ -12,8 +12,8 @@ produce bit-identical schedules.  No wall-clock time is ever consulted.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from ..obs.tracer import TID_SIM
@@ -32,17 +32,27 @@ class SimEvent:
     Callbacks attached after triggering fire immediately (at the current
     simulated time) — this mirrors SimPy semantics and avoids races
     between processes that wait on an event that already happened.
+
+    ``name`` is a string or a ``(format, *args)`` tuple; per-message
+    events use the tuple, so their name is formatted only when a trace
+    or an error message reads it.
     """
 
-    __slots__ = ("sim", "_callbacks", "_triggered", "_value", "name", "_pending_value")
+    __slots__ = ("sim", "_callbacks", "_triggered", "_value", "_name", "_pending_value")
 
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
+    def __init__(self, sim: "Simulator", name: str | tuple[Any, ...] = "") -> None:
         self.sim = sim
-        self.name = name
+        self._name = name
         self._callbacks: list[Callable[[Any], None]] = []
         self._triggered = False
         self._value: Any = None
         self._pending_value: Any = None  # value a scheduled timeout will deliver
+
+    @property
+    def name(self) -> str:
+        """The event's name, as traces and error messages show it."""
+        name = self._name
+        return name if isinstance(name, str) else name[0].format(*name[1:])
 
     @property
     def triggered(self) -> bool:
@@ -70,8 +80,9 @@ class SimEvent:
             raise SimulationError(f"event {self.name!r} already triggered")
         self._triggered = True
         self._value = value
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
+        # Callbacks attached from now on go through the queue (add_callback),
+        # so the list does not grow while it is walked.
+        for fn in self._callbacks:
             fn(value)
         return self
 
@@ -131,7 +142,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        heapq.heappush(self._queue, (self._now + delay, next(self._seq), fn))
+        heappush(self._queue, (self._now + delay, next(self._seq), fn))
 
     def timeout(self, delay: float, value: Any = None) -> SimEvent:
         """Return an event that triggers ``delay`` seconds from now."""
@@ -139,11 +150,11 @@ class Simulator:
             raise SimulationError(f"negative delay {delay!r}")
         ev = SimEvent(self, "timeout")
         ev._pending_value = value
-        heapq.heappush(self._queue, (self._now + delay, next(self._seq), ev))
+        heappush(self._queue, (self._now + delay, next(self._seq), ev))
         return ev
 
     def _step(self) -> None:
-        time, seq, item = heapq.heappop(self._queue)
+        time, seq, item = heappop(self._queue)
         if time < self._now:  # pragma: no cover - defensive
             raise SimulationError("time went backwards")
         self._now = time
@@ -168,11 +179,13 @@ class Simulator:
         guard; hitting it raises :class:`SimulationError`.
         """
         dispatched = 0
-        while self._queue:
-            if until is not None and self._queue[0][0] > until:
+        queue = self._queue
+        step = self._step
+        while queue:
+            if until is not None and queue[0][0] > until:
                 self._now = until
                 break
-            self._step()
+            step()
             dispatched += 1
             if dispatched > max_events:
                 raise SimulationError(f"exceeded {max_events} events; runaway simulation?")

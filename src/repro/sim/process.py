@@ -53,7 +53,7 @@ class Process:
         return self.done.triggered
 
     def _resume(self, value: Any) -> None:
-        if self.done.triggered:
+        if self.done._triggered:
             raise SimulationError(f"process {self.name!r} resumed after completion")
         tr = self.sim.tracer
         if tr is not None and tr.enabled:
@@ -74,7 +74,10 @@ class Process:
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must yield SimEvent"
             )
-        target.add_callback(self._resume)
+        if target._triggered:  # resume via the queue, at the current time
+            target.add_callback(self._resume)
+        else:
+            target._callbacks.append(self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "finished" if self.finished else "running"

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.apps import CGResult, make_spd, parallel_cg
+from repro.apps import make_spd, parallel_cg
 from repro.scc import CONF0, CONF1
 from repro.sparse import CSRMatrix, banded, random_uniform, stencil_2d
 

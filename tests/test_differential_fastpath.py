@@ -12,21 +12,21 @@ same way: which mapping wins (Fig. 5), how the chip configs order
 behind Table I) with cores x mappings x configs; suite-level rankings
 run on real Table I stand-ins.
 
-The final test pins the reason the fast path exists: a full-suite
-``sweep_cores`` must be at least 20x faster in ``mode="model"`` than in
-``mode="sim"``.
+The final test pins the reason the fast path exists: a warm full-suite
+``sweep_cores`` in ``mode="model"`` must stay within a fixed per-point
+budget, counted in runs of a reference kernel timed alongside it.
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.experiment import SpMVExperiment
 from repro.core.figures import (
     FIG5_CORE_COUNTS,
-    FIG9_CORE_COUNTS,
     fig5_data,
     fig9_data,
     suite_experiments,
@@ -222,17 +222,42 @@ class TestSuiteFigureAgreement:
                 assert model_avg[name] == pytest.approx(sim_avg[name], rel=REL_TOL)
 
 
-class TestSpeedup:
-    def test_model_sweep_at_least_20x_faster(self):
-        """The acceptance bar: full-suite sweep_cores, model vs sim.
+#: the model sweep's budget per point, in runs of ``_reference_kernel_s``.
+#: The warm full-suite sweep below reads 0.060-0.081 on a 2-CPU Xeon
+#: container (the kernel takes ~1 ms there, a model point ~65 us), so
+#: the bound leaves about the ~1.35x headroom the old "model >= 20x sim"
+#: bar was set with against its 27x reading.
+MODEL_POINT_BUDGET = 0.10
 
-        Both paths share the stream characterization (traces), so it is
-        warmed first; the model's schedule/solver caches are likewise
-        warmed with one sweep — in a figure campaign both are one-time
-        setup amortized over every figure.  The sim side is measured
-        once (noise only inflates it); the model side takes the best of
-        three to keep a loaded CI machine from failing a real 27x
-        margin.
+_KERNEL_KEYS = np.random.default_rng(0).integers(0, 1 << 20, 10_000)
+
+
+def _reference_kernel_s() -> float:
+    """Best of five runs of a fixed numpy + dict kernel that runs no repro
+    code: the host's speed, measured next to the sweep it scales."""
+    best = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter()
+        np.argsort(_KERNEL_KEYS, kind="stable")
+        counts: dict = {}
+        for i in range(1500):
+            counts[i & 1023] = counts.get(i & 1023, 0) + i
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+class TestSpeedup:
+    def test_model_sweep_within_per_point_budget(self):
+        """The reason the fast path exists: a warm full-suite model sweep
+        stays within a fixed per-point budget.
+
+        The budget is counted in runs of a reference kernel timed right
+        before and after each sweep, so a slow or loaded host scales both
+        sides alike.  The stream characterization and the model's
+        schedule/solver caches are warmed first — in a figure campaign
+        they are one-time setup.  The best of three sweeps is kept.  The
+        yardstick used to be the ``sim`` sweep's wall clock, which every
+        speed-up of the sim tier eroded.
         """
         exps = [exp for _mid, exp in suite_experiments(scale=0.01)]
         counts = FIG5_CORE_COUNTS
@@ -242,20 +267,19 @@ class TestSpeedup:
                 exp.batched_traces(n)
         for exp in exps:
             exp.sweep_cores(counts, iterations=ITERATIONS, mode="model")  # warm
+        points = len(exps) * len(counts)
 
-        t0 = time.perf_counter()
-        for exp in exps:
-            exp.sweep_cores(counts, iterations=ITERATIONS, mode="sim")
-        sim_s = time.perf_counter() - t0
-
-        model_s = float("inf")
+        per_point = float("inf")
         for _ in range(3):
+            before = _reference_kernel_s()
             t0 = time.perf_counter()
             for exp in exps:
                 exp.sweep_cores(counts, iterations=ITERATIONS, mode="model")
-            model_s = min(model_s, time.perf_counter() - t0)
+            sweep_s = time.perf_counter() - t0
+            kernel_s = 0.5 * (before + _reference_kernel_s())
+            per_point = min(per_point, sweep_s / points / kernel_s)
 
-        assert sim_s / model_s >= 20.0, (
-            f"model sweep only {sim_s / model_s:.1f}x faster "
-            f"(sim {sim_s:.3f}s, model {model_s:.4f}s)"
+        assert per_point <= MODEL_POINT_BUDGET, (
+            f"model sweep takes {per_point:.3f} kernel runs per point "
+            f"(budget {MODEL_POINT_BUDGET}; {points} points)"
         )

@@ -8,7 +8,6 @@ of the testbed; the benchmarks regenerate the full figures.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core import (
     SpMVExperiment,

@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.core.campaign import Campaign, CampaignPoint
+from repro.core.campaign import Campaign
 from repro.core.supervise import (
     CHAOS_ENV,
     CRASH_ENV,

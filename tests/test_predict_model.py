@@ -30,7 +30,6 @@ from repro.predict import (
     labelled_rows,
     load_predictor,
     model_store_key,
-    save_predictor,
     train_predictor,
 )
 from repro.sparse.suite import build_matrix, entry_by_id

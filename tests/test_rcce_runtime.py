@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.rcce import RCCERuntime
+from repro.rcce import Envelope, Mailbox, RCCEError, RCCERuntime
 from repro.rcce.errors import RCCEBudgetExceededError, RCCEDeadlockError
 from repro.scc import CONF0, CONF1
+from repro.sim import ProcessFailure, SimulationError, Simulator
 
 
 class TestConstruction:
@@ -151,6 +152,63 @@ class TestPointToPoint:
         assert err.value.budget == 1e-3
         assert set(err.value.running_ues) == {0, 1}
         assert err.value.sim_time == pytest.approx(1e-3)
+
+
+class TestErrorText:
+    """Per-message events are named only when read; errors still name the
+    parties."""
+
+    def test_double_ack_names_sender_and_dest(self):
+        rt = RCCERuntime([0, 1, 2], checks=False)
+
+        def fn(comm):
+            if comm.ue == 2:
+                yield from comm.send("x", 1, tag=3)
+            elif comm.ue == 1:
+                env = yield rt.mailboxes[1].receive(2, 3)
+                env.ack.succeed()
+                env.ack.succeed()
+
+        with pytest.raises(ProcessFailure) as err:
+            rt.run(fn)
+        # UE 1 ran inside UE 2's delivery, so its failure arrives wrapped.
+        cause = err.value.cause
+        while isinstance(cause, ProcessFailure):
+            cause = cause.cause
+        assert isinstance(cause, SimulationError)
+        assert "'ack:2->1' already triggered" in str(cause)
+
+    def test_receive_event_names_its_mailbox(self):
+        box = Mailbox(Simulator(), owner=2, n_peers=4)
+        assert box.receive(1, 0).name == "mailbox[2].recv"
+
+    @pytest.mark.parametrize(
+        "op, source, tag, text",
+        [
+            ("receive", 9, 0, "mailbox[2].receive: peer rank 9 does not exist (job has UEs 0..3)"),
+            ("receive", 1, -3, "mailbox[2].receive: negative tag -3 is invalid"),
+            ("deliver", 4, 0, "mailbox[2].deliver: peer rank 4 does not exist"),
+            ("deliver", 1, -1, "mailbox[2].deliver: negative tag -1 is invalid"),
+        ],
+    )
+    def test_bad_peer_or_tag_names_the_mailbox(self, op, source, tag, text):
+        sim = Simulator()
+        box = Mailbox(sim, owner=2, n_peers=4)
+        with pytest.raises(RCCEError) as err:
+            if op == "receive":
+                box.receive(source, tag)
+            else:
+                box.deliver(Envelope(source, tag, None, sim.event()))
+        assert text in str(err.value)
+
+    def test_negative_tag_send_names_the_receiver(self):
+        def fn(comm):
+            if comm.ue == 0:
+                yield from comm.send(1.0, 1, tag=-2)
+
+        with pytest.raises(ProcessFailure) as err:
+            RCCERuntime([0, 1], checks=False).run(fn)
+        assert "mailbox[1].deliver: negative tag -2" in str(err.value.cause)
 
 
 class TestTiming:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.scc import MemorySystem, SCCTopology, memory_read_latency
+from repro.scc import MemorySystem, memory_read_latency
 from repro.scc.params import (
     LAT_CORE_CYCLES,
     LAT_MEM_CYCLES,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.scc import CORES_PER_TILE, GRID_X, GRID_Y, N_CORES, N_TILES, SCCTopology
+from repro.scc import CORES_PER_TILE, GRID_X, GRID_Y, N_CORES, N_TILES
 
 
 class TestGeometry:

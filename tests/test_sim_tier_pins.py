@@ -12,16 +12,19 @@ of ``mode="sim"`` must equal the scalar per-element solver's over the
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 import pytest
 
+from repro.analysis import RuntimeChecker
 from repro.apps.cg import _cg_ue, make_spd
 from repro.core.experiment import DEFAULT_ITERATIONS, SpMVExperiment, _ue_body
 from repro.core.mapping import distance_reduction_mapping
 from repro.core.timing import solve_core_times
 from repro.core.trace import access_summary
 from repro.machine.registry import get_machine
+from repro.rcce import RCCEDeadlockError, collectives
 from repro.rcce.runtime import RCCERuntime
 from repro.sparse import partition_rows_balanced
 from repro.sparse.suite import build_matrix
@@ -172,3 +175,104 @@ class TestSimTierSolver:
         assert got.per_core == _scalar_times(
             exp, len(cores), cores, config, "csr", DEFAULT_ITERATIONS
         )
+
+
+# -- the flat barrier ----------------------------------------------------------
+
+
+def _reference_barrier(comm):
+    """The barrier as the nested collectives it flattens."""
+    token = yield from collectives.reduce(comm, 0, operator.add, root=0)
+    yield from collectives.bcast(comm, token, root=0)
+
+
+def _barrier_loop(comm, barrier):
+    """Skewed compute between three barriers, as the SpMV loop does."""
+    for step in range(3):
+        yield from comm.compute(1e-6 * (1 + (comm.ue * 5 + step) % 7))
+        yield from barrier(comm)
+    return comm.wtime()
+
+
+def _barrier_schedule(n_ues: int, barrier) -> tuple:
+    rt = RCCERuntime(distance_reduction_mapping(n_ues), record_trace=True, checks=False)
+    results = rt.run(_barrier_loop, barrier)
+    return rt.sim.trace, [(r.value, r.finish_time) for r in results]
+
+
+def _mixed_program(comm):
+    """allreduce, a payload gather, user-tag send/recv and barriers."""
+    n, ue = comm.num_ues, comm.ue
+    yield from comm.compute(1e-6 * (1 + ue % 3))
+    yield from comm.allreduce(float(ue))
+    yield from comm.barrier()
+    yield from comm.gather(np.arange(4.0 * (ue + 1)), root=n - 1)
+    if ue % 2 == 0 and ue + 1 < n:
+        yield from comm.send(np.full(3, ue), ue + 1, tag=5)
+        yield from comm.recv(ue + 1, tag=6)
+    elif ue % 2 == 1:
+        yield from comm.recv(ue - 1, tag=5)
+        yield from comm.send((ue, [1.0, 2.0]), ue - 1, tag=6)
+    yield from comm.barrier()
+
+
+def _mixed_schedule(n_ues: int) -> list:
+    rt = RCCERuntime(distance_reduction_mapping(n_ues), record_trace=True, checks=False)
+    rt.run(_mixed_program)
+    return rt.sim.trace
+
+
+#: (event count, sha256 of ``repr(trace)``) of ``_mixed_program``,
+#: captured with ``barrier`` still the nested reduce + bcast.
+MIXED_DIGESTS = {
+    7: (110, "8bd335337206809761fe46878df209c6381ca11e9b1064f9307771f2c3d26fa9"),
+    48: (850, "8606a3f0283964a8bb34a5842c55765df842bc6f14774466b90cebc39d431e13"),
+}
+
+
+class TestFlatBarrierPins:
+    """``collectives.barrier`` is one generator; its messages did not move."""
+
+    @pytest.mark.parametrize("n_ues", range(1, 49))
+    def test_schedule_equals_reduce_then_bcast(self, n_ues):
+        flat = _barrier_schedule(n_ues, lambda comm: comm.barrier())
+        assert flat == _barrier_schedule(n_ues, _reference_barrier)
+
+    @pytest.mark.parametrize("n_ues", sorted(MIXED_DIGESTS))
+    def test_mixed_program_digest(self, n_ues):
+        assert _digest(_mixed_schedule(n_ues)) == MIXED_DIGESTS[n_ues]
+
+    def test_checker_sees_one_entry_per_barrier(self):
+        rt = RCCERuntime(list(range(6)), checker=RuntimeChecker())
+        rt.run(_barrier_loop, lambda comm: comm.barrier())
+        assert rt.checker.findings == []
+        for ue in range(6):
+            assert [e.kind for e in rt.checker.collective_log[ue]] == ["barrier"] * 3
+
+    def test_barrier_against_bcast_is_a_kind_mismatch(self):
+        def fn(comm):
+            if comm.ue == 0:
+                yield from comm.barrier()
+            else:
+                yield from comm.bcast(1.0)
+
+        rt = RCCERuntime(list(range(4)), checker=RuntimeChecker())
+        with pytest.raises(RCCEDeadlockError):
+            rt.run(fn)
+        mismatch = [f for f in rt.checker.findings if f.rule == "RT804"]
+        assert len(mismatch) == 3
+        assert all("'bcast'" in f.message and "'barrier'" in f.message for f in mismatch)
+
+    def test_size_mismatch_after_a_barrier(self):
+        """A barrier takes one collective position, so the allreduce after it
+        is compared at position 1."""
+
+        def fn(comm):
+            yield from comm.barrier()
+            total = yield from comm.allreduce([1.0] * (2 + (comm.ue == 1)))
+            return total
+
+        rt = RCCERuntime(list(range(3)), checker=RuntimeChecker())
+        rt.run(fn)
+        (finding,) = [f for f in rt.checker.findings if f.rule == "RT805"]
+        assert "position 1" in finding.message

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.sparse import banded, random_uniform, with_dense_rows
-from repro.sparse.ell import ELLMatrix, PAD, ell_efficiency
+from repro.sparse.ell import ELLMatrix, ell_efficiency
 
 
 @pytest.fixture(scope="module")

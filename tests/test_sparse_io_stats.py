@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from repro.sparse import (
-    CSRMatrix,
-    banded,
     profile_matrix,
     read_matrix_market,
     working_set_bytes,
