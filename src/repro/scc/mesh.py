@@ -71,6 +71,7 @@ class MeshNetwork:
             raise ValueError(f"mesh_mhz must be positive, got {mesh_mhz}")
         self.topology = topology or SCCTopology()
         self.mesh_mhz = mesh_mhz
+        self._link_bandwidth = LINK_BYTES_PER_CYCLE * mesh_mhz * 1e6
         self._link_loads: Counter[Link] = Counter()
         #: optional :class:`repro.obs.Tracer`: transfers additionally
         #: feed per-link byte/flit counters in its metrics registry.
@@ -86,8 +87,8 @@ class MeshNetwork:
 
     @property
     def link_bandwidth(self) -> float:
-        """Bytes/second over one mesh link."""
-        return LINK_BYTES_PER_CYCLE * self.mesh_mhz * 1e6
+        """Bytes/second over one mesh link (fixed at construction)."""
+        return self._link_bandwidth
 
     # -- routing / loads ---------------------------------------------------
 
@@ -157,7 +158,7 @@ class MeshNetwork:
         """``header`` plus the payload's serialization."""
         if size_bytes < 0:
             raise ValueError(f"size_bytes must be >= 0, got {size_bytes}")
-        return header + size_bytes / self.link_bandwidth
+        return header + size_bytes / self._link_bandwidth
 
     def _core_coords(self, src_core: int, dst_core: int) -> Tuple[Coord, Coord]:
         """Mesh coordinates of two cores' tiles."""

@@ -305,11 +305,11 @@ def _replay_vectorized(
     tail_before = h.tail_accesses
 
     if single_chunk:
-        addrs, writes = spmv_address_trace(a, row_start, row_stop, no_x_miss, layout)
-        lines = addrs // h.line_bytes
+        lines, writes = spmv_address_trace(a, row_start, row_stop, no_x_miss, layout)
+        lines //= h.line_bytes  # in place: the byte addresses are not read again
         # The L1 schedule depends only on the stream: compile once,
         # replay every iteration.
-        l1_sched = compile_schedule(lines, writes, h.l1.n_sets)
+        l1_sched = compile_schedule(lines, writes, h.l1.n_sets, h.l1.assoc)
 
         def run_pass() -> Dict[str, int]:
             return h.access_lines(lines, writes, l1_schedule=l1_sched)
@@ -321,7 +321,8 @@ def _replay_vectorized(
             for addrs, writes in spmv_address_trace_chunks(
                 a, row_start, row_stop, no_x_miss, layout, max_accesses=chunk_accesses
             ):
-                chunk = h.access_trace(addrs, writes)
+                addrs //= h.line_bytes  # in place, as above
+                chunk = h.access_lines(addrs, writes)
                 for key in counts:
                     counts[key] += chunk[key]
             return counts

@@ -26,11 +26,17 @@ fast:
    a tree-PLRU touch of a different way is not idempotent, so deeper
    reuse must be simulated.)
 
-3. **Pseudo-LRU lookup tables.**  The tree state of a ``w``-way set
-   fits in ``w - 1`` bits; ``touch`` and ``victim`` become table
-   lookups (built once per associativity from the scalar
-   :class:`~repro.scc.cache._PLRUTree`, so the two engines cannot
-   drift).
+3. **One table lookup per step.**  A ``w``-way set's whole state —
+   its ``w - 1`` tree bits, its dirty mask and its fill (the valid
+   ways, always a prefix) — packs into one integer, and an access is
+   one lookup at ``state + match code + write`` in a transition table
+   built once per associativity from the scalar
+   :class:`~repro.scc.cache._PLRUTree` (so the two engines cannot
+   drift).  A step gathers its sets' tag rows, turns each row's match
+   bytes into the code with one multiply-shift, and looks up the next
+   state and the way the line lands in; the looked-up indices give
+   the hits, misses, evictions, writebacks and the miss mask once per
+   schedule.  The scalar tail walks the same table.
 
 The replay driver in :mod:`repro.scc.tracegen` adds a fourth, at the
 iteration level: repeated passes over an identical trace reach a
@@ -48,15 +54,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
-
-#: The 4-way match rows of the full-cache body can be read through a
-#: ``uint32`` view (4 comparison bytes = 1 word) only when the byte
-#: order puts way 0 in the low byte; big-endian falls back to the
-#: reduction path.
-_LITTLE_ENDIAN = sys.byteorder == "little"
 
 from .cache import CacheStats, _PLRUTree
 from .params import CACHE_ASSOC, CACHE_LINE_BYTES, L1D_BYTES, L2_BYTES
@@ -75,6 +75,10 @@ __all__ = [
 #: holding a dense row's x gathers — go thousands of steps deeper than
 #: the median), and those trailing steps touch only a few sets each.
 TAIL_WIDTH = 24
+
+#: A row of match bytes read as one word puts way 0 in the low byte
+#: here, in the high byte on a big-endian host.
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 # -- pseudo-LRU lookup tables -------------------------------------------------
@@ -159,6 +163,78 @@ def _plru_tables(ways: int) -> _PLRUTables:
     return tables
 
 
+#: Widest set the step table serves: 8 ways is ~1.2 M entries, 16
+#: would be ~1.5 * 10**11.
+MAX_ASSOC = 8
+
+
+class _StepTable(NamedTuple):
+    """One cache step of one associativity, indexed by ``state + code + write``.
+
+    A set's state packs its fill ``f`` (the valid ways, always a
+    prefix: replay fills the first invalid way and only ``flush``
+    invalidates), its dirty mask ``d < 2**f`` and its tree bits ``b``
+    into one integer: ``m = 2**f | d`` (the marker bit above the dirty
+    bits fixes ``f``), state ``((m << ways - 1) | b >> 1) * cols`` with
+    ``cols = 2 * (ways + 1)``.  An access whose match code is ``c`` (0
+    for a miss, ``1 + way`` for a hit) with write flag ``wr`` reads
+    entry ``state + 2 * c + wr``.
+    """
+
+    next: np.ndarray   #: post-access state
+    way: np.ndarray    #: way the line ends up in
+    miss: np.ndarray   #: the access missed
+    evict: np.ndarray  #: ... and evicted a valid line
+    wb: np.ndarray     #: ... which was dirty
+    cols: int          #: entries per state
+
+
+_STEP_TABLES: Dict[int, _StepTable] = {}
+
+
+def _step_table(ways: int) -> _StepTable:
+    """The cache-step transition table of ``ways``-way sets.
+
+    Built from :func:`_plru_tables`, so it follows the scalar
+    :meth:`Cache.access_line` rule by construction: the hit way, else
+    the first invalid way, else the pseudo-LRU victim, which evicts
+    (writing back if dirty); the line is dirty if written or if it hit
+    a dirty line.  Rows no access can reach (``m = 0``, a hit on an
+    invalid way) hold in-range values.
+    """
+    table = _STEP_TABLES.get(ways)
+    if table is None:
+        lut = _plru_tables(ways)
+        half, cols = 1 << (ways - 1), 2 * (ways + 1)
+        # Axes: state (m, tree), code, write; int32 keeps 8 ways small.
+        st = np.arange((2 << ways) * half, dtype=np.int32)[:, None, None]
+        m = np.maximum(st >> (ways - 1), 1)
+        b = (st & (half - 1)) << 1
+        code = np.arange(ways + 1, dtype=np.int32)[:, None]
+        wr = np.arange(2, dtype=np.int32)
+        fill = np.frexp(m)[1].astype(np.int32) - 1
+        d = m - (1 << fill)
+        hit = code > 0
+        way = np.where(hit, code - 1, np.where(fill < ways, fill, lut.victim[b]))
+        evict = ~hit & (fill == ways)
+        bit = 1 << way
+        wb = evict & (d & bit != 0)
+        d = np.where(wr == 1, d | bit, np.where(hit, d, d & ~bit))
+        m = (1 << (fill + (~hit & ~evict))) | d
+        nxt = ((m << (ways - 1)) | (lut.touch[b, way] >> 1)) * cols
+        shape = nxt.shape
+        dtype = np.min_scalar_type(nxt.size - 1)
+        table = _STEP_TABLES[ways] = _StepTable(
+            nxt.astype(dtype).ravel(),
+            np.broadcast_to(way, shape).astype(np.uint8).ravel(),
+            np.broadcast_to(~hit, shape).ravel(),
+            np.broadcast_to(evict, shape).ravel(),
+            np.broadcast_to(wb, shape).ravel(),
+            cols,
+        )
+    return table
+
+
 # -- trace schedules ----------------------------------------------------------
 
 
@@ -167,19 +243,22 @@ class TraceSchedule:
     """A line-id stream compiled for set-parallel replay of one cache.
 
     Scheduled accesses are stored step-major: step ``k`` owns the slice
-    ``bounds[k]:bounds[k+1]`` of the ``sets``/``lines``/``writes``/
-    ``orig`` arrays and touches each set at most once.  A schedule
-    depends only on (lines, writes, n_sets) — never on cache state — so
-    it can be compiled once and replayed many times (e.g. across SpMV
-    iterations).
+    ``bounds[k]:bounds[k+1]`` of the ``sets``/``slots``/``line_rows``/
+    ``writes``/``orig`` arrays and touches each set at most once.  A
+    schedule depends only on (lines, writes, n_sets, assoc) — never on
+    cache state — so it can be compiled once and replayed many times
+    (e.g. across SpMV iterations).
     """
 
     n_accesses: int        #: raw accesses, pre-collapse
     n_kept: int            #: accesses actually stepped
     n_steps: int           #: Python-level iterations needed
+    assoc: int             #: ways of the cache it was compiled for
     sets: np.ndarray       #: (n_kept,) set index per scheduled access
-    lines: np.ndarray      #: (n_kept,) line id per scheduled access
-    writes: np.ndarray     #: (n_kept,) run-ORed write flags
+    slots: np.ndarray      #: (n_kept,) ``sets * assoc``, the set's first tag
+    line_rows: np.ndarray  #: (n_kept, assoc) the line id, once per way
+    lines: np.ndarray      #: (n_kept,) line id per scheduled access (a column view)
+    writes: np.ndarray     #: (n_kept,) run-ORed write flags, uint8 0/1
     orig: np.ndarray       #: (n_kept,) original (program-order) position
     bounds: np.ndarray     #: (n_steps + 1,) step slice boundaries
     collapsed: int         #: adjacent duplicates folded away (all hits)
@@ -198,6 +277,7 @@ def compile_schedule(
     lines: np.ndarray,
     writes: Optional[np.ndarray],
     n_sets: int,
+    assoc: int = CACHE_ASSOC,
 ) -> TraceSchedule:
     """Compile a program-order line stream into a set-parallel schedule."""
     lines = np.ascontiguousarray(lines, dtype=np.int64)
@@ -205,8 +285,8 @@ def compile_schedule(
     empty64 = np.empty(0, dtype=np.int64)
     if n == 0:
         return TraceSchedule(
-            0, 0, 0, empty64, empty64, np.empty(0, dtype=bool), empty64,
-            np.zeros(1, dtype=np.int64), 0,
+            0, 0, 0, assoc, empty64, empty64, np.empty((0, assoc), dtype=np.int64),
+            empty64, np.empty(0, dtype=np.uint8), empty64, np.zeros(1, dtype=np.int64), 0,
         )
     set_idx = lines % n_sets
     order = np.argsort(_narrow(set_idx, n_sets), kind="stable")
@@ -228,6 +308,7 @@ def compile_schedule(
     orig_k = order[run_starts]
     lines_k = lines_s[run_starts]
     sets_k = set_idx[orig_k]
+    del set_idx, order, lines_s, keep  # the rest is n_kept-sized
 
     # Depth of each kept access within its set group = step number.
     # Step-major order is built as a ragged transpose, not a second
@@ -254,13 +335,20 @@ def compile_schedule(
     order2 -= bounds[d_of_p]                 # rank within the step
     order2 = ranked_starts[order2]
     order2 += d_of_p
+    sets = sets_k[order2]
+    # Each line repeated once per way, so the tag compare needs no
+    # broadcast (a broadcast row compare costs ~3x).
+    line_rows = np.repeat(lines_k[order2][:, None], assoc, axis=1)
     return TraceSchedule(
         n_accesses=n,
         n_kept=nk,
         n_steps=n_steps,
-        sets=sets_k[order2],
-        lines=lines_k[order2],
-        writes=w_kept[order2],
+        assoc=assoc,
+        sets=sets,
+        slots=sets * assoc,
+        line_rows=line_rows,
+        lines=line_rows[:, 0],
+        writes=w_kept[order2].view(np.uint8),
         orig=orig_k[order2],
         bounds=bounds,
         collapsed=n - nk,
@@ -291,6 +379,8 @@ class VectorCache:
             )
         if assoc & (assoc - 1):
             raise ValueError(f"pseudo-LRU requires power-of-two ways, got {assoc}")
+        if assoc > MAX_ASSOC:
+            raise ValueError(f"vectorized replay supports up to {MAX_ASSOC} ways, got {assoc}")
         self.size_bytes = size_bytes
         self.assoc = assoc
         self.line_bytes = line_bytes
@@ -299,13 +389,7 @@ class VectorCache:
         self._tags = np.full((self.n_sets, assoc), -1, dtype=np.int64)
         self._dirty = np.zeros((self.n_sets, assoc), dtype=bool)
         self._plru = np.zeros(self.n_sets, dtype=np.int64)
-        # Once every way holds a valid line the invalid-way search is
-        # dead code forever (replay never invalidates, only flush()
-        # does): the step loop switches to a leaner body.  Derived
-        # state — recomputed on entry, reset by flush().
-        self._full = False
         self._luts = _plru_tables(assoc)
-        self._touch_lut, self._victim_lut = self._luts.touch, self._luts.victim
         self.stats = CacheStats()
         #: steps narrower than this fall back to the scalar tail path
         #: (0 forces pure-vector, a huge value forces pure-scalar —
@@ -321,6 +405,24 @@ class VectorCache:
         """Total line capacity (sets * ways)."""
         return self.n_sets * self.assoc
 
+    def _pack(self, table: _StepTable) -> np.ndarray:
+        """Per-set step-table states of the stored (tags, dirty, plru)."""
+        valid = self._tags != -1
+        fill = valid.sum(axis=1)
+        ways = np.arange(self.assoc)
+        if (valid != (ways < fill[:, None])).any():
+            raise ValueError(f"{self.name}: a set's invalid ways must follow its valid ones")
+        m = (1 << fill) | ((self._dirty & valid) << ways).sum(axis=1)
+        return ((m << (self.assoc - 1)) | (self._plru >> 1)) * table.cols
+
+    def _unpack(self, state: np.ndarray, table: _StepTable) -> None:
+        """Store per-set step-table states back as (dirty, plru)."""
+        st = state // table.cols
+        m = st >> (self.assoc - 1)
+        self._plru[:] = (st & ((1 << (self.assoc - 1)) - 1)) << 1
+        # Bit f of m is the fill marker, over the first invalid way.
+        self._dirty[:] = ((m[:, None] >> np.arange(self.assoc)) & 1 == 1) & (self._tags != -1)
+
     def replay_schedule(self, sched: TraceSchedule) -> np.ndarray:
         """Advance the cache through a compiled schedule.
 
@@ -328,184 +430,99 @@ class VectorCache:
         (pre-collapse) accesses; collapsed duplicates are hits by
         construction.  Stats accrue exactly as the scalar engine's
         would.
+
+        A step is one :func:`_step_table` lookup per set, at ``state +
+        2 * code + write``; the looked-up indices give the counts and
+        the miss mask once per schedule.
         """
-        miss_mask = np.zeros(sched.n_accesses, dtype=bool)
-        tags, dirty, plru = self._tags, self._dirty, self._plru
-        touch_lut, victim_lut = self._touch_lut, self._victim_lut
-        all_sets, all_lines = sched.sets, sched.lines
-        all_writes, all_orig = sched.writes, sched.orig
-        bounds = sched.bounds
-        bl = bounds.tolist()  # Python ints: no np-scalar slicing overhead
+        ways = self.assoc
+        if sched.assoc != ways:
+            raise ValueError(f"schedule compiled for {sched.assoc} ways, cache has {ways}")
+        table = _step_table(ways)
+        state = self._pack(table)
+        nxt, way_of = table.next, table.way
+        tags, tags_flat = self._tags, self._tags.reshape(-1)
+        all_sets, all_slots, all_rows = sched.sets, sched.slots, sched.line_rows
+        all_lines, all_writes = sched.lines, sched.writes
+        # A row has at most one match byte.  Multiplier byte i meets
+        # way j's in the top byte when i + (j's position) == ways - 1,
+        # and puts 2 * (1 + j) there; the shifted word is read as
+        # signed, so adding the int64 state stays integral.
+        word, signed = np.dtype(f"u{ways}"), np.dtype(f"i{ways}")
+        codes = range(2 * ways, 0, -2) if _LITTLE_ENDIAN else range(2, 2 * ways + 1, 2)
+        mul = word.type(sum(c << 8 * i for i, c in enumerate(codes)))
+        shift = 8 * (ways - 1)
+        visited = np.empty(sched.n_kept, dtype=nxt.dtype)
+        bl = sched.bounds.tolist()  # Python ints: no np-scalar slicing overhead
         # Step widths are non-increasing (a set active at depth d was
         # active at every depth < d), so the scalar tail is a suffix:
         # cut over at the first step narrower than tail_width.
-        widths = np.diff(bounds)
+        widths = np.diff(sched.bounds)
         n_vec_steps = int(np.searchsorted(-widths, -(self.tail_width - 1)))
-        hits = misses = evictions = writebacks = 0
-        if not self._full and not (tags == -1).any():
-            self._full = True
-        k = 0
-        while k < n_vec_steps and not self._full:
+        for k in range(n_vec_steps):
             lo, hi = bl[k], bl[k + 1]
             s = all_sets[lo:hi]
-            line = all_lines[lo:hi]
-            w = all_writes[lo:hi]
-            tags_s = tags[s]                        # (m, ways)
-            eq = tags_s == line[:, None]
-            hit = eq.any(axis=1)
-            inv = tags_s == -1
-            has_inv = inv.any(axis=1)
-            b = plru[s]
-            # Way resolution, as in Cache.access_line: the hit way, else
-            # the first invalid way, else the pseudo-LRU victim.
-            way = np.where(
-                hit, eq.argmax(axis=1),
-                np.where(has_inv, inv.argmax(axis=1), victim_lut[b]),
-            )
-            old_dirty = dirty[s, way]
-            evict = ~(hit | has_inv)
-            n_hit = int(np.count_nonzero(hit))
-            hits += n_hit
-            misses += (hi - lo) - n_hit
-            evictions += int(np.count_nonzero(evict))
-            writebacks += int(np.count_nonzero(evict & old_dirty))
-            tags[s, way] = line
-            dirty[s, way] = np.where(hit, old_dirty | w, w)
-            plru[s] = touch_lut[b, way]
-            miss_mask[all_orig[lo:hi]] = ~hit
-            k += 1
-            # The cache fills within the first pass; promote to the
-            # lean full-cache body as soon as the last invalid way is
-            # claimed (checked coarsely — the check is a global scan).
-            if not (k & 127) and not (tags == -1).any():
-                self._full = True
-        assoc = self.assoc
-        tags_flat = tags.reshape(-1)
-        dirty_flat = dirty.reshape(-1)
-        # With 4 ways, a row of match bytes is one uint32: at most one
-        # byte is set (a line lives in at most one way), so ``!= 0``
-        # replaces the any-reduction and a multiply-shift maps the set
-        # byte's position to its way index, replacing argmax.
-        use_view = assoc == 4 and _LITTLE_ENDIAN
-        way_mul = np.uint32(0x00010203)
-        while k < n_vec_steps:
-            # Full-cache body: no invalid ways can exist, so the way is
-            # the hit way or the pseudo-LRU victim, and every miss
-            # evicts.  Same update rules, ~2/3 of the array dispatches;
-            # (set, way) pairs are flattened once and the flat index
-            # shared by the dirty gather and both scatters.
-            lo, hi = bl[k], bl[k + 1]
-            s = all_sets[lo:hi]
-            line = all_lines[lo:hi]
-            w = all_writes[lo:hi]
-            tags_s = tags[s]                        # (m, ways)
-            eq = tags_s == line[:, None]
-            b = plru[s]
-            way = victim_lut[b]
-            if use_view:
-                equ = eq.view(np.uint32).ravel()
-                hit = equ != 0
-                np.copyto(way, (equ * way_mul) >> 24, where=hit)
-            else:
-                hit = eq.any(axis=1)
-                np.copyto(way, eq.argmax(axis=1), where=hit)
-            flat = s * assoc
-            flat += way
-            old_dirty = dirty_flat[flat]
-            nh = np.logical_not(hit)
-            n_miss = int(np.count_nonzero(nh))
-            hits += (hi - lo) - n_miss
-            misses += n_miss
-            evictions += n_miss
-            writebacks += int(np.count_nonzero(nh & old_dirty))
-            tags_flat[flat] = line
-            dirty_flat[flat] = (hit & old_dirty) | w
-            plru[s] = touch_lut[b, way]
-            miss_mask[all_orig[lo:hi]] = nh
-            k += 1
-        lo_tail = int(bounds[n_vec_steps])
+            eq = tags.take(s, axis=0) == all_rows[lo:hi]  # (m, ways) match bytes
+            code = eq.view(word).ravel() * mul
+            code >>= shift
+            idx = code.view(signed) + state.take(s)
+            idx += all_writes[lo:hi]
+            state[s] = nxt[idx]
+            tags_flat[all_slots[lo:hi] + way_of[idx]] = all_lines[lo:hi]
+            visited[lo:hi] = idx
+        lo_tail = bl[n_vec_steps]
         if lo_tail < sched.n_kept:
-            t_hits, t_misses, t_ev, t_wb = self._replay_tail(sched, lo_tail, miss_mask)
-            hits += t_hits
-            misses += t_misses
-            evictions += t_ev
-            writebacks += t_wb
-        self.stats.hits += hits + sched.collapsed
-        self.stats.misses += misses
-        self.stats.evictions += evictions
-        self.stats.writebacks += writebacks
+            self._replay_tail(sched, lo_tail, state, visited)
+        self._unpack(state, table)
+        miss = table.miss[visited]
+        miss_mask = np.zeros(sched.n_accesses, dtype=bool)
+        miss_mask[sched.orig] = miss
+        n_miss = int(np.count_nonzero(miss))
+        self.stats.hits += sched.n_kept - n_miss + sched.collapsed
+        self.stats.misses += n_miss
+        self.stats.evictions += int(np.count_nonzero(table.evict[visited]))
+        self.stats.writebacks += int(np.count_nonzero(table.wb[visited]))
         self.steps_run += n_vec_steps
         self.collapsed_hits += sched.collapsed
         return miss_mask
 
     def _replay_tail(
-        self, sched: TraceSchedule, lo: int, miss_mask: np.ndarray
-    ) -> Tuple[int, int, int, int]:
+        self, sched: TraceSchedule, lo: int, state: np.ndarray, visited: np.ndarray
+    ) -> None:
         """Replay the narrow-step suffix scalar-wise.
 
         The suffix touches only the few sets still active at depth
-        ``n_vec_steps``; their state is unpacked into Python lists, the
-        accesses are walked one by one (step-major order preserves each
-        set's program order, and distinct sets are independent), and the
-        result is packed back.  Bitwise-identical to the vector step by
-        construction — both read the same LUTs.
+        ``n_vec_steps``; their tag rows and states are unpacked into
+        Python lists, the accesses are walked one by one through the
+        same step table (step-major order preserves each set's program
+        order, and distinct sets are independent), and the result is
+        packed back into ``state`` and ``visited``.
         """
+        table = _step_table(self.assoc)
+        nxt, way_of = memoryview(table.next), memoryview(table.way)
+        tags = self._tags
         sets_t = sched.sets[lo:].tolist()
-        lines_t = sched.lines[lo:].tolist()
-        writes_t = sched.writes[lo:].tolist()
-        orig_t = sched.orig[lo:].tolist()
-        assoc = self.assoc
-        touch = self._touch_lut.tolist()
-        victim = self._victim_lut.tolist()
-        tags, dirty, plru = self._tags, self._dirty, self._plru
-        local = {
-            s: [tags[s].tolist(), dirty[s].tolist(), int(plru[s])]
-            for s in set(sets_t)
-        }
-        hits = misses = evictions = writebacks = 0
-        miss_at = []
-        for s, line, w, o in zip(sets_t, lines_t, writes_t, orig_t):
+        local = {s: [tags[s].tolist(), int(state[s])] for s in set(sets_t)}
+        out = []
+        for s, line, w in zip(sets_t, sched.lines[lo:].tolist(), sched.writes[lo:].tolist()):
             st = local[s]
-            t_row, d_row = st[0], st[1]
-            way = -1
-            for wy in range(assoc):
-                if t_row[wy] == line:
-                    way = wy
-                    break
-            if way >= 0:
-                hits += 1
-                if w:
-                    d_row[way] = True
-                st[2] = touch[st[2]][way]
-                continue
-            misses += 1
-            miss_at.append(o)
-            way = -1
-            for wy in range(assoc):
-                if t_row[wy] == -1:
-                    way = wy
-                    break
-            if way < 0:
-                way = victim[st[2]]
-                evictions += 1
-                if d_row[way]:
-                    writebacks += 1
-            t_row[way] = line
-            d_row[way] = bool(w)
-            st[2] = touch[st[2]][way]
-        for s, st in local.items():
-            tags[s] = st[0]
-            dirty[s] = st[1]
-            plru[s] = st[2]
-        if miss_at:
-            miss_mask[np.asarray(miss_at, dtype=np.int64)] = True
+            row = st[0]
+            i = st[1] + w
+            if line in row:
+                i += 2 + 2 * row.index(line)
+            st[1] = nxt[i]
+            row[way_of[i]] = line
+            out.append(i)
+        for s, (row, st) in local.items():
+            tags[s] = row
+            state[s] = st
+        visited[lo:] = out
         self.tail_accesses += len(sets_t)
-        return hits, misses, evictions, writebacks
 
     def access_lines(self, lines: np.ndarray, writes: Optional[np.ndarray] = None) -> int:
         """Replay a line-id stream; returns the miss count added."""
         before = self.stats.misses
-        self.replay_schedule(compile_schedule(lines, writes, self.n_sets))
+        self.replay_schedule(compile_schedule(lines, writes, self.n_sets, self.assoc))
         return self.stats.misses - before
 
     def access_trace(self, addrs: np.ndarray, writes: Optional[np.ndarray] = None) -> int:
@@ -532,7 +549,6 @@ class VectorCache:
         self._tags.fill(-1)
         self._dirty.fill(False)
         self._plru.fill(0)
-        self._full = False
         return dirty
 
     def state_fingerprint(self) -> Tuple[np.ndarray, ...]:
@@ -597,7 +613,6 @@ class VectorCache:
         for out, arr in ((self._tags, tags), (self._dirty, dirty)):
             np.put_along_axis(out, dst_ways, np.take_along_axis(arr, src_ways, axis=1), axis=1)
         self._plru[:] = image
-        self._full = False  # recomputed on the next replay
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -647,7 +662,7 @@ class VectorCacheHierarchy:
         lines = np.ascontiguousarray(lines, dtype=np.int64)
         n = lines.size
         if l1_schedule is None:
-            l1_schedule = compile_schedule(lines, writes, self.l1.n_sets)
+            l1_schedule = compile_schedule(lines, writes, self.l1.n_sets, self.l1.assoc)
         miss_mask = self.l1.replay_schedule(l1_schedule)
         n_l1_miss = int(np.count_nonzero(miss_mask))
         if self.l2 is None:
@@ -655,7 +670,7 @@ class VectorCacheHierarchy:
         miss_writes = None
         if writes is not None:
             miss_writes = np.asarray(writes, dtype=bool)[miss_mask]
-        sched2 = compile_schedule(lines[miss_mask], miss_writes, self.l2.n_sets)
+        sched2 = compile_schedule(lines[miss_mask], miss_writes, self.l2.n_sets, self.l2.assoc)
         n_mem = int(np.count_nonzero(self.l2.replay_schedule(sched2)))
         return {"l1": n - n_l1_miss, "l2": n_l1_miss - n_mem, "mem": n_mem}
 
@@ -721,7 +736,7 @@ class VectorCacheHierarchy:
         """Total accesses replayed through the scalar tail path."""
         return self.l1.tail_accesses + (self.l2.tail_accesses if self.l2 else 0)
 
-    def publish_metrics(self, tracer, core: int = 0) -> None:
+    def publish_metrics(self, tracer: Optional[Any], core: int = 0) -> None:
         """Export per-level hit/miss counters (same shape as the scalar's)."""
         if not tracer:
             return

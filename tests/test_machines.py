@@ -16,12 +16,15 @@ tests pin the three contracts that make the zoo trustworthy:
 
 from __future__ import annotations
 
-import importlib
 import json
-import warnings
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import Campaign, SpMVExperiment
 from repro.core.figures import machine_comparison_data, suite_experiments
 from repro.machine import (
@@ -320,8 +323,16 @@ def test_zoo_machines_survive_json_round_trip(tmp_path):
 
 
 def test_no_deprecation_warnings_from_plain_import():
-    """Importing the core package must not touch deprecated aliases."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        importlib.import_module("repro.core")
-        importlib.import_module("repro.machine")
+    """Importing the core package must not touch deprecated aliases.
+
+    The import runs in a fresh interpreter: this module has imported
+    both packages already, so importing them here would run no code.
+    """
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-c",
+         "import repro.core, repro.machine"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

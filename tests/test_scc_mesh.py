@@ -50,6 +50,23 @@ class TestMeshNetwork:
         assert fast.link_bandwidth == pytest.approx(2 * slow.link_bandwidth)
         assert slow.link_bandwidth == LINK_BYTES_PER_CYCLE * 800e6
 
+    @pytest.mark.parametrize("mhz", [533, 800, 1600])
+    def test_link_bandwidth_is_derived_once(self, mhz, monkeypatch):
+        mesh = MeshNetwork(mesh_mhz=mhz)
+        bandwidth = LINK_BYTES_PER_CYCLE * mhz * 1e6
+        assert mesh.link_bandwidth == bandwidth
+        header = mesh.message_time((0, 0), (3, 2), 0)
+        # Messages divide by the float fixed at construction and never
+        # read the property again.
+        monkeypatch.setattr(
+            MeshNetwork, "link_bandwidth", property(lambda self: pytest.fail("re-derived"))
+        )
+        for size in (1, 100, 8192):
+            assert mesh.message_time((0, 0), (3, 2), size) == header + size / bandwidth
+            assert mesh.core_message_time(0, 47, size) == (
+                mesh.core_message_time(0, 47, 0) + size / bandwidth
+            )
+
     def test_message_time_header_only(self):
         mesh = MeshNetwork(mesh_mhz=800)
         t = mesh.message_time((0, 0), (3, 0), 0)

@@ -5,8 +5,9 @@ here enforces the bitwise contract of :mod:`repro.scc.vecreplay`:
 identical hit/miss/eviction/writeback counts at every level *and*
 identical final state (tags, dirty bits, pseudo-LRU trees) for the same
 access stream.  The tail-width sweep pins all three execution paths —
-pure vector, mixed vector+tail, pure scalar tail — and multi-pass
-streams drive the engine through its full-cache fast body.
+pure vector, mixed vector+tail, pure scalar tail — at every supported
+associativity, and every row of the step table is checked against one
+scalar access.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ import pytest
 
 from repro.scc.cache import Cache, CacheHierarchy
 from repro.scc.vecreplay import (
+    MAX_ASSOC,
     TAIL_WIDTH,
     VectorCache,
     VectorCacheHierarchy,
     _plru_tables,
+    _step_table,
     compile_schedule,
     fingerprints_equal,
 )
@@ -27,6 +30,9 @@ from repro.scc.vecreplay import (
 #: tail-width settings covering pure-vector (0), mixed, default and
 #: pure-scalar-tail (huge) execution.
 TAIL_SWEEP = (0, 4, TAIL_WIDTH, 10**9)
+
+#: every associativity the vectorized engine accepts.
+ASSOCS = (1, 2, 4, 8)
 
 
 def _stream(rng, n, n_lines, write_frac=0.3):
@@ -46,9 +52,9 @@ def _scalar_fingerprint(c: Cache):
     return (c._tags.copy(), c._dirty.copy(), plru)
 
 
-def _run_both(addrs, writes, passes=1, size=1024, tail_width=TAIL_WIDTH):
-    scalar = Cache(size_bytes=size, name="s")
-    vec = VectorCache(size_bytes=size, name="v")
+def _run_both(addrs, writes, passes=1, size=1024, tail_width=TAIL_WIDTH, assoc=4):
+    scalar = Cache(size_bytes=size, assoc=assoc, name="s")
+    vec = VectorCache(size_bytes=size, assoc=assoc, name="v")
     vec.tail_width = tail_width
     for _ in range(passes):
         for a, w in zip(addrs.tolist(), writes.tolist()):
@@ -117,13 +123,34 @@ class TestSingleLevelDifferential:
             _scalar_fingerprint(scalar), vec.state_fingerprint()
         )
 
-    def test_multi_pass_exercises_full_cache_body(self):
-        # Pass 1 fills the cache; passes 2-3 run entirely through the
-        # lean full-cache body, which must stay bitwise identical.
+    def test_multi_pass_runs_fill_and_victim_transitions(self):
+        # Pass 1 fills the cache; passes 2-3 only hit or evict.  Both
+        # kinds of step-table row must stay bitwise identical.
         rng = np.random.default_rng(23)
         addrs, writes = _stream(rng, 1800, 90)
+        scalar, vec = _run_both(addrs, writes, passes=1, tail_width=0)
+        assert (vec._tags != -1).all()  # pass 1 filled every way
+        assert _scalar_stats(scalar) == _scalar_stats(vec)
         scalar, vec = _run_both(addrs, writes, passes=3, tail_width=0)
-        assert vec._full  # the fast body actually engaged
+        assert vec.stats.evictions > 0  # victims were taken
+        assert _scalar_stats(scalar) == _scalar_stats(vec)
+        assert fingerprints_equal(
+            _scalar_fingerprint(scalar), vec.state_fingerprint()
+        )
+
+    @pytest.mark.parametrize("tail_width", TAIL_SWEEP)
+    @pytest.mark.parametrize("ways", ASSOCS)
+    def test_multi_pass_random_stream_every_assoc(self, ways, tail_width):
+        # 16 sets, 3x as many lines as ways: fills, hits, clean and
+        # dirty evictions at every associativity, on every path.
+        rng = np.random.default_rng(60 + ways)
+        n_sets = 16
+        addrs, writes = _stream(rng, 1500, 3 * ways * n_sets)
+        scalar, vec = _run_both(
+            addrs, writes, passes=3, size=n_sets * ways * 32,
+            tail_width=tail_width, assoc=ways,
+        )
+        assert vec.stats.evictions > 0 and vec.stats.writebacks > 0
         assert _scalar_stats(scalar) == _scalar_stats(vec)
         assert fingerprints_equal(
             _scalar_fingerprint(scalar), vec.state_fingerprint()
@@ -189,6 +216,22 @@ class TestVectorCacheAPI:
             VectorCache(size_bytes=0)
         with pytest.raises(ValueError):
             VectorCache(size_bytes=1000, assoc=3, line_bytes=32)
+        with pytest.raises(ValueError, match="up to 8 ways"):
+            VectorCache(size_bytes=2 * MAX_ASSOC * 32, assoc=2 * MAX_ASSOC)
+
+    def test_schedule_for_other_ways_is_rejected(self):
+        vec = VectorCache(size_bytes=1024, assoc=2)
+        sched = compile_schedule(np.arange(4), None, vec.n_sets, assoc=4)
+        with pytest.raises(ValueError, match="4 ways"):
+            vec.replay_schedule(sched)
+
+    def test_invalid_way_before_a_valid_one_is_rejected(self):
+        # Replay fills the first invalid way and only flush()
+        # invalidates, so the valid ways of a set are always a prefix.
+        vec = VectorCache(size_bytes=1024)
+        vec._tags[0, 1] = vec.n_sets
+        with pytest.raises(ValueError, match="must follow"):
+            vec.access_trace(np.array([0]))
 
     def test_writes_shape_mismatch(self):
         vec = VectorCache(size_bytes=1024)
@@ -203,16 +246,20 @@ class TestVectorCacheAPI:
         assert vec.access_trace(np.empty(0, dtype=np.int64)) == 0
         assert _scalar_stats(vec) == (0, 0, 0, 0)
 
-    def test_flush_writes_back_and_resets_full_flag(self):
+    def test_flush_writes_back_and_empties_the_cache(self):
         vec = VectorCache(size_bytes=128)  # 1 set, 4 ways
         vec.access_trace(np.arange(4) * 32 * vec.n_sets,
                          np.array([True, True, False, False]))
-        for _ in range(2):  # promote to the full-cache body
+        for _ in range(2):  # hits on a full set
             vec.access_trace(np.arange(4) * 32 * vec.n_sets)
-        assert vec._full
+        assert (vec._tags != -1).all()
         assert vec.flush() == 2  # two dirty lines written back
-        assert not vec._full
+        assert (vec._tags == -1).all() and not vec._dirty.any()
         assert not vec.contains_line(0)
+        # The emptied set fills again from way 0.
+        vec.access_trace(np.array([32 * 5]), np.array([True]))
+        assert vec._tags[0].tolist() == [5, -1, -1, -1]
+        assert vec._dirty[0].tolist() == [True, False, False, False]
 
     def test_contains_line(self):
         vec = VectorCache(size_bytes=1024)
@@ -245,9 +292,72 @@ class TestFingerprints:
         assert not fingerprints_equal(fp, vec.state_fingerprint())
 
 
-# -- pseudo-LRU tree symmetries -----------------------------------------------
+# -- the step table ------------------------------------------------------------
 
-ASSOCS = (1, 2, 4, 8)
+
+def _step_rows(ways, rng):
+    """(fill, dirty, tree bits, code, write) of step-table rows to check.
+
+    Every reachable row up to 4 ways.  At 8 ways (~1 M rows, ~7 s
+    through the scalar cache) every fill, tree state, code and write
+    flag, with dirty masks none, all and two random ones: a step reads
+    one way's dirty bit and passes the others through, so these cover
+    both values of the bit it reads and of those it passes.
+    """
+    for fill in range(ways + 1):
+        masks = range(1 << fill)
+        if ways == MAX_ASSOC:
+            masks = sorted({0, (1 << fill) - 1, *rng.integers(1 << fill, size=2).tolist()})
+        for dirty in masks:
+            for bits in range(0, 1 << ways, 2):
+                for code in range(fill + 1):
+                    for write in (0, 1):
+                        yield fill, dirty, bits, code, write
+
+
+def _encode(ways, fill, dirty, bits):
+    """A set's step-table state, as :class:`_StepTable` documents it."""
+    return ((((1 << fill) | dirty) << (ways - 1)) | (bits >> 1)) * 2 * (ways + 1)
+
+
+class TestStepTable:
+    @pytest.mark.parametrize("ways", ASSOCS)
+    def test_every_row_is_one_scalar_access(self, ways):
+        t = _step_table(ways)
+        nxt, way_of, miss, evict, wb = (col.tolist() for col in t[:5])
+        scalar = Cache(size_bytes=ways * 32, assoc=ways)  # one set
+        tags, dirty_row, tree = scalar._tags[0], scalar._dirty[0], scalar._plru[0]
+        lines = list(range(1, ways + 1))
+        n_rows = 0
+        for fill, dirty, bits, code, write in _step_rows(ways, np.random.default_rng(ways)):
+            tags[:] = lines[:fill] + [-1] * (ways - fill)
+            dirty_row[:] = [(dirty >> w) & 1 for w in range(ways)]
+            tree.bits = bits
+            scalar.stats.reset()
+            line = lines[code - 1] if code else 0  # code 0: a line not present
+            hit = scalar.access_line(line, bool(write))
+            i = _encode(ways, fill, dirty, bits) + 2 * code + write
+            new_fill = int((tags != -1).sum())
+            new_dirty = sum(1 << w for w in range(ways) if dirty_row[w])
+            assert (miss[i], evict[i], wb[i]) == (
+                not hit, scalar.stats.evictions == 1, scalar.stats.writebacks == 1
+            ), (fill, dirty, bits, code, write)
+            assert tags[way_of[i]] == line
+            assert nxt[i] == _encode(ways, new_fill, new_dirty, tree.bits)
+            n_rows += 1
+        if ways < MAX_ASSOC:  # all of them: 2**(w-1) trees x sum (f+1) 2**f x 2
+            assert n_rows == (1 << (ways - 1)) * sum((f + 1) << f for f in range(ways + 1)) * 2
+
+    @pytest.mark.parametrize("ways", ASSOCS)
+    def test_narrow_dtypes(self, ways):
+        t = _step_table(ways)
+        assert t.next.size == (2 << ways) * (1 << (ways - 1)) * t.cols
+        assert t.next.dtype == np.min_scalar_type(t.next.size - 1)
+        assert t.way.dtype == np.uint8
+        assert int(t.next.max()) < t.next.size
+
+
+# -- pseudo-LRU tree symmetries -----------------------------------------------
 
 
 def _automorphisms(ways):
