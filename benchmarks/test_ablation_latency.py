@@ -19,8 +19,6 @@ from repro.core import banner, format_series, single_core_at_distance
 from repro.core.experiment import SpMVExperiment
 from repro.sparse import build_matrix
 
-from conftest import bench_scale
-
 HOPS = [0, 1, 2, 3]
 
 

@@ -27,6 +27,17 @@ SCENARIOS = [
 
 LATENCY = 132.5e-9  # Eq. 1 at conf0, 0 hops
 
+#: Each scenario's event-driven makespan (``float.hex`` seconds) as the
+#: generic coroutine engine computed it; the specialized FIFO loop must
+#: reproduce it bit for bit.
+MAKESPAN_HEX = {
+    "1 core, light": "0x1.10624dd2f12d1p-6",
+    "4 cores, mild": "0x1.10625039ccf23p-6",
+    "12 cores, mild": "0x1.4b21ee2377df7p-6",
+    "12 cores, heavy": "0x1.8d5af1d0c9a47p-5",
+    "12 cores, memory-only": "0x1.f0b1a4dfc7ca6p-5",
+}
+
 
 def mcqueue_data():
     rows = []
@@ -40,6 +51,7 @@ def mcqueue_data():
         rows.append(
             {
                 "scenario": label,
+                "event-driven s": event,
                 "event-driven ms": event * 1e3,
                 "closed-form ms": closed * 1e3,
                 "error %": 100 * abs(closed - event) / event,
@@ -61,4 +73,5 @@ def test_ablation_mcqueue_agreement(benchmark, capsys):
             )
         )
     for r in rows:
+        assert r["event-driven s"].hex() == MAKESPAN_HEX[r["scenario"]], r["scenario"]
         assert r["error %"] < 10.0, f"{r['scenario']}: closed form diverged"

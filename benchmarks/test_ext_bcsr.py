@@ -17,7 +17,7 @@ from repro.core.blocked import run_bcsr_timing
 from repro.sparse import build_matrix, entry_by_id
 from repro.sparse.bcsr import BCSRMatrix, bcsr_traffic_bytes, csr_traffic_bytes
 
-from conftest import bench_iterations, bench_scale
+from conftest import bench_iterations
 
 BLOCKY_IDS = [6, 12, 30]      # nd3k, crystk03, Na5: dense substructure
 SCATTERED_IDS = [14, 25]      # sparsine, ncvxbqp1: no block structure

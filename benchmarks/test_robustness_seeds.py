@@ -9,7 +9,7 @@ benchmark re-derives three key effects under three seeds each.
 from __future__ import annotations
 
 from repro.core import SpMVExperiment, banner, format_table, single_core_at_distance
-from repro.sparse.suite import build_matrix, entry_by_id
+from repro.sparse.suite import build_matrix
 
 from conftest import bench_iterations
 

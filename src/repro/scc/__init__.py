@@ -10,6 +10,8 @@ Subpackages model the pieces of the chip the paper's study exercises:
   bitwise-identical to :mod:`~repro.scc.cache` at full Table-I scale.
 - :mod:`~repro.scc.locality` — vectorized reuse/footprint/miss models.
 - :mod:`~repro.scc.memory` — Eq. 1 latency and controller bandwidth.
+- :mod:`~repro.scc.mcqueue` — the FIFO controller queue ablation A3
+  checks the bandwidth-sharing closed form against.
 - :mod:`~repro.scc.core_model` — P54C in-order timing composition.
 - :mod:`~repro.scc.power` / :mod:`~repro.scc.chip` — frequency menus,
   configuration presets (conf0/1/2) and the calibrated power model.
@@ -33,7 +35,6 @@ from .locality import (
 from .mcqueue import CoreWorkload, simulate_controller
 from .memory import MemoryController, MemorySystem, memory_read_latency
 from .mesh import MeshNetwork, xy_route
-from .noc import EventDrivenMesh, simulate_transfers
 from .params import (
     CACHE_ASSOC,
     CACHE_LINE_BYTES,
@@ -88,8 +89,6 @@ __all__ = [
     "memory_read_latency",
     "MeshNetwork",
     "xy_route",
-    "EventDrivenMesh",
-    "simulate_transfers",
     "CACHE_ASSOC",
     "CACHE_LINE_BYTES",
     "CORE_FREQS_MHZ",

@@ -12,16 +12,29 @@ a request completes no earlier than its Eq. 1 latency.
 :func:`repro.core.timing.solve_core_times`'s predictions — agreement
 within a few percent across unsaturated, saturated and asymmetric
 workloads is what licenses using the closed form everywhere else.
+
+The simulation is one specialized event loop over a heap of
+``(time, seq, core, phase)`` tuples.  It pushes entries in the order
+the generic coroutine engine (:mod:`repro.sim`) would with one process
+per core: ``seq`` breaks time ties in push order, and symmetric
+workloads tie on every arrival, so FIFO order — and every completion
+time, bit for bit — depends on that order.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
-
-from ..sim import Process, Resource, Simulator
+from heapq import heappop, heappush
+from typing import List, Sequence
 
 __all__ = ["CoreWorkload", "simulate_controller"]
+
+# Heap entry phases: what a core does when its entry pops.
+_ARRIVE = 0    # compute gap over: the line request reaches the controller
+_GRANTED = 1   # zero-delay resume after a grant on an idle controller
+_SERVED = 2    # service over: release the controller, wait out the latency
+_RETURNED = 3  # Eq. 1 latency floor over: the line is back
 
 
 @dataclass(frozen=True)
@@ -37,67 +50,69 @@ class CoreWorkload:
             raise ValueError("workload terms must be non-negative (latency positive)")
 
 
-def _core_process(
-    sim: Simulator,
-    mc: Resource,
-    wl: CoreWorkload,
-    service: float,
-    out: List[float],
-    idx: int,
-    tracer: Optional[Any] = None,
-):
-    gap = wl.compute_time / wl.n_lines if wl.n_lines else 0.0
-    for _ in range(wl.n_lines):
-        yield sim.timeout(gap)
-        arrival = sim.now
-        if tracer:
-            tracer.counter("mc.queue_depth", mc.queue_length, tid=idx)
-        yield mc.request()
-        if tracer:
-            # Queueing delay in front of the controller: >0 only when
-            # the FIFO was busy on arrival (the MC-saturation signal).
-            tracer.metrics.histogram("mc.wait_s", core=idx).observe(sim.now - arrival)
-        yield sim.timeout(service)
-        mc.release()
-        # The DDR round trip is a latency floor: even an idle controller
-        # cannot answer faster than Eq. 1.
-        remaining = arrival + wl.latency - sim.now
-        if remaining > 0:
-            yield sim.timeout(remaining)
-    out[idx] = sim.now
-
-
 def simulate_controller(
-    workloads: Sequence[CoreWorkload],
-    capacity_lines_per_sec: float,
-    line_pipeline_fraction: float = 1.0,
-    tracer: Optional[Any] = None,
+    workloads: Sequence[CoreWorkload], capacity_lines_per_sec: float
 ) -> List[float]:
     """Per-core completion times under FIFO service.
 
-    ``line_pipeline_fraction`` scales the serialized portion of the
-    service (1.0 = fully serialized server, the conservative model the
-    closed form also assumes).  ``tracer`` (a :class:`repro.obs.Tracer`)
-    additionally records queue depth samples plus a wait-time histogram
-    per core.
+    Each core alternates a compute gap (``compute_time / n_lines``) with
+    one line request; the single server is fully serialized, the
+    conservative model the closed form also assumes.  A core with no
+    lines finishes at its ``compute_time``.
     """
     if capacity_lines_per_sec <= 0:
         raise ValueError("capacity must be positive")
-    if not 0.0 < line_pipeline_fraction <= 1.0:
-        raise ValueError("line_pipeline_fraction must be in (0, 1]")
     if not workloads:
         raise ValueError("need at least one workload")
-    sim = Simulator(tracer=tracer if tracer else None)
-    if tracer:
-        tracer.bind_clock(lambda: sim.now)
-    mc = Resource(sim, capacity=1, name="mc")
-    service = line_pipeline_fraction / capacity_lines_per_sec
-    out = [0.0] * len(workloads)
-    for i, wl in enumerate(workloads):
-        Process(
-            sim,
-            _core_process(sim, mc, wl, service, out, i, tracer),
-            name=f"core{i}",
-        )
-    sim.run()
+    service = 1.0 / capacity_lines_per_sec
+    out = [wl.compute_time for wl in workloads]
+    left = [wl.n_lines for wl in workloads]
+    gaps = [wl.compute_time / wl.n_lines if wl.n_lines else 0.0 for wl in workloads]
+    latency = [wl.latency for wl in workloads]
+    arrival = [0.0] * len(workloads)
+    heap: list[tuple[float, int, int, int]] = []
+    seq = 0
+    for core, n in enumerate(left):
+        if n:
+            heappush(heap, (gaps[core], seq, core, _ARRIVE))
+            seq += 1
+    busy = False
+    waiters: deque[int] = deque()
+    while heap:
+        now, _, core, phase = heappop(heap)
+        if phase == _ARRIVE:
+            arrival[core] = now
+            if busy:
+                waiters.append(core)
+            else:
+                busy = True
+                heappush(heap, (now, seq, core, _GRANTED))
+                seq += 1
+            continue
+        if phase == _GRANTED:
+            heappush(heap, (now + service, seq, core, _SERVED))
+            seq += 1
+            continue
+        if phase == _SERVED:
+            # The slot passes straight to the oldest waiter, whose
+            # service starts inside this step, before our latency wait.
+            if waiters:
+                heappush(heap, (now + service, seq, waiters.popleft(), _SERVED))
+                seq += 1
+            else:
+                busy = False
+            # The DDR round trip is a latency floor: even an idle
+            # controller cannot answer faster than Eq. 1.
+            remaining = arrival[core] + latency[core] - now
+            if remaining > 0:
+                heappush(heap, (now + remaining, seq, core, _RETURNED))
+                seq += 1
+                continue
+        # The line is back: issue the next one after its gap, or finish.
+        left[core] -= 1
+        if left[core]:
+            heappush(heap, (now + gaps[core], seq, core, _ARRIVE))
+            seq += 1
+        else:
+            out[core] = now
     return out

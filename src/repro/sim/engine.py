@@ -1,9 +1,8 @@
 """Deterministic discrete-event simulation engine.
 
-This is the substrate every timed component of the SCC model runs on:
-the RCCE unit-of-execution scheduler, the memory-controller queues and
-the mesh-message timing all advance a single simulated clock owned by a
-:class:`Simulator`.
+This is the substrate the SCC model's message passing runs on: the
+RCCE unit-of-execution scheduler and the mesh-message timing advance a
+single simulated clock owned by a :class:`Simulator`.
 
 The engine is intentionally small and fully deterministic: events fire
 in (time, sequence-number) order, so two runs with the same inputs

@@ -10,7 +10,6 @@
 - :mod:`~repro.sparse.io` — MatrixMarket reader/writer.
 - :mod:`~repro.sparse.bcsr` — register-blocked BCSR format.
 - :mod:`~repro.sparse.reorder` — Cuthill-McKee locality reordering.
-- :mod:`~repro.sparse.ell` — ELL/HYB (the Fig. 10 GPUs' format).
 - :mod:`~repro.sparse.fastpath` — vectorized analytic timing batch ops.
 """
 
@@ -23,7 +22,6 @@ from .fastpath import (
 )
 from .coo import COOMatrix
 from .csr import CSRMatrix
-from .ell import ELLMatrix, ell_efficiency
 from .generators import (
     banded,
     block_diagonal,
@@ -69,8 +67,6 @@ __all__ = [
     "reverse_cuthill_mckee",
     "COOMatrix",
     "CSRMatrix",
-    "ELLMatrix",
-    "ell_efficiency",
     "banded",
     "block_diagonal",
     "fem_blocks",

@@ -8,9 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.scc.noc import EventDrivenMesh, simulate_transfers
 from repro.scc.tracegen import spmv_address_trace
-from repro.sim import Simulator
 from repro.sparse import (
     fem_blocks,
     permute_symmetric,
@@ -144,36 +142,3 @@ class TestTraceProperties:
         first, _ = spmv_address_trace(a, 0, mid)
         second, _ = spmv_address_trace(a, mid, n)
         np.testing.assert_array_equal(np.concatenate([first, second]), full)
-
-
-coords = st.tuples(st.integers(0, 5), st.integers(0, 3))
-
-
-class TestNoCProperties:
-    @SET
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(0.0, 1e-5),
-                coords,
-                coords,
-                st.integers(0, 4096),
-            ),
-            min_size=1,
-            max_size=12,
-        )
-    )
-    def test_every_transfer_respects_its_floor(self, transfers):
-        """Contention can only delay: completion >= start + uncontended."""
-        times = simulate_transfers(list(transfers))
-        mesh = EventDrivenMesh(Simulator())
-        for (start, src, dst, nbytes), t in zip(transfers, times):
-            floor = start + mesh.uncontended_time(src, dst, nbytes)
-            assert t >= floor - 1e-15
-
-    @SET
-    @given(coords, coords, st.integers(0, 4096))
-    def test_single_transfer_exact(self, src, dst, nbytes):
-        [t] = simulate_transfers([(0.0, src, dst, nbytes)])
-        mesh = EventDrivenMesh(Simulator())
-        assert t == pytest.approx(mesh.uncontended_time(src, dst, nbytes), rel=1e-9)
