@@ -9,10 +9,12 @@ on everything else.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core import banner, format_table
-from repro.core.timing import _controller_line_time
 from repro.scc.mcqueue import CoreWorkload, simulate_controller
 from repro.scc.params import MC_BANDWIDTH_BYTES_PER_SEC_AT_800
+from repro.sparse.fastpath import equilibrium_line_times
 
 CAPACITY = MC_BANDWIDTH_BYTES_PER_SEC_AT_800 / 32  # lines/sec at conf0
 
@@ -44,10 +46,11 @@ def mcqueue_data():
     for label, n, compute, lines in SCENARIOS:
         wl = CoreWorkload(compute_time=compute, n_lines=lines, latency=LATENCY)
         event = max(simulate_controller([wl] * n, CAPACITY))
-        t_star = _controller_line_time(
-            [compute] * n, [float(lines)] * n, [LATENCY] * n, CAPACITY
-        )
-        closed = compute + lines * max(t_star, LATENCY)
+        line_time = equilibrium_line_times(
+            np.full(n, compute), np.full(n, float(lines)), np.full(n, LATENCY),
+            np.zeros(n, dtype=np.int64), [CAPACITY],
+        )[0]
+        closed = compute + lines * line_time
         rows.append(
             {
                 "scenario": label,

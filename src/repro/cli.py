@@ -392,11 +392,11 @@ def _render_validation(out) -> int:
     """
     import numpy as np
 
-    from .core.timing import _controller_line_time
     from .core.trace import access_summary, characterize_partition
     from .scc.mcqueue import CoreWorkload, simulate_controller
     from .scc.tracegen import replay_trace
     from .sparse import banded, partition_rows_balanced, random_uniform, spmv
+    from .sparse.fastpath import equilibrium_line_times
 
     failures = 0
     rows = []
@@ -421,9 +421,11 @@ def _render_validation(out) -> int:
     wl = CoreWorkload(compute_time=0.005, n_lines=20_000, latency=132.5e-9)
     capacity = 0.95e9 / 32
     event = max(simulate_controller([wl] * 12, capacity))
-    t_star = _controller_line_time([wl.compute_time] * 12, [float(wl.n_lines)] * 12,
-                                   [wl.latency] * 12, capacity)
-    closed = wl.compute_time + wl.n_lines * max(t_star, wl.latency)
+    line_time = equilibrium_line_times(
+        np.full(12, wl.compute_time), np.full(12, float(wl.n_lines)),
+        np.full(12, wl.latency), np.zeros(12, dtype=np.int64), [capacity],
+    )[0]
+    closed = wl.compute_time + wl.n_lines * line_time
     err = 100 * abs(closed - event) / event
     ok = err < 10.0
     failures += not ok

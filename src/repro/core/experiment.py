@@ -376,7 +376,7 @@ class SpMVExperiment:
         return ws
 
     def _model_memory(self, config: MachineConfig) -> Any:
-        """Shared untraced memory system for the fast path (stateless reads)."""
+        """Shared memory system of one configuration (stateless reads)."""
         key = (self.machine.machine_id, self.topology.__class__, config.mem_mhz)
         cache = SpMVExperiment._shared_memsys_cache
         mem = cache.get(key)
@@ -602,7 +602,7 @@ class SpMVExperiment:
             )
             for t in self.traces(n_cores)
         ]
-        mem = self.machine.memory_system(config, topology=self.topology, tracer=tracer)
+        mem = self._model_memory(config)
         timings = solve_core_times(summaries, core_map, config, mem, self.timing)
         x_vec = x if x is not None else np.ones(self.a.n_cols)
         runtime = RCCERuntime(

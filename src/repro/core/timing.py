@@ -16,7 +16,8 @@ per-line service time, the demand a controller sees is::
 controller's capacity ``R = bandwidth / line_bytes``, the controller is
 unsaturated and every core just pays its Eq. 1 latency.  Otherwise the
 equilibrium is the unique ``T*`` with ``D(T*) = R``, found by
-bisection; each core then sees ``max(T*, latency_c)``.
+bisection; each core then sees ``max(T*, latency_c)``.  The bisection
+lives in :mod:`repro.sparse.fastpath`; both solvers here feed it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from ..machine.base import MachineConfig
 from ..rcce.mpb import chunked_transfer_time
-from ..scc.core_model import AccessSummary, core_time
+from ..scc.core_model import AccessSummary
 from ..scc.params import DEFAULT_TIMING, P54CTimingParams
 from ..sparse.fastpath import (
     BatchedSummaries,
@@ -71,49 +72,6 @@ class CoreTiming(NamedTuple):
         return min(self.mem_lines * self.line_time / self.time, 1.0) if self.time > 0 else 0.0
 
 
-def _controller_line_time(
-    base_times: List[float],
-    mem_lines: List[float],
-    latencies: List[float],
-    capacity_lines_per_sec: float,
-    tol: float = 1e-4,
-    max_iter: int = 100,
-) -> float:
-    """Equilibrium per-line service time of one saturated-or-not MC.
-
-    Returns the common ``T*`` (cores individually still floor at their
-    own latency).  ``base_times`` are the A_c terms.
-    """
-
-    def demand(t: float) -> float:
-        """Aggregate line demand (lines/sec) at service time ``t``."""
-        total = 0.0
-        for a, m, lat in zip(base_times, mem_lines, latencies):
-            if m <= 0:
-                continue
-            total += m / (a + m * max(t, lat))
-        return total
-
-    lo = min(latencies)
-    if demand(lo) <= capacity_lines_per_sec:
-        return lo
-    # Find an upper bracket: demand halves as T doubles past saturation.
-    hi = max(lo, 1e-9)
-    while demand(hi) > capacity_lines_per_sec:
-        hi *= 2.0
-        if hi > 1.0:  # 1 s/line would be ~10^9x the real latency
-            return hi
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if demand(mid) > capacity_lines_per_sec:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * hi:
-            break
-    return hi
-
-
 def solve_core_times(
     summaries: Sequence[AccessSummary],
     core_map: Sequence[int],
@@ -121,48 +79,23 @@ def solve_core_times(
     mem: Any,
     timing: P54CTimingParams = DEFAULT_TIMING,
 ) -> List[CoreTiming]:
-    """Exact per-core times under MC bandwidth sharing."""
-    if len(summaries) != len(core_map):
-        raise ValueError(
-            f"{len(summaries)} summaries for {len(core_map)} cores — must match"
-        )
-    if mem.mem_mhz != config.mem_mhz:
-        raise ValueError(
-            f"memory system clocked at {mem.mem_mhz} MHz but config says {config.mem_mhz}"
-        )
-    cores = list(core_map)
-    n = len(cores)
-    freqs = [config.core_mhz_of_core(c) for c in cores]
-    latencies = [
-        mem.latency_for_core(c, f, config.mesh_mhz) for c, f in zip(cores, freqs)
-    ]
-    # A_c: everything but memory stalls (evaluate with zero line time).
-    base_times = [
-        core_time(s, f, 0.0, timing) for s, f in zip(summaries, freqs)
-    ]
-    mem_lines = [float(s.l2_misses) for s in summaries]
+    """Exact per-core times under MC bandwidth sharing.
 
-    # Group by controller and solve each equilibrium independently.
-    line_time = [0.0] * n
-    groups: Dict[int, List[int]] = {}
-    for i, c in enumerate(cores):
-        groups.setdefault(mem.topology.mc_index_of_core(c), []).append(i)
-    for mc_idx, members in groups.items():
-        capacity = mem.controllers[mc_idx].bandwidth / mem.line_bytes
-        t_star = _controller_line_time(
-            [base_times[i] for i in members],
-            [mem_lines[i] for i in members],
-            [latencies[i] for i in members],
-            capacity,
-        )
-        for i in members:
-            line_time[i] = max(t_star, latencies[i])
-
-    times = [a + m * lt for a, m, lt in zip(base_times, mem_lines, line_time)]
-    return [
-        CoreTiming(ue=i, core=c, time=t, line_time=lt, mem_lines=m)
-        for i, (c, t, lt, m) in enumerate(zip(cores, times, line_time, mem_lines))
-    ]
+    Columnizes the per-UE summaries and solves them with
+    :func:`solve_core_times_batched`, the one controller solver.  A
+    batch holds one iteration count, so mixed counts are rejected.
+    """
+    iterations = {s.iterations for s in summaries}
+    if len(iterations) > 1:
+        raise ValueError(f"summaries have mixed iterations {sorted(iterations)}")
+    batch = BatchedSummaries(
+        nnz=np.array([s.nnz for s in summaries], dtype=np.int64),
+        rows=np.array([s.rows for s in summaries], dtype=np.int64),
+        iterations=iterations.pop() if iterations else 1,
+        l2_hits=np.array([s.l2_hits for s in summaries], dtype=np.float64),
+        l2_misses=np.array([s.l2_misses for s in summaries], dtype=np.float64),
+    )
+    return solve_core_times_batched(batch, core_map, config, mem, timing)
 
 
 def _chip_arrays(
@@ -224,14 +157,15 @@ def solve_core_times_batched(
     timing: P54CTimingParams = DEFAULT_TIMING,
     cache: Optional[Dict] = None,
 ) -> List[CoreTiming]:
-    """Vectorized :func:`solve_core_times` over batched access summaries.
+    """Exact per-core times under MC bandwidth sharing, batched summaries.
 
-    Same demand model, same per-controller equilibrium, but the per-core
-    arithmetic runs as array expressions (:mod:`repro.sparse.fastpath`)
-    instead of a Python loop per UE.  The scalar and batched solvers
-    agree bitwise (the differential tests pin the whole fast path against
-    the simulator).  ``cache`` memoizes the mapping/config-derived arrays
-    across calls; pass a dict owned by the sweep.
+    The per-core arithmetic runs as array expressions and the
+    per-controller equilibrium as one bisection per occupied controller
+    (:mod:`repro.sparse.fastpath`).  ``tests/test_core_timing.py`` pins
+    its per-core times bit for bit, and the differential tests pin the
+    whole fast path against the simulator.  ``cache`` memoizes the
+    mapping/config-derived arrays across calls; pass a dict owned by the
+    sweep.
     """
     if batch.n_ues != len(core_map):
         raise ValueError(
@@ -295,7 +229,7 @@ def barrier_schedule(n: int) -> Tuple[Tuple[int, int], ...]:
 
 
 def resolve_barrier_schedule(
-    core_map: Sequence[int], mesh
+    core_map: Sequence[int], mesh: Any
 ) -> List[Tuple[int, int, float]]:
     """:func:`barrier_schedule` with each pair's token transfer time.
 
@@ -312,7 +246,7 @@ def resolve_barrier_schedule(
 def barrier_exit_times(
     entry_times: Sequence[float],
     core_map: Sequence[int],
-    mesh=None,
+    mesh: Optional[Any] = None,
     schedule: Optional[Sequence[Tuple[int, int, float]]] = None,
 ) -> List[float]:
     """When each UE leaves an RCCE barrier entered at ``entry_times``.

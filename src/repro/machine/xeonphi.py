@@ -122,7 +122,6 @@ class XeonPhiMachine(MachineModel):
         self,
         config: UniformMachineConfig,
         topology: Optional[TableTopology] = None,
-        tracer: Optional[Any] = None,
     ) -> TableMemorySystem:
         return TableMemorySystem(
             topology or self._topology,

@@ -12,14 +12,14 @@ Subpackages model the pieces of the chip the paper's study exercises:
 - :mod:`~repro.scc.memory` — Eq. 1 latency and controller bandwidth.
 - :mod:`~repro.scc.mcqueue` — the FIFO controller queue ablation A3
   checks the bandwidth-sharing closed form against.
-- :mod:`~repro.scc.core_model` — P54C in-order timing composition.
+- :mod:`~repro.scc.core_model` — per-core access counts (`AccessSummary`).
 - :mod:`~repro.scc.power` / :mod:`~repro.scc.chip` — frequency menus,
   configuration presets (conf0/1/2) and the calibrated power model.
 """
 
 from .chip import CONF0, CONF1, CONF2, PRESETS, SCCConfig
 from .cache import Cache, CacheHierarchy, CacheStats
-from .core_model import AccessSummary, core_flops, core_time
+from .core_model import AccessSummary, core_flops
 from .locality import (
     FootprintCurve,
     MissRatioCurve,
@@ -71,7 +71,6 @@ __all__ = [
     "CacheStats",
     "AccessSummary",
     "core_flops",
-    "core_time",
     "FootprintCurve",
     "MissRatioCurve",
     "ReuseProfile",

@@ -7,18 +7,18 @@ time decomposes additively::
           + L2_hits * l2_hit_cycles ) / f_core
         + L2_misses * effective_memory_line_time
 
-:class:`AccessSummary` carries the counts; :func:`core_time` does the
-arithmetic.  Nothing here knows about matrices — the CSR-specific trace
-characterization lives in :mod:`repro.core.trace`.
+:class:`AccessSummary` carries the counts;
+:func:`repro.sparse.fastpath.base_compute_times` does the cycle
+arithmetic and :mod:`repro.core.timing` adds the memory term.  Nothing
+here knows about matrices — the CSR-specific trace characterization
+lives in :mod:`repro.core.trace`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .params import DEFAULT_TIMING, P54CTimingParams
-
-__all__ = ["AccessSummary", "core_time", "core_flops"]
+__all__ = ["AccessSummary", "core_flops"]
 
 
 @dataclass(frozen=True)
@@ -46,28 +46,6 @@ class AccessSummary:
     def flops(self) -> int:
         """Floating-point operations: 2 per nonzero per iteration (paper Sec. IV)."""
         return 2 * self.nnz * self.iterations
-
-
-def core_time(
-    summary: AccessSummary,
-    core_mhz: float,
-    memory_line_time: float,
-    timing: P54CTimingParams = DEFAULT_TIMING,
-) -> float:
-    """Seconds one core spends executing the summarized kernel."""
-    if core_mhz <= 0:
-        raise ValueError(f"core_mhz must be positive, got {core_mhz}")
-    if memory_line_time < 0:
-        raise ValueError(f"memory_line_time must be >= 0, got {memory_line_time}")
-    cycles = (
-        timing.base_cycles_per_nnz * summary.nnz * summary.iterations
-        + timing.row_overhead_cycles * summary.rows * summary.iterations
-        + timing.call_overhead_cycles * summary.iterations
-        + timing.l2_hit_cycles * summary.l2_hits
-    )
-    t_core = cycles / (core_mhz * 1e6)
-    t_mem = summary.l2_misses * memory_line_time
-    return t_core + t_mem
 
 
 def core_flops(summary: AccessSummary, time_seconds: float) -> float:

@@ -193,12 +193,13 @@ def _equilibrium_t_star(
     """One controller's equilibrium service time (bracket + bisection).
 
     ``members`` holds ``(base_time, mem_lines, latency)`` per core of the
-    group.  Same scheme as
-    :func:`repro.core.timing._controller_line_time`; the demand sum
+    group; cores without memory lines add no demand.  This is the only
+    bisection of the controller law (docs/MODEL.md §5).  The demand sum
     deliberately runs as a sequential interpreter loop — controller
     groups hold at most a dozen cores, where ufunc dispatch costs more
     than the arithmetic, and left-to-right summation keeps every
-    bisection iterate bitwise-identical to the scalar solver's.
+    bisection iterate reproducible bit for bit
+    (``tests/test_core_timing.py`` pins them).
     """
     triples = [(a, m, la) for a, m, la in members if m > 0]
 
@@ -242,7 +243,7 @@ def equilibrium_line_times(
     ``mc_index`` assigns each UE to a memory controller; ``capacities``
     gives each controller's line rate (lines/sec).  Controllers are
     solved independently; each member core floors at its own Eq. 1
-    latency, exactly as in the scalar solver.
+    latency.
 
     ``groups`` — precomputed ``(member_indices, capacity)`` pairs, one
     per occupied controller — skips the per-call grouping; sweeps derive

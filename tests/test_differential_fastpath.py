@@ -4,7 +4,8 @@ The fast path (``mode="model"``, :mod:`repro.sparse.fastpath` +
 :func:`repro.core.timing.solve_core_times_batched` +
 :func:`repro.core.timing.barrier_exit_times`) must reproduce the
 simulator's numbers — per-core solve and barrier critical path are the
-same arithmetic, so the contract is *bitwise* within ``REL_TOL`` — and,
+same arithmetic, so makespans and per-core times must match with ``==``
+and derived rates within ``REL_TOL`` — and,
 independently of absolute values, must rank every paper finding the
 same way: which mapping wins (Fig. 5), how the chip configs order
 (Fig. 9), and how L2-resident working sets split from streaming ones
@@ -108,7 +109,7 @@ class TestMflopsAgreement:
 
     def test_makespans_match(self, grid):
         for key, (sim, model) in grid.items():
-            assert model.makespan == pytest.approx(sim.makespan, rel=REL_TOL), key
+            assert model.makespan == sim.makespan, key
 
     def test_result_identity_fields_match(self, grid):
         for sim, model in grid.values():
@@ -120,11 +121,9 @@ class TestMflopsAgreement:
             )
 
     def test_per_core_times_match(self, grid):
-        """Not just the aggregate: every per-core solve agrees."""
+        """Not just the aggregate: every per-core solve agrees exactly."""
         for key, (sim, model) in grid.items():
-            for ts, tm in zip(sim.per_core, model.per_core):
-                assert tm.time == pytest.approx(ts.time, rel=REL_TOL), key
-                assert tm.mem_lines == ts.mem_lines, key
+            assert model.per_core == sim.per_core, key
 
 
 class TestRankingAgreement:

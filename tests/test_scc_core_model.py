@@ -4,11 +4,28 @@ from __future__ import annotations
 
 import pytest
 
-from repro.scc import AccessSummary, DEFAULT_TIMING, P54CTimingParams, core_flops, core_time
+import numpy as np
+
+from repro.core import solve_core_times
+from repro.scc import CONF0, AccessSummary, DEFAULT_TIMING, MemorySystem, P54CTimingParams, core_flops
+from repro.sparse.fastpath import BatchedSummaries, base_compute_times
 
 
 def summary(nnz=1000, rows=100, iters=1, l2_hits=0.0, l2_misses=0.0):
     return AccessSummary(nnz=nnz, rows=rows, iterations=iters, l2_hits=l2_hits, l2_misses=l2_misses)
+
+
+def compute_time(s, core_mhz, timing=DEFAULT_TIMING):
+    """Core-clock seconds of one summary, solved as a one-UE batch."""
+    batch = BatchedSummaries(
+        nnz=np.array([s.nnz]),
+        rows=np.array([s.rows]),
+        iterations=s.iterations,
+        l2_hits=np.array([float(s.l2_hits)]),
+        l2_misses=np.array([float(s.l2_misses)]),
+    )
+    [t] = base_compute_times(batch, np.array([float(core_mhz)]), timing)
+    return float(t)
 
 
 class TestAccessSummary:
@@ -27,8 +44,8 @@ class TestAccessSummary:
 class TestCoreTime:
     def test_pure_compute_scales_with_frequency(self):
         s = summary()
-        t533 = core_time(s, 533, 0.0)
-        t800 = core_time(s, 800, 0.0)
+        t533 = compute_time(s, 533)
+        t800 = compute_time(s, 800)
         assert t533 / t800 == pytest.approx(800 / 533)
 
     def test_compute_cycles_composition(self):
@@ -40,31 +57,21 @@ class TestCoreTime:
         )
         s = summary(nnz=1000, rows=50, iters=2, l2_hits=30)
         cycles = 10 * 1000 * 2 + 20 * 50 * 2 + 100 * 2 + 15 * 30
-        assert core_time(s, 100, 0.0, tp) == pytest.approx(cycles / 100e6)
+        assert compute_time(s, 100, tp) == pytest.approx(cycles / 100e6)
+
+    def test_memory_term_independent_of_core_clock(self):
+        assert compute_time(summary(l2_misses=1000), 533) == compute_time(summary(), 533)
 
     def test_memory_term_additive(self):
         s = summary(l2_misses=1000)
-        t0 = core_time(s, 533, 0.0)
-        t1 = core_time(s, 533, 100e-9)
-        assert t1 - t0 == pytest.approx(1000 * 100e-9)
-
-    def test_memory_term_independent_of_core_clock(self):
-        s = summary(nnz=0, rows=0, l2_misses=500)
-        tp = P54CTimingParams(call_overhead_cycles=0.0)
-        assert core_time(s, 100, 1e-7, tp) == pytest.approx(core_time(s, 800, 1e-7, tp))
-
-    def test_invalid_inputs(self):
-        s = summary()
-        with pytest.raises(ValueError):
-            core_time(s, 0, 0.0)
-        with pytest.raises(ValueError):
-            core_time(s, 533, -1e-9)
+        [t] = solve_core_times([s], [0], CONF0, MemorySystem(mem_mhz=800))
+        assert t.time - compute_time(s, 533) == pytest.approx(1000 * t.line_time)
 
     def test_row_overhead_hurts_short_rows(self):
         """Same nnz split over 10x more rows runs slower (paper Sec. IV-B)."""
         long_rows = summary(nnz=10000, rows=100)
         short_rows = summary(nnz=10000, rows=5000)
-        assert core_time(short_rows, 533, 0.0) > core_time(long_rows, 533, 0.0)
+        assert compute_time(short_rows, 533) > compute_time(long_rows, 533)
 
 
 class TestCoreFlops:
@@ -87,7 +94,7 @@ class TestDefaultCalibration:
         nnz, rows = 100_000, 5_000
         # Streaming L1 misses that hit L2: ~0.42 lines per nnz.
         s = summary(nnz=nnz, rows=rows, iters=1, l2_hits=0.42 * nnz)
-        t = core_time(s, 533, 0.0, DEFAULT_TIMING)
+        t = compute_time(s, 533)
         mflops = 2 * nnz / t / 1e6
         assert 35 <= mflops <= 50
 
@@ -95,6 +102,6 @@ class TestDefaultCalibration:
         """~20-27 MFLOPS/s for one core streaming from memory."""
         nnz, rows = 100_000, 5_000
         s = summary(nnz=nnz, rows=rows, iters=1, l2_misses=0.42 * nnz)
-        t = core_time(s, 533, 132.5e-9, DEFAULT_TIMING)
+        t = compute_time(s, 533) + s.l2_misses * 132.5e-9
         mflops = 2 * nnz / t / 1e6
         assert 18 <= mflops <= 30

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.timing import _controller_line_time
+import numpy as np
+
 from repro.scc.mcqueue import CoreWorkload, simulate_controller
+from repro.sparse.fastpath import equilibrium_line_times
 
 
 class TestValidation:
@@ -65,13 +67,11 @@ class TestContention:
 
 class TestAgreementWithClosedForm:
     def closed_form_times(self, workloads, capacity):
-        base = [w.compute_time for w in workloads]
-        lines = [float(w.n_lines) for w in workloads]
-        lats = [w.latency for w in workloads]
-        t_star = _controller_line_time(base, lines, lats, capacity)
-        return [
-            b + m * max(t_star, l) for b, m, l in zip(base, lines, lats)
-        ]
+        base = np.array([w.compute_time for w in workloads])
+        lines = np.array([float(w.n_lines) for w in workloads])
+        lats = np.array([w.latency for w in workloads])
+        mc = np.zeros(len(workloads), dtype=np.int64)
+        return (base + lines * equilibrium_line_times(base, lines, lats, mc, [capacity])).tolist()
 
     @pytest.mark.parametrize(
         "n_cores,capacity",

@@ -1,4 +1,4 @@
-"""Tests for the memory system: Eq. 1 latency and MC bandwidth sharing."""
+"""Tests for the memory system: Eq. 1 latency and MC bandwidth."""
 
 from __future__ import annotations
 
@@ -76,51 +76,10 @@ class TestMemorySystem:
         mem = MemorySystem(topology)
         for q in range(4):
             for core in topology.cores_of_quadrant(q):
-                assert mem.controller_of_core(core).index == q
+                assert mem.controllers[topology.mc_index_of_core(core)].index == q
 
     def test_latency_for_core_uses_hops(self, topology):
         mem = MemorySystem(topology)
         c0 = topology.cores_at_distance(0)[0]
         c3 = topology.cores_at_distance(3)[0]
         assert mem.latency_for_core(c3, 533, 800) > mem.latency_for_core(c0, 533, 800)
-
-    def test_group_cores_by_controller(self, topology):
-        mem = MemorySystem(topology)
-        groups = mem.group_cores_by_controller(range(48))
-        assert sorted(groups) == [0, 1, 2, 3]
-        assert all(len(v) == 12 for v in groups.values())
-
-
-class TestEffectiveLineTime:
-    def test_uncontended_returns_latency(self, topology):
-        mem = MemorySystem(topology)
-        lat = mem.latency_for_core(0, 533, 800)
-        # One quiet core: demand far below capacity.
-        t = mem.effective_line_time(0, 533, 800, {0: 1000.0})
-        assert t == pytest.approx(lat)
-
-    def test_saturated_inflates(self, topology):
-        mem = MemorySystem(topology)
-        cap_lines = mem.controllers[0].bandwidth / 32
-        # 12 cores of quadrant 0 each demanding half the full capacity.
-        demand = {c: cap_lines / 2 for c in topology.cores_of_quadrant(0)}
-        lat = mem.latency_for_core(0, 533, 800)
-        t = mem.effective_line_time(0, 533, 800, demand)
-        assert t > lat
-
-    def test_other_quadrant_demand_ignored(self, topology):
-        mem = MemorySystem(topology)
-        cap_lines = mem.controllers[0].bandwidth / 32
-        demand = {c: cap_lines for c in topology.cores_of_quadrant(1)}
-        demand[0] = 100.0
-        lat = mem.latency_for_core(0, 533, 800)
-        assert mem.effective_line_time(0, 533, 800, demand) == pytest.approx(lat)
-
-    def test_fair_share_at_saturation(self, topology):
-        mem = MemorySystem(topology)
-        cap_lines = mem.controllers[0].bandwidth / 32
-        cores = topology.cores_of_quadrant(0)
-        demand = {c: cap_lines for c in cores}  # 12x oversubscription
-        t = mem.effective_line_time(cores[0], 533, 800, demand)
-        # Equal demands -> each gets cap/12 lines/sec.
-        assert t == pytest.approx(12 / cap_lines)

@@ -5,8 +5,9 @@ but never so that one dispatched event moves.  The schedules below were
 captured before the engine's heap held plain ``(time, seq, item)``
 tuples and queued ``schedule()`` thunks directly; every later engine
 must dispatch the same ``(time, seq, name)`` list.  The per-core times
-of ``mode="sim"`` must equal the scalar per-element solver's over the
-``access_summary`` list exactly, whichever solver computes them.
+of ``mode="sim"`` must equal ``solve_core_times`` over the per-element
+``access_summary`` list exactly; ``tests/test_core_timing.py`` pins that
+solver's own output in ``float.hex``.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def exp():
     return SpMVExperiment(build_matrix(24, 0.02), name="pin")
 
 
-def _scalar_times(exp, n_cores, core_map, config, kernel, iterations):
+def _per_element_times(exp, n_cores, core_map, config, kernel, iterations):
     """``solve_core_times`` over the per-element ``access_summary`` list."""
     summaries = [
         access_summary(
@@ -157,7 +158,8 @@ def _scalar_times(exp, n_cores, core_map, config, kernel, iterations):
 
 
 class TestSimTierSolver:
-    """``mode="sim"`` per-core times are the scalar solver's, bit for bit."""
+    """``mode="sim"`` per-core times equal ``solve_core_times``
+    over the per-element summaries, bit for bit."""
 
     @pytest.mark.parametrize("config", _configs(), ids=lambda c: f"{c.name}-l2{c.l2_enabled:d}")
     @pytest.mark.parametrize("kernel", ["csr", "no_x_miss"])
@@ -165,14 +167,14 @@ class TestSimTierSolver:
         for n in range(1, 49):
             got = exp.run(n_cores=n, config=config, kernel=kernel, iterations=4, mode="sim")
             core_map = exp._core_map("distance_reduction", n)[0]
-            assert got.per_core == _scalar_times(exp, n, core_map, config, kernel, 4), n
+            assert got.per_core == _per_element_times(exp, n, core_map, config, kernel, 4), n
 
     def test_explicit_core_list(self, exp):
         cores = [47, 0, 23, 12, 5, 30]
         config = _configs()[1]
         got = exp.run(n_cores=len(cores), config=config, mapping=cores, mode="sim")
         assert got.mapping == "explicit"
-        assert got.per_core == _scalar_times(
+        assert got.per_core == _per_element_times(
             exp, len(cores), cores, config, "csr", DEFAULT_ITERATIONS
         )
 
