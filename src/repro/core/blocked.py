@@ -2,7 +2,9 @@
 
 Extends the study beyond the paper: given the traffic trade of register
 blocking (:mod:`repro.sparse.bcsr`), would it actually have paid off on
-the SCC?  The model mirrors the CSR pipeline:
+the SCC?  The model mirrors the CSR pipeline — each block-row slice
+is one :class:`~repro.core.trace.UETrace`, folded and solved as CSR
+traces are:
 
 - streams: one 4 B index + ``8*r*c`` B of values per block, 4 B of
   block-ptr per block row, 8 B of ``y`` per row;
@@ -26,16 +28,16 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from ..scc.chip import CONF0, SCCConfig
-from ..scc.core_model import AccessSummary
 from ..scc.locality import miss_ratio_curve
 from ..scc.memory import MemorySystem
 from ..scc.params import CACHE_LINE_BYTES, DEFAULT_TIMING, L1D_BYTES, L2_BYTES, P54CTimingParams
 from ..scc.topology import SCCTopology
 from ..sparse.bcsr import BCSRMatrix
+from ..sparse.fastpath import batch_access_summaries, batch_traces
 from .experiment import DEFAULT_ITERATIONS
 from .mapping import get_mapping
-from .timing import solve_core_times
-from .trace import DEFAULT_X_CAPACITY_FRACTION, _stream_lines
+from .timing import solve_core_times_batched
+from .trace import DEFAULT_X_CAPACITY_FRACTION, UETrace, _stream_lines
 
 __all__ = ["BCSRTimingResult", "run_bcsr_timing"]
 
@@ -95,6 +97,8 @@ def run_bcsr_timing(
     """Simulate ``iterations`` blocked SpMVs on ``n_cores`` SCC cores."""
     if iterations < 1 or n_cores < 1:
         raise ValueError("iterations and n_cores must be >= 1")
+    if not 0.0 < x_capacity_fraction <= 1.0:
+        raise ValueError(f"x_capacity_fraction must be in (0, 1], got {x_capacity_fraction}")
     topo = topology or SCCTopology()
     core_map = (
         get_mapping(mapping)(n_cores, topo) if isinstance(mapping, str) else list(mapping)
@@ -108,14 +112,13 @@ def run_bcsr_timing(
     x_l2_cap = L2_BYTES * x_capacity_fraction / line
     cell_bytes = 8 * b.r * b.c
 
-    summaries = []
+    traces = []
     for k in range(n_cores):
         lo, hi = bounds[k], bounds[k + 1]
         blk_lo, blk_hi = int(b.block_ptr[lo]), int(b.block_ptr[hi])
         n_blocks = blk_hi - blk_lo
         n_brows = hi - lo
         n_rows = n_brows * b.r
-        cells = n_blocks * b.r * b.c
         stream = (
             _stream_lines(4 * n_blocks, line)        # block_index
             + _stream_lines(cell_bytes * n_blocks, line)  # values
@@ -134,29 +137,18 @@ def run_bcsr_timing(
             x_l1 = x_l2 = 0.0
             x_distinct = 0
         ws = cell_bytes * n_blocks + 4 * n_blocks + 12 * n_rows + x_distinct * line
+        # Compute charges the fill-in; one loop body per block row.
+        traces.append(UETrace(
+            ue=k, nnz=n_blocks * b.r * b.c, rows=n_brows, stream_lines=stream,
+            distinct_lines=stream + x_distinct, x_l1_misses=x_l1, x_l2_misses=x_l2,
+            x_distinct_lines=x_distinct, ws_bytes=ws,
+        ))
 
-        cold = stream + x_distinct
-        if config.l2_enabled and ws <= L2_BYTES:
-            mem = float(cold)
-            l2_hits = max((stream + x_l1) * iterations - cold, 0.0)
-        elif config.l2_enabled:
-            mem = (stream + x_l2) * iterations
-            l2_hits = max(x_l1 - x_l2, 0.0) * iterations
-        else:
-            mem = (stream + x_l1) * iterations
-            l2_hits = 0.0
-        summaries.append(
-            AccessSummary(
-                nnz=cells,              # compute charges the fill-in
-                rows=n_brows,           # one loop body per block row
-                iterations=iterations,
-                l2_hits=l2_hits,
-                l2_misses=mem,
-            )
-        )
-
+    summaries = batch_access_summaries(
+        batch_traces(traces), iterations, l2_enabled=config.l2_enabled, l2_bytes=L2_BYTES
+    )
     mem_system = MemorySystem(topo, mem_mhz=config.mem_mhz)
-    timings = solve_core_times(summaries, core_map, config, mem_system, timing)
+    timings = solve_core_times_batched(summaries, core_map, config, mem_system, timing)
     makespan = max(t.time for t in timings)
     return BCSRTimingResult(
         r=b.r,

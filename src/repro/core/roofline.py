@@ -27,7 +27,8 @@ from ..scc.chip import CONF0, SCCConfig
 from ..scc.memory import MemorySystem
 from ..scc.params import CACHE_LINE_BYTES, DEFAULT_TIMING, P54CTimingParams
 from ..scc.topology import SCCTopology
-from .trace import UETrace, access_summary
+from ..sparse.fastpath import batch_access_summaries, batch_traces
+from .trace import UETrace
 
 __all__ = ["SCCRoofline", "MatrixPoint", "locate_matrix"]
 
@@ -103,12 +104,11 @@ def matrix_arithmetic_intensity(
     Uses the same per-UE summaries as the timing model, so the roofline
     and the simulator agree on what 'traffic' means.
     """
-    flops = 0
+    s = batch_access_summaries(batch_traces(traces), iterations, l2_enabled=l2_enabled)
+    flops = 2 * sum(s.nnz.tolist()) * iterations
     bytes_moved = 0.0
-    for t in traces:
-        s = access_summary(t, iterations=iterations, l2_enabled=l2_enabled)
-        flops += s.flops
-        bytes_moved += s.l2_misses * CACHE_LINE_BYTES
+    for lines in s.l2_misses.tolist():  # summed in UE order: the intensity is pinned bitwise
+        bytes_moved += lines * CACHE_LINE_BYTES
     if bytes_moved <= 0:
         return float("inf")
     return flops / bytes_moved

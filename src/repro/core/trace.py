@@ -21,11 +21,11 @@ the classic shared-cache approximation we charge the gather an
 ``x_capacity_fraction`` of each level (default 0.5 — ablated in
 ``benchmarks/test_ablation_locality.py``).
 
-:func:`characterize_partition` produces one :class:`UETrace` per UE;
-:func:`access_summary` converts a trace into the
-:class:`~repro.scc.core_model.AccessSummary` consumed by the timing
-model, applying the experiment's iteration count, kernel variant and
-L2 on/off switch.
+:func:`characterize_partition` produces one :class:`UETrace` per UE.
+The cache regimes that fold traces into run totals live only in
+:func:`repro.sparse.fastpath.batch_access_summaries`; :func:`access_summary`
+is its one-trace view and :func:`summary_list` unpacks a batch into
+:class:`~repro.scc.core_model.AccessSummary` records.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ from ..scc.core_model import AccessSummary
 from ..scc.locality import line_links, miss_ratio_curve
 from ..scc.params import CACHE_LINE_BYTES, L1D_BYTES, L2_BYTES
 from ..sparse.csr import CSRMatrix
+from ..sparse.fastpath import BatchedSummaries, batch_access_summaries, batch_traces
 from ..sparse.partition import RowPartition
 
-__all__ = ["UETrace", "gather_links", "characterize_partition", "access_summary"]
+__all__ = ["UETrace", "gather_links", "characterize_partition", "access_summary", "summary_list"]
 
 #: fraction of each cache level the x gather effectively owns while the
 #: four streams flow through the remainder.
@@ -144,6 +145,13 @@ def characterize_partition(
     return traces
 
 
+def summary_list(batch: BatchedSummaries) -> List[AccessSummary]:
+    """One :class:`AccessSummary` per UE of a batched fold."""
+    it = batch.iterations
+    cols = batch.nnz.tolist(), batch.rows.tolist(), batch.l2_hits.tolist(), batch.l2_misses.tolist()
+    return [AccessSummary(nnz, rows, it, hits, mem) for nnz, rows, hits, mem in zip(*cols)]
+
+
 def access_summary(
     trace: UETrace,
     iterations: int,
@@ -151,40 +159,10 @@ def access_summary(
     no_x_miss: bool = False,
     l2_bytes: int = L2_BYTES,
 ) -> AccessSummary:
-    """Fold a per-iteration trace into totals for ``iterations`` SpMVs.
-
-    Three regimes (paper Sec. IV-B):
-
-    - **L2-resident** (working set <= L2): only the first iteration
-      misses to memory; later iterations turn every L1 miss into an L2
-      hit.
-    - **Streaming** (working set > L2): the streams miss to memory every
-      iteration; gather accesses that fit L2 but not L1 are L2 hits.
-    - **L2 disabled** (Fig. 7): every L1 miss pays the memory latency.
-    """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    x_l1 = 0.0 if no_x_miss else trace.x_l1_misses
-    x_l2 = 0.0 if no_x_miss else trace.x_l2_misses
-    x_cold = 0 if no_x_miss else trace.x_distinct_lines
-    cold = trace.stream_lines + x_cold  # distinct lines ~ cold misses
-
-    if not l2_enabled:
-        mem = (trace.stream_lines + x_l1) * iterations
-        l2_hits = 0.0
-    elif trace.ws_bytes <= l2_bytes:
-        # Warm after the first pass: cold misses once, L2 hits after.
-        per_iter_l1_misses = trace.stream_lines + x_l1
-        mem = float(cold)
-        l2_hits = max(per_iter_l1_misses * iterations - cold, 0.0)
-    else:
-        mem = (trace.stream_lines + x_l2) * iterations
-        l2_hits = max(x_l1 - x_l2, 0.0) * iterations
-
-    return AccessSummary(
-        nnz=trace.nnz,
-        rows=trace.rows,
-        iterations=iterations,
-        l2_hits=l2_hits,
-        l2_misses=mem,
+    """One trace's totals for ``iterations`` SpMVs: a one-trace view of
+    :func:`repro.sparse.fastpath.batch_access_summaries` (slow per UE;
+    fold many traces as one batch)."""
+    [summary] = summary_list(
+        batch_access_summaries(batch_traces([trace]), iterations, l2_enabled, no_x_miss, l2_bytes)
     )
+    return summary

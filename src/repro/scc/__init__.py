@@ -19,7 +19,7 @@ Subpackages model the pieces of the chip the paper's study exercises:
 
 from .chip import CONF0, CONF1, CONF2, PRESETS, SCCConfig
 from .cache import Cache, CacheHierarchy, CacheStats
-from .core_model import AccessSummary, core_flops
+from .core_model import AccessSummary
 from .locality import (
     FootprintCurve,
     MissRatioCurve,
@@ -70,7 +70,6 @@ __all__ = [
     "CacheHierarchy",
     "CacheStats",
     "AccessSummary",
-    "core_flops",
     "FootprintCurve",
     "MissRatioCurve",
     "ReuseProfile",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["AccessSummary", "core_flops"]
+__all__ = ["AccessSummary"]
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,3 @@ class AccessSummary:
     def flops(self) -> int:
         """Floating-point operations: 2 per nonzero per iteration (paper Sec. IV)."""
         return 2 * self.nnz * self.iterations
-
-
-def core_flops(summary: AccessSummary, time_seconds: float) -> float:
-    """FLOPS/s given a summary and its execution time."""
-    if time_seconds <= 0:
-        raise ValueError(f"time must be positive, got {time_seconds}")
-    return summary.flops / time_seconds

@@ -11,9 +11,9 @@ per-core arithmetic over all UEs at once:
 
 * :func:`batch_traces` columnizes per-UE stream characterizations into
   arrays;
-* :func:`batch_access_summaries` applies the three cache regimes of
-  :func:`repro.core.trace.access_summary` (L2-resident / streaming /
-  L2-off) to every UE in one vectorized pass;
+* :func:`batch_access_summaries` applies the three cache regimes
+  (L2-resident / streaming / L2-off) to every UE in one pass; it is
+  the only code that does, and every tier reads its counts from it;
 * :func:`base_compute_times`, :func:`memory_latencies` and
   :func:`equilibrium_line_times` vectorize the P54C cycle composition,
   the Eq. 1 latency and the per-controller bandwidth equilibrium of
@@ -70,7 +70,7 @@ class BatchedTraces:
 
 @dataclass(frozen=True)
 class BatchedSummaries:
-    """Vectorized :class:`repro.scc.core_model.AccessSummary` columns."""
+    """Per-UE :class:`repro.scc.core_model.AccessSummary` columns."""
 
     nnz: np.ndarray        #: int64
     rows: np.ndarray       #: int64
@@ -105,11 +105,19 @@ def batch_access_summaries(
     no_x_miss: bool = False,
     l2_bytes: int = 256 * 1024,
 ) -> BatchedSummaries:
-    """Vectorized fold of per-iteration traces into run totals.
+    """Fold per-iteration traces into totals for ``iterations`` SpMVs.
 
-    Mirrors :func:`repro.core.trace.access_summary` element-wise — the
-    same three regimes, the same arithmetic — evaluated for every UE at
-    once.  The default ``l2_bytes`` matches
+    Three regimes (paper Sec. IV-B), evaluated for every UE at once:
+
+    - **L2-resident** (working set <= L2): only the first iteration
+      misses to memory; later iterations turn every L1 miss into an L2
+      hit.
+    - **Streaming** (working set > L2): the streams miss to memory every
+      iteration; gather accesses that fit L2 but not L1 are L2 hits.
+    - **L2 disabled** (Fig. 7): every L1 miss pays the memory latency.
+
+    ``no_x_miss`` drops the gather's misses (the kernel variant of
+    paper Sec. IV-C).  The default ``l2_bytes`` matches
     :data:`repro.scc.params.L2_BYTES`; callers pass it explicitly to
     stay in sync with their chip parameters.
     """

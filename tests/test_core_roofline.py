@@ -86,3 +86,29 @@ class TestMatrixPlacement:
         r = exp.run(n_cores=48, iterations=16)
         pt = locate_matrix("sparsine", exp.traces(48), roof48, iterations=16)
         assert r.gflops <= pt.attainable_gflops * 1.05
+
+
+#: (Table I id, UEs) -> ``float.hex`` arithmetic intensity at scale 0.02
+#: and 16 iterations, (L2 on, L2 off), captured when the intensity still
+#: summed per-element summaries.
+INTENSITY_PINS = {
+    (7, 1): ("0x1.4a8e58e365435p-3", "0x1.4a8e58e365435p-3"),
+    (7, 8): ("0x1.44a8b6531e5cep+1", "0x1.44a8b6531e5cep-3"),
+    (7, 48): ("0x1.279e8ed617ee6p+1", "0x1.279e8ed617ee6p-3"),
+    (14, 1): ("0x1.439742dc27a89p-3", "0x1.439742dc27a89p-3"),
+    (14, 8): ("0x1.1a642aab749a3p+1", "0x1.1a642aab749a3p-3"),
+    (14, 48): ("0x1.53184698a01b6p+0", "0x1.53184698a01b6p-4"),
+    (24, 1): ("0x1.de64d18b5de65p+0", "0x1.de64d18b5de65p-4"),
+    (24, 8): ("0x1.264f0cc50441bp+0", "0x1.264f0cc50441bp-4"),
+    (24, 48): ("0x1.8164ba539babap-1", "0x1.8164ba539babap-5"),
+}
+
+
+@pytest.mark.parametrize("mid,n_ues", sorted(INTENSITY_PINS))
+def test_intensity_pins(mid, n_ues):
+    traces = SpMVExperiment(build_matrix(mid, 0.02)).traces(n_ues)
+    got = tuple(
+        matrix_arithmetic_intensity(traces, iterations=16, l2_enabled=l2).hex()
+        for l2 in (True, False)
+    )
+    assert got == INTENSITY_PINS[(mid, n_ues)]

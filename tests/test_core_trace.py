@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core import SpMVExperiment, access_summary, characterize_partition
@@ -10,6 +12,7 @@ from repro.machine import get_machine
 from repro.scc.locality import miss_ratio_curve
 from repro.scc.params import L2_BYTES
 from repro.sparse import RowPartition, banded, partition_rows_balanced, random_uniform
+from repro.sparse.fastpath import batch_access_summaries
 from repro.sparse.suite import SUITE, build_matrix
 
 
@@ -139,6 +142,79 @@ class TestAccessSummary:
         s = access_summary(t, iterations=2)
         # <= L2 counts as resident.
         assert s.l2_misses == t.distinct_lines
+
+
+# --- bitwise pins of the three-regime fold ------------------------------------
+
+#: Table I ids of six pattern families: banded, block, dense rows,
+#: power law, random, short random rows.
+FOLD_MATRICES = (7, 12, 5, 13, 14, 25)
+FOLD_UES = (1, 5, 24, 48)
+FOLD_ITERATIONS = (1, 4, 100)
+#: sha256 over every UE's ``float.hex`` l2_hits/l2_misses of the grid
+#: below, captured from the per-element fold before it became a view
+#: of the batched one.
+FOLD_DIGEST = "edaeca95bda308ed50bfdfec319c86c0a0e9d033ac928341e8402b14af0a3bbe"
+#: (ws_bytes, l2_enabled) -> (l2_hits, l2_misses) of ``make_trace`` at
+#: 3 iterations, on and one byte past the L2 boundary.
+BOUNDARY_PINS = {
+    (L2_BYTES, True): ("0x1.9640000000000p+13", "0x1.3880000000000p+12"),
+    (L2_BYTES, False): ("0x0.0p+0", "0x1.1940000000000p+14"),
+    (L2_BYTES + 1, True): ("0x1.1940000000000p+12", "0x1.a5e0000000000p+13"),
+    (L2_BYTES + 1, False): ("0x0.0p+0", "0x1.1940000000000p+14"),
+}
+
+
+@pytest.fixture(scope="module")
+def fold_experiments():
+    return [SpMVExperiment(build_matrix(mid, 0.1)) for mid in FOLD_MATRICES]
+
+
+def _fold_grid(experiments):
+    """(traces, batched traces, l2_enabled, no_x_miss, iterations) per case."""
+    for exp in experiments:
+        for n in FOLD_UES:
+            for l2_enabled in (True, False):
+                for no_x_miss in (False, True):
+                    for iterations in FOLD_ITERATIONS:
+                        yield exp.traces(n), exp.batched_traces(n), l2_enabled, no_x_miss, iterations
+
+
+def _digest(pairs):
+    h = hashlib.sha256()
+    for hits, misses in pairs:
+        h.update(f"{float(hits).hex()} {float(misses).hex()}\n".encode())
+    return h.hexdigest()
+
+
+class TestFoldPins:
+    """The fold's totals, bit for bit, through both of its entry points."""
+
+    def test_grid_spans_both_l2_regimes(self, fold_experiments):
+        ws = [t.ws_bytes for exp in fold_experiments for n in FOLD_UES for t in exp.traces(n)]
+        assert sum(w <= L2_BYTES for w in ws) > 0
+        assert sum(w > L2_BYTES for w in ws) > 0
+
+    def test_per_trace_view_digest(self, fold_experiments):
+        pairs = []
+        for traces, _, l2_enabled, no_x_miss, iterations in _fold_grid(fold_experiments):
+            for t in traces:
+                s = access_summary(t, iterations, l2_enabled=l2_enabled, no_x_miss=no_x_miss)
+                pairs.append((s.l2_hits, s.l2_misses))
+        assert _digest(pairs) == FOLD_DIGEST
+
+    def test_batched_fold_digest(self, fold_experiments):
+        pairs = []
+        for _, batch, l2_enabled, no_x_miss, iterations in _fold_grid(fold_experiments):
+            s = batch_access_summaries(batch, iterations, l2_enabled=l2_enabled, no_x_miss=no_x_miss)
+            pairs.extend(zip(s.l2_hits.tolist(), s.l2_misses.tolist()))
+        assert _digest(pairs) == FOLD_DIGEST
+
+    @pytest.mark.parametrize("ws_bytes,l2_enabled", sorted(BOUNDARY_PINS))
+    def test_l2_boundary(self, ws_bytes, l2_enabled):
+        s = access_summary(make_trace(ws_bytes=ws_bytes), iterations=3, l2_enabled=l2_enabled)
+        got = (float(s.l2_hits).hex(), float(s.l2_misses).hex())
+        assert got == BOUNDARY_PINS[(ws_bytes, l2_enabled)]
 
 
 # --- shared gather links vs the per-slice formulation -------------------------

@@ -7,7 +7,7 @@ import pytest
 import numpy as np
 
 from repro.core import solve_core_times
-from repro.scc import CONF0, AccessSummary, DEFAULT_TIMING, MemorySystem, P54CTimingParams, core_flops
+from repro.scc import CONF0, AccessSummary, DEFAULT_TIMING, MemorySystem, P54CTimingParams
 from repro.sparse.fastpath import BatchedSummaries, base_compute_times
 
 
@@ -72,16 +72,6 @@ class TestCoreTime:
         long_rows = summary(nnz=10000, rows=100)
         short_rows = summary(nnz=10000, rows=5000)
         assert compute_time(short_rows, 533) > compute_time(long_rows, 533)
-
-
-class TestCoreFlops:
-    def test_flops_per_second(self):
-        s = summary(nnz=1000, iters=4)
-        assert core_flops(s, 2.0) == pytest.approx(4000.0)
-
-    def test_zero_time_rejected(self):
-        with pytest.raises(ValueError):
-            core_flops(summary(), 0.0)
 
 
 class TestDefaultCalibration:

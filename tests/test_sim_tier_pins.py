@@ -1,13 +1,15 @@
-"""Bitwise pins of the ``sim`` tier: event schedules and per-core times.
+"""Bitwise pins of the ``sim`` and ``exact-trace`` tiers.
 
 The event engine and the RCCE runtime may be restructured for speed,
 but never so that one dispatched event moves.  The schedules below were
 captured before the engine's heap held plain ``(time, seq, item)``
 tuples and queued ``schedule()`` thunks directly; every later engine
 must dispatch the same ``(time, seq, name)`` list.  The per-core times
-of ``mode="sim"`` must equal ``solve_core_times`` over the per-element
-``access_summary`` list exactly; ``tests/test_core_timing.py`` pins that
-solver's own output in ``float.hex``.
+of ``mode="sim"`` must equal ``solve_core_times`` over the batched cache
+fold that ``mode="model"`` reads too, exactly; the fold is pinned in
+``tests/test_core_trace.py`` and the solver in
+``tests/test_core_timing.py``, both in ``float.hex``.  The per-core
+times of ``mode="exact-trace"`` are pinned in ``float.hex`` below.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from repro.apps.cg import _cg_ue, make_spd
 from repro.core.experiment import DEFAULT_ITERATIONS, SpMVExperiment, _ue_body
 from repro.core.mapping import distance_reduction_mapping
 from repro.core.timing import solve_core_times
-from repro.core.trace import access_summary
+from repro.core.trace import summary_list
 from repro.machine.registry import get_machine
 from repro.rcce import RCCEDeadlockError, collectives
 from repro.rcce.runtime import RCCERuntime
 from repro.sparse import partition_rows_balanced
+from repro.sparse.fastpath import batch_access_summaries
 from repro.sparse.suite import build_matrix
 
 #: the full schedule of the verified barrier/compute/barrier/gather loop
@@ -141,25 +144,22 @@ def exp():
     return SpMVExperiment(build_matrix(24, 0.02), name="pin")
 
 
-def _per_element_times(exp, n_cores, core_map, config, kernel, iterations):
-    """``solve_core_times`` over the per-element ``access_summary`` list."""
-    summaries = [
-        access_summary(
-            t,
-            iterations=iterations,
-            l2_enabled=config.l2_enabled,
-            no_x_miss=(kernel == "no_x_miss"),
-            l2_bytes=exp.machine.cache.l2_bytes,
-        )
-        for t in exp.traces(n_cores)
-    ]
+def _fold_times(exp, n_cores, core_map, config, kernel, iterations):
+    """``solve_core_times`` over a fresh batched fold of the traces."""
+    summaries = batch_access_summaries(
+        exp.batched_traces(n_cores),
+        iterations,
+        l2_enabled=config.l2_enabled,
+        no_x_miss=(kernel == "no_x_miss"),
+        l2_bytes=exp.machine.cache.l2_bytes,
+    )
     mem = exp.machine.memory_system(config, topology=exp.topology)
-    return solve_core_times(summaries, core_map, config, mem, exp.timing)
+    return solve_core_times(summary_list(summaries), core_map, config, mem, exp.timing)
 
 
 class TestSimTierSolver:
-    """``mode="sim"`` per-core times equal ``solve_core_times``
-    over the per-element summaries, bit for bit."""
+    """``mode="sim"`` per-core times equal ``solve_core_times`` over
+    the batched fold, bit for bit: sim and model share one fold."""
 
     @pytest.mark.parametrize("config", _configs(), ids=lambda c: f"{c.name}-l2{c.l2_enabled:d}")
     @pytest.mark.parametrize("kernel", ["csr", "no_x_miss"])
@@ -167,17 +167,76 @@ class TestSimTierSolver:
         for n in range(1, 49):
             got = exp.run(n_cores=n, config=config, kernel=kernel, iterations=4, mode="sim")
             core_map = exp._core_map("distance_reduction", n)[0]
-            assert got.per_core == _per_element_times(exp, n, core_map, config, kernel, 4), n
+            assert got.per_core == _fold_times(exp, n, core_map, config, kernel, 4), n
 
     def test_explicit_core_list(self, exp):
         cores = [47, 0, 23, 12, 5, 30]
         config = _configs()[1]
         got = exp.run(n_cores=len(cores), config=config, mapping=cores, mode="sim")
         assert got.mapping == "explicit"
-        assert got.per_core == _per_element_times(
+        assert got.per_core == _fold_times(
             exp, len(cores), cores, config, "csr", DEFAULT_ITERATIONS
         )
 
+
+
+#: (config, kernel, n_cores) -> each core's ``float.hex`` (time,
+#: line_time, mem_lines) of ``mode="exact-trace"`` at 4 iterations,
+#: captured when the tier still solved a per-element summary list.
+EXACT_TRACE_PINS = {
+    ("conf0", "csr", 1): [
+        ("0x1.18ece8cf02179p-11", "0x1.1ca46e6710742p-23", "0x1.0280000000000p+10"),
+    ],
+    ("conf0", "csr", 5): [
+        ("0x1.d8bab383bf1ccp-14", "0x1.1ca46e6710742p-23", "0x1.2400000000000p+8"),
+        ("0x1.d236715f4996ep-14", "0x1.1ca46e6710742p-23", "0x1.2a00000000000p+8"),
+        ("0x1.cda9172bca39fp-14", "0x1.1ca46e6710742p-23", "0x1.2000000000000p+8"),
+        ("0x1.d070b23fcbe32p-14", "0x1.1ca46e6710742p-23", "0x1.2500000000000p+8"),
+        ("0x1.cdfc2a1bca3d4p-14", "0x1.1ca46e6710742p-23", "0x1.2500000000000p+8"),
+    ],
+    ("conf0", "no_x_miss", 1): [
+        ("0x1.11969e302db60p-11", "0x1.1ca46e6710742p-23", "0x1.c800000000000p+9"),
+    ],
+    ("conf0", "no_x_miss", 5): [
+        ("0x1.9667015cbfa36p-14", "0x1.1ca46e6710742p-23", "0x1.7400000000000p+7"),
+        ("0x1.93f27938bdfd8p-14", "0x1.1ca46e6710742p-23", "0x1.7400000000000p+7"),
+        ("0x1.946602f60e6a9p-14", "0x1.1ca46e6710742p-23", "0x1.7200000000000p+7"),
+        ("0x1.9582a764757b0p-14", "0x1.1ca46e6710742p-23", "0x1.7600000000000p+7"),
+        ("0x1.90d4d663a5b44p-14", "0x1.1ca46e6710742p-23", "0x1.6e00000000000p+7"),
+    ],
+    ("l2off", "csr", 1): [
+        ("0x1.9d721a2618e3ap-11", "0x1.1ca46e6710742p-23", "0x1.cdc0000000000p+11"),
+    ],
+    ("l2off", "csr", 5): [
+        ("0x1.eb76245a8c0e1p-14", "0x1.1ca46e6710742p-23", "0x1.5300000000000p+8"),
+        ("0x1.d236715f4996ep-14", "0x1.1ca46e6710742p-23", "0x1.2a00000000000p+8"),
+        ("0x1.cda9172bca39fp-14", "0x1.1ca46e6710742p-23", "0x1.2000000000000p+8"),
+        ("0x1.d070b23fcbe32p-14", "0x1.1ca46e6710742p-23", "0x1.2500000000000p+8"),
+        ("0x1.cdfc2a1bca3d4p-14", "0x1.1ca46e6710742p-23", "0x1.2500000000000p+8"),
+    ],
+    ("l2off", "no_x_miss", 1): [
+        ("0x1.98ff886c7ca1cp-11", "0x1.1ca46e6710742p-23", "0x1.c5c0000000000p+11"),
+    ],
+    ("l2off", "no_x_miss", 5): [
+        ("0x1.9667015cbfa36p-14", "0x1.1ca46e6710742p-23", "0x1.7400000000000p+7"),
+        ("0x1.93f27938bdfd8p-14", "0x1.1ca46e6710742p-23", "0x1.7400000000000p+7"),
+        ("0x1.946602f60e6a9p-14", "0x1.1ca46e6710742p-23", "0x1.7200000000000p+7"),
+        ("0x1.9582a764757b0p-14", "0x1.1ca46e6710742p-23", "0x1.7600000000000p+7"),
+        ("0x1.90d4d663a5b44p-14", "0x1.1ca46e6710742p-23", "0x1.6e00000000000p+7"),
+    ],
+}
+
+
+class TestExactTracePins:
+    """``mode="exact-trace"`` per-core times, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(EXACT_TRACE_PINS), ids=str)
+    def test_per_core_hex(self, exp, case):
+        config_name, kernel, n = case
+        config = _configs()[0] if config_name == "conf0" else _configs()[-1]
+        got = exp.run(n_cores=n, config=config, kernel=kernel, iterations=4, mode="exact-trace")
+        hexed = [(c.time.hex(), c.line_time.hex(), c.mem_lines.hex()) for c in got.per_core]
+        assert hexed == EXACT_TRACE_PINS[case]
 
 # -- the flat barrier ----------------------------------------------------------
 
