@@ -9,11 +9,15 @@ locality (Xiang et al., "HOTL", ASPLOS'13):
 
 1. compute the **reuse time** of every access (distance in accesses
    since the previous touch of the same cache line) — vectorized with
-   one stable ``argsort`` per stream.  :func:`line_links` records each
-   access's previous and next touch once; :func:`window_profile` then
-   characterizes any contiguous window of the stream without sorting
-   again, so the SpMV model sorts each matrix's ``x`` gather once and
-   shares it across every core count (one window per UE);
+   one stable sort per stream, radix passes over 16-bit digits for line
+   ids below 2**32 (:func:`stable_argsort`).  :func:`line_links` records
+   each access's previous and next touch once; :func:`window_profile`
+   then characterizes any contiguous window of the stream without
+   sorting again, so the SpMV model sorts each matrix's ``x`` gather
+   once and shares it across every core count (one window per UE).  A
+   window profile counts its distinct lines up front and builds the
+   reuse-time histogram only when step 3 reads it: a capacity that holds
+   every distinct line misses only the cold ones;
 2. convert the reuse-time histogram into the **average footprint**
    ``fp(w)`` — the mean number of distinct lines touched in any window
    of ``w`` consecutive accesses — via Xiang's O(N) formula;
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -41,6 +46,7 @@ from .params import CACHE_LINE_BYTES
 
 __all__ = [
     "lines_of_addresses",
+    "stable_argsort",
     "line_links",
     "reuse_times",
     "ReuseProfile",
@@ -65,13 +71,37 @@ def _link_dtype(n: int) -> type:
     return np.int32 if n < 2**31 else np.int64
 
 
+def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of integer keys that all lie in ``[0, bound)``.
+
+    NumPy radix-sorts 16-bit keys, so keys below 2**16 sort in one pass
+    over ``uint16`` keys and keys below 2**32 in two passes over
+    ``uint16`` digits, low digit first.  Any ``bound`` above 2**32
+    takes the comparison sort; pass one for keys outside ``[0, 2**32)``.
+    A stable sort's permutation is unique, so every branch returns the
+    same order, in the narrowest index dtype that holds every position
+    (:func:`_link_dtype`).
+    """
+    dtype = _link_dtype(keys.size)
+    if bound > 1 << 32:
+        return np.argsort(keys, kind="stable").astype(dtype, copy=False)
+    # The cast keeps the low 16 bits of every key.
+    order = np.argsort(keys.astype(np.uint16), kind="stable").astype(dtype, copy=False)
+    if bound > 1 << 16:
+        high = keys[order]
+        high >>= 16
+        order = order[np.argsort(high.astype(np.uint16), kind="stable")]
+    return order
+
+
 def line_links(lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Previous and next touch of every access's line.
 
     Returns ``(prev, nxt)``: ``prev[i]`` is the index of the previous
     access to the line of access ``i`` (``-1`` if none) and ``nxt[i]``
-    that of the next one (``n`` if none).  One stable argsort groups the
-    accesses by line in time order.  Every window ``lines[lo:hi]`` is
+    that of the next one (``n`` if none).  One stable sort groups the
+    accesses by line in time order (:func:`stable_argsort`: radix passes
+    for line ids below 2**32).  Every window ``lines[lo:hi]`` is
     then characterized without sorting again (:func:`window_profile`):
     access ``i`` is a first touch iff ``prev[i] < lo``, a last touch iff
     ``nxt[i] >= hi``, and otherwise reuses after ``i - prev[i]``
@@ -85,8 +115,9 @@ def line_links(lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     nxt = np.full(n, n, dtype=dtype)
     if n == 0:
         return prev, nxt
-    # Narrowing the permutation at once halves what the links build holds.
-    order = np.argsort(lines, kind="stable").astype(dtype, copy=False)
+    # Line ids are never negative; anything else takes the comparison sort.
+    bound = int(lines.max()) + 1 if lines.min() >= 0 else 1 << 64
+    order = stable_argsort(lines, bound)
     sorted_lines = lines[order]
     same = sorted_lines[1:] == sorted_lines[:-1]
     later = order[1:][same]
@@ -112,20 +143,47 @@ def reuse_times(lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return rt, first
 
 
-@dataclass(frozen=True)
 class ReuseProfile:
-    """Summary of one access stream at line granularity."""
+    """Summary of the window ``lines[lo:hi]`` of a linked stream.
 
-    n_accesses: int
-    n_lines: int                     # distinct lines (== cold misses)
-    reuse_hist: np.ndarray           # reuse_hist[t] = #accesses with rt == t
-    first_times: np.ndarray          # 1-based first-access times, ascending
-    last_times: np.ndarray           # 1-based last-access times, ascending
+    ``n_accesses`` and ``n_lines`` are counted up front.  The reuse
+    histogram and the first and last times are built on first read:
+    :meth:`MissRatioCurve.misses` reads none of them at a capacity of
+    ``n_lines`` or more, the case of most windows.
+    """
+
+    def __init__(self, links: Tuple[np.ndarray, np.ndarray], lo: int, hi: int) -> None:
+        prev, nxt = links
+        if not 0 <= lo <= hi <= prev.size:
+            raise ValueError(f"need 0 <= lo <= hi <= {prev.size}, got lo={lo}, hi={hi}")
+        self._prev = prev[lo:hi]
+        self._nxt = nxt[lo:hi]
+        self._lo = lo
+        self.n_accesses = hi - lo
+        #: distinct lines (== cold misses): the window's first touches.
+        self.n_lines = int(np.count_nonzero(self._prev < lo))
 
     @property
     def cold_misses(self) -> int:
         """First-touch misses (== distinct lines)."""
         return self.n_lines
+
+    @cached_property
+    def reuse_hist(self) -> np.ndarray:
+        """``reuse_hist[t]``: accesses with reuse time ``t``, for ``t`` in ``0..n``."""
+        p, lo = self._prev, self._lo
+        rt = np.arange(lo, lo + p.size, dtype=p.dtype) - p
+        return np.bincount(rt[p >= lo], minlength=p.size + 1).astype(np.int64, copy=False)
+
+    @cached_property
+    def first_times(self) -> np.ndarray:
+        """1-based first-access times, ascending."""
+        return np.flatnonzero(self._prev < self._lo) + 1
+
+    @cached_property
+    def last_times(self) -> np.ndarray:
+        """1-based last-access times, ascending."""
+        return np.flatnonzero(self._nxt >= self._lo + self.n_accesses) + 1
 
 
 def window_profile(
@@ -134,30 +192,11 @@ def window_profile(
     """Reuse profile of the window ``lines[lo:hi]`` from ``line_links(lines)``.
 
     Equal to ``reuse_profile(lines[lo:hi])``, with first and last times
-    in time order, at the cost of a few vectorized passes over the
-    window and no sort.
+    in time order, at the cost of one count over the window and no
+    sort; each further field costs a few vectorized passes when first
+    read.
     """
-    prev, nxt = links
-    if hi is None:
-        hi = prev.size
-    if not 0 <= lo <= hi <= prev.size:
-        raise ValueError(f"need 0 <= lo <= hi <= {prev.size}, got lo={lo}, hi={hi}")
-    n = hi - lo
-    if n == 0:
-        return ReuseProfile(0, 0, np.zeros(1, dtype=np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
-    p = prev[lo:hi]
-    first = p < lo
-    rt = np.arange(lo, hi, dtype=p.dtype) - p
-    hist = np.bincount(rt[~first], minlength=n + 1).astype(np.int64, copy=False)
-    firsts = np.flatnonzero(first) + 1                # 1-based
-    lasts = np.flatnonzero(nxt[lo:hi] >= hi) + 1      # 1-based
-    return ReuseProfile(
-        n_accesses=n,
-        n_lines=int(firsts.size),
-        reuse_hist=hist,
-        first_times=firsts,
-        last_times=lasts,
-    )
+    return ReuseProfile(links, lo, links[0].size if hi is None else hi)
 
 
 def reuse_profile(lines: np.ndarray) -> ReuseProfile:

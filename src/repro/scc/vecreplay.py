@@ -12,7 +12,8 @@ fast:
 1. **Set-parallel lockstep.**  A set-associative cache is ``n_sets``
    independent state machines: accesses to different sets never
    interact.  The address stream is partitioned by cache set (one
-   stable argsort on a radix-sortable narrow key) and all sets advance
+   :func:`~repro.scc.locality.stable_argsort`, a radix sort on 16-bit
+   keys at every SCC geometry) and all sets advance
    *one access each* per step, so the Python-level loop runs
    ``O(max per-set depth)`` times instead of ``O(n_accesses)`` —
    ~``n_sets``-fold fewer iterations on balanced streams.
@@ -59,6 +60,7 @@ from typing import Any, Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .cache import CacheStats, _PLRUTree
+from .locality import stable_argsort
 from .params import CACHE_ASSOC, CACHE_LINE_BYTES, L1D_BYTES, L2_BYTES
 
 __all__ = [
@@ -264,15 +266,6 @@ class TraceSchedule:
     collapsed: int         #: adjacent duplicates folded away (all hits)
 
 
-def _narrow(values: np.ndarray, bound: int) -> np.ndarray:
-    """Cast sort keys to the narrowest int dtype (radix-sortable)."""
-    if bound <= 1 << 15:
-        return values.astype(np.int16)
-    if bound <= 1 << 31:
-        return values.astype(np.int32)
-    return values
-
-
 def compile_schedule(
     lines: np.ndarray,
     writes: Optional[np.ndarray],
@@ -289,7 +282,7 @@ def compile_schedule(
             empty64, np.empty(0, dtype=np.uint8), empty64, np.zeros(1, dtype=np.int64), 0,
         )
     set_idx = lines % n_sets
-    order = np.argsort(_narrow(set_idx, n_sets), kind="stable")
+    order = stable_argsort(set_idx, n_sets)
     lines_s = lines[order]
 
     # Adjacent-duplicate collapse.  Equal neighbours in the set-grouped
@@ -645,6 +638,9 @@ class VectorCacheHierarchy:
             VectorCache(l2_bytes, assoc, line_bytes, name="L2") if l2_enabled else None
         )
         self.line_bytes = line_bytes
+        #: (L1 schedule, L1 miss mask, the L2 schedule of that mask) of
+        #: the last :meth:`access_lines` call given an L1 schedule.
+        self._l2_memo: Optional[Tuple[TraceSchedule, np.ndarray, TraceSchedule]] = None
 
     def access_lines(
         self,
@@ -656,21 +652,32 @@ class VectorCacheHierarchy:
 
         ``l1_schedule`` (from :func:`compile_schedule` against
         ``self.l1.n_sets``) skips recompilation when the same stream is
-        replayed repeatedly; the L2 schedule always recompiles because
-        the miss stream depends on L1 state.
+        replayed repeatedly.  The L2's input is the stream under the L1
+        miss mask, which depends on L1 state; a schedule depends only on
+        its lines, writes and geometry, so when the mask equals the one
+        the same ``l1_schedule`` gave last call, the last L2 schedule is
+        replayed again instead of recompiled.
         """
         lines = np.ascontiguousarray(lines, dtype=np.int64)
         n = lines.size
+        keep = l1_schedule is not None
         if l1_schedule is None:
             l1_schedule = compile_schedule(lines, writes, self.l1.n_sets, self.l1.assoc)
         miss_mask = self.l1.replay_schedule(l1_schedule)
         n_l1_miss = int(np.count_nonzero(miss_mask))
         if self.l2 is None:
             return {"l1": n - n_l1_miss, "l2": 0, "mem": n_l1_miss}
-        miss_writes = None
-        if writes is not None:
-            miss_writes = np.asarray(writes, dtype=bool)[miss_mask]
-        sched2 = compile_schedule(lines[miss_mask], miss_writes, self.l2.n_sets, self.l2.assoc)
+        memo = self._l2_memo
+        if memo is not None and memo[0] is l1_schedule and np.array_equal(memo[1], miss_mask):
+            sched2 = memo[2]
+        else:
+            self._l2_memo = memo = None  # not held while the next one compiles
+            miss_writes = None
+            if writes is not None:
+                miss_writes = np.asarray(writes, dtype=bool)[miss_mask]
+            sched2 = compile_schedule(lines[miss_mask], miss_writes, self.l2.n_sets, self.l2.assoc)
+            if keep:
+                self._l2_memo = (l1_schedule, miss_mask, sched2)
         n_mem = int(np.count_nonzero(self.l2.replay_schedule(sched2)))
         return {"l1": n - n_l1_miss, "l2": n_l1_miss - n_mem, "mem": n_mem}
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -215,6 +216,27 @@ class TestFoldPins:
         s = access_summary(make_trace(ws_bytes=ws_bytes), iterations=3, l2_enabled=l2_enabled)
         got = (float(s.l2_hits).hex(), float(s.l2_misses).hex())
         assert got == BOUNDARY_PINS[(ws_bytes, l2_enabled)]
+
+
+# --- every UETrace of the suite, bit for bit ------------------------------------
+
+TRACE_CORE_COUNTS = (1, 2, 4, 8, 12, 16, 24, 32, 40, 48)
+#: sha256 over every field of every ``UETrace`` (``float.hex`` for the
+#: floats) of the 32 suite matrices at scale 0.02 x ``TRACE_CORE_COUNTS``,
+#: captured before the window profile became lazy and the link sort
+#: radix-sorted.
+UETRACE_DIGEST = "3e9459a2c3fc0b0fffaa975fbaa68bbfcf06b33f3b87c7f6fb35e90960ee205a"
+
+
+def test_suite_uetrace_digest(suite_small):
+    h = hashlib.sha256()
+    for _, a in suite_small:
+        links = gather_links(a)
+        for n in TRACE_CORE_COUNTS:
+            for t in characterize_partition(a, partition_rows_balanced(a, n), links=links):
+                fields = (v.hex() if isinstance(v, float) else str(v) for v in dataclasses.astuple(t))
+                h.update((" ".join(fields) + "\n").encode())
+    assert h.hexdigest() == UETRACE_DIGEST
 
 
 # --- shared gather links vs the per-slice formulation -------------------------

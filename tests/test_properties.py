@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -330,6 +332,99 @@ class TestWindowProfileProperties:
         assert np.array_equal(wide.reuse_hist, narrow.reuse_hist)
         assert np.array_equal(wide.first_times, narrow.first_times)
         assert np.array_equal(wide.last_times, narrow.last_times)
+
+
+def argsort_links(lines):
+    """Reference links: one int64 stable argsort, whatever the key range."""
+    lines = np.asarray(lines, dtype=np.int64)
+    n = lines.size
+    prev, nxt = np.full(n, -1, dtype=np.int64), np.full(n, n, dtype=np.int64)
+    order = np.argsort(lines, kind="stable")
+    same = lines[order][1:] == lines[order][:-1]
+    prev[order[1:][same]] = order[:-1][same]
+    nxt[order[:-1][same]] = order[1:][same]
+    return prev, nxt
+
+
+@st.composite
+def keyed_streams(draw, low, high):
+    """Streams over a few distinct keys in ``[low, high]``, repeats likely."""
+    pool = draw(st.lists(st.integers(low, high), min_size=1, max_size=30))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=0, max_size=300))
+    return np.array([pool[i] for i in picks], dtype=np.int64)
+
+
+class TestLineLinksKeyRanges:
+    """``line_links`` picks its sort by key range; the links never change."""
+
+    @SET
+    @given(st.one_of(
+        keyed_streams(0, 2**16 - 1),
+        keyed_streams(0, 2**32 - 1),
+        keyed_streams(2**16, 2**32 - 1),
+        keyed_streams(2**32, 2**62),
+        keyed_streams(-(2**40), 2**40),
+    ))
+    def test_links_equal_int64_stable_argsort(self, lines):
+        prev, nxt = line_links(lines)
+        want_prev, want_nxt = argsort_links(lines)
+        assert np.array_equal(prev, want_prev)
+        assert np.array_equal(nxt, want_nxt)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
+    def test_boundary_keys(self, dtype):
+        info = np.iinfo(dtype)
+        edges = [0, 1, 2**16 - 1, 2**16, 2**32 - 1, 2**32, info.max]
+        keys = np.array([k for k in edges if k <= info.max], dtype=dtype)
+        lines = np.tile(keys, 3)[::-1]
+        prev, nxt = line_links(lines)
+        want_prev, want_nxt = argsort_links(lines)
+        assert np.array_equal(prev, want_prev)
+        assert np.array_equal(nxt, want_nxt)
+
+
+class EagerProfile(NamedTuple):
+    n_accesses: int
+    n_lines: int
+    reuse_hist: np.ndarray
+    first_times: np.ndarray
+    last_times: np.ndarray
+
+
+def eager_profile(lines):
+    """Every field of a window's profile, built up front by bookkeeping."""
+    hist, firsts, lasts = naive_profile(lines)
+    firsts, lasts = np.array(firsts, dtype=np.int64), np.array(lasts, dtype=np.int64)
+    return EagerProfile(len(lines), len(firsts), hist, firsts, lasts)
+
+
+class TestMissesMatchEagerProfile:
+    @SET
+    @given(windowed_streams(), st.floats(0.0, 50.0))
+    def test_capacities_below_at_and_above_m(self, case, cap):
+        lines, lo, hi = case
+        want = eager_profile(lines[lo:hi])
+        mrc = miss_ratio_curve(links=line_links(lines), lo=lo, hi=hi)
+        assert mrc.profile.n_accesses == want.n_accesses
+        assert mrc.profile.n_lines == want.n_lines
+        for c in edge_capacities(want.n_lines) + (cap,):
+            assert mrc.misses(c) == reference_misses(want, c), c
+
+    def test_fitting_capacities_build_no_histogram(self):
+        lines = np.array([3, 1, 3, 2, 1, 4, 3])
+        mrc = miss_ratio_curve(links=line_links(lines), lo=1, hi=6)
+        m = mrc.profile.n_lines
+        assert [mrc.misses(c) for c in (m, m + 0.5, float("inf"))] == [m, m, m]
+        assert not {"reuse_hist", "first_times", "last_times"} & vars(mrc.profile).keys()
+        assert mrc.misses(m - 1) == reference_misses(eager_profile(lines[1:6]), m - 1)
+        assert {"reuse_hist", "first_times", "last_times"} <= vars(mrc.profile).keys()
+
+    @pytest.mark.parametrize("lo", [0, 2, 5])
+    def test_empty_windows(self, lo):
+        mrc = miss_ratio_curve(links=line_links(np.array([3, 1, 3, 2, 1])), lo=lo, hi=lo)
+        for c in edge_capacities(0):
+            assert mrc.misses(c) == 0
+            assert mrc.miss_ratio(c) == 0.0
 
 
 def test_miss_ratio_curve_takes_exactly_one_stream():

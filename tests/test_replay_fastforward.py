@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.obs.tracer import Tracer
-from repro.scc import CacheHierarchy
+from repro.scc import CacheHierarchy, vecreplay
 from repro.scc.params import CACHE_LINE_BYTES
 from repro.scc.tracegen import TraceCounts, replay_trace, spmv_address_trace
 from repro.scc.vecreplay import VectorCacheHierarchy, compile_schedule, fingerprints_equal
@@ -109,3 +109,75 @@ def test_supplied_hierarchy_ends_in_the_scalar_state(suite, mid, iterations):
     )
     warm = replay_trace(a, iterations=2, hierarchy=scalar)
     assert replay_trace(a, iterations=2, hierarchy=vec, engine="vectorized") == warm
+
+
+# -- one validate_exact pass, pinned ---------------------------------------
+
+#: mid -> (replay.steps, replay.simulated_iterations, replay.tail_accesses,
+#: counts) of a cold 16-iteration replay at ``SCALE``, captured before the
+#: L2 schedule was reused across passes.
+REPLAY_PINS = {
+    1: (1348, 2, 4740, TraceCounts(5891664, 48992, 854800)),
+    2: (5202, 2, 11652, TraceCounts(19816192, 50432, 2893296)),
+    3: (1260, 2, 4176, TraceCounts(6224289, 47935, 907184)),
+    4: (966, 3, 3828, TraceCounts(2728720, 21189, 394235)),
+    5: (1200, 3, 1517, TraceCounts(2618923, 145, 374308)),
+    6: (240, 3, 858, TraceCounts(535192, 73410, 4838)),
+    7: (434, 2, 1196, TraceCounts(1883168, 592, 273072)),
+    8: (414, 2, 1253, TraceCounts(1833025, 655, 266752)),
+    9: (504, 3, 1714, TraceCounts(1452667, 11746, 208963)),
+    10: (120, 3, 867, TraceCounts(267629, 36378, 2425)),
+    11: (393, 3, 1659, TraceCounts(1169216, 37367, 132569)),
+    12: (387, 3, 1395, TraceCounts(1202143, 36877, 143284)),
+    13: (618, 3, 4287, TraceCounts(944545, 99409, 57070)),
+    14: (868, 3, 1008, TraceCounts(1294209, 42295, 177848)),
+    15: (834, 3, 1166, TraceCounts(996362, 118840, 84702)),
+    16: (391, 3, 513, TraceCounts(782301, 104388, 7119)),
+    17: (261, 3, 717, TraceCounts(776768, 97628, 15476)),
+    18: (160, 2, 758, TraceCounts(579581, 80684, 5255)),
+    19: (158, 2, 622, TraceCounts(692848, 97021, 6307)),
+    20: (112, 2, 338, TraceCounts(412000, 56280, 3752)),
+    21: (219, 3, 562, TraceCounts(397802, 53025, 3589)),
+    22: (96, 2, 226, TraceCounts(368720, 50910, 3394)),
+    23: (30, 2, 826, TraceCounts(163288, 21765, 1475)),
+    24: (52, 3, 177, TraceCounts(102170, 13244, 1034)),
+    25: (225, 3, 282, TraceCounts(325641, 53869, 3242)),
+    26: (118, 3, 672, TraceCounts(248289, 33271, 2312)),
+    27: (115, 3, 357, TraceCounts(196901, 25982, 1805)),
+    28: (74, 2, 174, TraceCounts(252864, 35056, 2336)),
+    29: (68, 2, 130, TraceCounts(258752, 36690, 2446)),
+    30: (69, 3, 741, TraceCounts(176602, 24012, 1610)),
+    31: (62, 2, 120, TraceCounts(204944, 29085, 1939)),
+    32: (75, 3, 610, TraceCounts(140957, 18530, 1313)),
+}
+
+
+def test_replay_counters_per_matrix(suite):
+    for mid, (steps, simulated, tail, counts) in REPLAY_PINS.items():
+        tracer = Tracer()
+        got = replay_trace(
+            suite[mid], iterations=16, engine="vectorized", use_disk_cache=False, tracer=tracer
+        )
+        m = tracer.metrics
+        assert got == counts, mid
+        assert m.counter("replay.steps").value == steps, mid
+        assert m.counter("replay.simulated_iterations").value == simulated, mid
+        assert m.counter("replay.tail_accesses").value == tail, mid
+
+
+def test_l2_schedule_compiles_only_for_a_new_miss_mask(suite, monkeypatch):
+    # 83 simulated passes over the suite: 27 of them see the L1 miss mask
+    # of the pass before and replay its L2 schedule again.
+    l2_sets = VectorCacheHierarchy().l2.n_sets
+    l2_compiles, real_compile = [], vecreplay.compile_schedule
+
+    def spy(lines, writes, n_sets, assoc):
+        if n_sets == l2_sets:
+            l2_compiles.append(lines.size)
+        return real_compile(lines, writes, n_sets, assoc)
+
+    monkeypatch.setattr(vecreplay, "compile_schedule", spy)
+    for mid in REPLAY_PINS:
+        replay_trace(suite[mid], iterations=16, engine="vectorized", use_disk_cache=False)
+    assert sum(simulated for _, simulated, _, _ in REPLAY_PINS.values()) == 83
+    assert len(l2_compiles) == 56

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.scc import vecreplay
 from repro.scc.cache import Cache, CacheHierarchy
 from repro.scc.vecreplay import (
     MAX_ASSOC,
@@ -201,6 +202,39 @@ class TestHierarchyDifferential:
                 _scalar_fingerprint(scalar.l1) + _scalar_fingerprint(scalar.l2),
                 vec.state_fingerprint(),
             )
+
+    def test_alternating_l1_schedules_match_scalar(self, monkeypatch):
+        # Passes over two streams, each with its own precompiled L1
+        # schedule: an L2 schedule is replayed again only for the same
+        # L1 schedule and an equal miss mask.
+        rng = np.random.default_rng(43)
+        streams = [_stream(rng, 1500, 90), _stream(rng, 1500, 300)]
+        scalar = CacheHierarchy(l1_bytes=1024, l2_bytes=4096)
+        vec = VectorCacheHierarchy(l1_bytes=1024, l2_bytes=4096)
+        scheds = [compile_schedule(a // 32, w, vec.l1.n_sets) for a, w in streams]
+        l2_compiles, real_compile = [], vecreplay.compile_schedule
+
+        def spy(lines, writes, n_sets, assoc):
+            l2_compiles.append(n_sets)
+            return real_compile(lines, writes, n_sets, assoc)
+
+        monkeypatch.setattr(vecreplay, "compile_schedule", spy)
+        order = [0, 0, 0, 1, 1, 0, 1, 1, 1, 0]
+        for k in order:
+            addrs, writes = streams[k]
+            before = [_scalar_stats(lv) for lv in (scalar.l1, scalar.l2)]
+            for a, w in zip(addrs.tolist(), writes.tolist()):
+                scalar.access(int(a), write=bool(w))
+            after = [_scalar_stats(lv) for lv in (scalar.l1, scalar.l2)]
+            counts = vec.access_lines(addrs // 32, writes, l1_schedule=scheds[k])
+            l1_hits, l2_hits = after[0][0] - before[0][0], after[1][0] - before[1][0]
+            assert (counts["l1"], counts["l2"]) == (l1_hits, l2_hits)
+        assert _scalar_stats(scalar.l2) == _scalar_stats(vec.l2)
+        assert fingerprints_equal(
+            _scalar_fingerprint(scalar.l1) + _scalar_fingerprint(scalar.l2),
+            vec.state_fingerprint(),
+        )
+        assert 0 < len(l2_compiles) < len(order)
 
     def test_level_counts_sum_to_accesses(self):
         rng = np.random.default_rng(41)
