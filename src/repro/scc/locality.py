@@ -9,8 +9,8 @@ locality (Xiang et al., "HOTL", ASPLOS'13):
 
 1. compute the **reuse time** of every access (distance in accesses
    since the previous touch of the same cache line) — vectorized with
-   one stable sort per stream, radix passes over 16-bit digits for line
-   ids below 2**32 (:func:`stable_argsort`).  :func:`line_links` records
+   one stable sort per stream, a radix sort for line ids below 2**16
+   (:func:`stable_argsort`).  :func:`line_links` records
    each access's previous and next touch once; :func:`window_profile`
    then characterizes any contiguous window of the stream without
    sorting again, so the SpMV model sorts each matrix's ``x`` gather
@@ -71,27 +71,19 @@ def _link_dtype(n: int) -> type:
     return np.int32 if n < 2**31 else np.int64
 
 
-def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
-    """Stable argsort of integer keys that all lie in ``[0, bound)``.
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """Stable argsort of an integer array.
 
-    NumPy radix-sorts 16-bit keys, so keys below 2**16 sort in one pass
-    over ``uint16`` keys and keys below 2**32 in two passes over
-    ``uint16`` digits, low digit first.  Any ``bound`` above 2**32
-    takes the comparison sort; pass one for keys outside ``[0, 2**32)``.
-    A stable sort's permutation is unique, so every branch returns the
-    same order, in the narrowest index dtype that holds every position
-    (:func:`_link_dtype`).
+    NumPy radix-sorts 16-bit keys, so keys that all lie in ``[0, 2**16)``
+    sort in one pass over ``uint16`` keys; any other keys take the
+    comparison sort.  A stable sort's permutation is unique, so both
+    branches return the same order, in the narrowest index dtype that
+    holds every position (:func:`_link_dtype`).
     """
     dtype = _link_dtype(keys.size)
-    if bound > 1 << 32:
-        return np.argsort(keys, kind="stable").astype(dtype, copy=False)
-    # The cast keeps the low 16 bits of every key.
-    order = np.argsort(keys.astype(np.uint16), kind="stable").astype(dtype, copy=False)
-    if bound > 1 << 16:
-        high = keys[order]
-        high >>= 16
-        order = order[np.argsort(high.astype(np.uint16), kind="stable")]
-    return order
+    if keys.size and keys.min() >= 0 and keys.max() < 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable").astype(dtype, copy=False)
 
 
 def line_links(lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -100,8 +92,8 @@ def line_links(lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     Returns ``(prev, nxt)``: ``prev[i]`` is the index of the previous
     access to the line of access ``i`` (``-1`` if none) and ``nxt[i]``
     that of the next one (``n`` if none).  One stable sort groups the
-    accesses by line in time order (:func:`stable_argsort`: radix passes
-    for line ids below 2**32).  Every window ``lines[lo:hi]`` is
+    accesses by line in time order (:func:`stable_argsort`: a radix sort
+    for line ids below 2**16).  Every window ``lines[lo:hi]`` is
     then characterized without sorting again (:func:`window_profile`):
     access ``i`` is a first touch iff ``prev[i] < lo``, a last touch iff
     ``nxt[i] >= hi``, and otherwise reuses after ``i - prev[i]``
@@ -115,9 +107,7 @@ def line_links(lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     nxt = np.full(n, n, dtype=dtype)
     if n == 0:
         return prev, nxt
-    # Line ids are never negative; anything else takes the comparison sort.
-    bound = int(lines.max()) + 1 if lines.min() >= 0 else 1 << 64
-    order = stable_argsort(lines, bound)
+    order = stable_argsort(lines)
     sorted_lines = lines[order]
     same = sorted_lines[1:] == sorted_lines[:-1]
     later = order[1:][same]

@@ -282,7 +282,7 @@ def compile_schedule(
             empty64, np.empty(0, dtype=np.uint8), empty64, np.zeros(1, dtype=np.int64), 0,
         )
     set_idx = lines % n_sets
-    order = stable_argsort(set_idx, n_sets)
+    order = stable_argsort(set_idx)
     lines_s = lines[order]
 
     # Adjacent-duplicate collapse.  Equal neighbours in the set-grouped
@@ -638,9 +638,6 @@ class VectorCacheHierarchy:
             VectorCache(l2_bytes, assoc, line_bytes, name="L2") if l2_enabled else None
         )
         self.line_bytes = line_bytes
-        #: (L1 schedule, L1 miss mask, the L2 schedule of that mask) of
-        #: the last :meth:`access_lines` call given an L1 schedule.
-        self._l2_memo: Optional[Tuple[TraceSchedule, np.ndarray, TraceSchedule]] = None
 
     def access_lines(
         self,
@@ -652,32 +649,22 @@ class VectorCacheHierarchy:
 
         ``l1_schedule`` (from :func:`compile_schedule` against
         ``self.l1.n_sets``) skips recompilation when the same stream is
-        replayed repeatedly.  The L2's input is the stream under the L1
-        miss mask, which depends on L1 state; a schedule depends only on
-        its lines, writes and geometry, so when the mask equals the one
-        the same ``l1_schedule`` gave last call, the last L2 schedule is
-        replayed again instead of recompiled.
+        replayed repeatedly.  The L2 schedule compiles on every call:
+        its input is the stream under the L1 miss mask, which depends on
+        L1 state.
         """
         lines = np.ascontiguousarray(lines, dtype=np.int64)
         n = lines.size
-        keep = l1_schedule is not None
         if l1_schedule is None:
             l1_schedule = compile_schedule(lines, writes, self.l1.n_sets, self.l1.assoc)
         miss_mask = self.l1.replay_schedule(l1_schedule)
         n_l1_miss = int(np.count_nonzero(miss_mask))
         if self.l2 is None:
             return {"l1": n - n_l1_miss, "l2": 0, "mem": n_l1_miss}
-        memo = self._l2_memo
-        if memo is not None and memo[0] is l1_schedule and np.array_equal(memo[1], miss_mask):
-            sched2 = memo[2]
-        else:
-            self._l2_memo = memo = None  # not held while the next one compiles
-            miss_writes = None
-            if writes is not None:
-                miss_writes = np.asarray(writes, dtype=bool)[miss_mask]
-            sched2 = compile_schedule(lines[miss_mask], miss_writes, self.l2.n_sets, self.l2.assoc)
-            if keep:
-                self._l2_memo = (l1_schedule, miss_mask, sched2)
+        miss_writes = None
+        if writes is not None:
+            miss_writes = np.asarray(writes, dtype=bool)[miss_mask]
+        sched2 = compile_schedule(lines[miss_mask], miss_writes, self.l2.n_sets, self.l2.assoc)
         n_mem = int(np.count_nonzero(self.l2.replay_schedule(sched2)))
         return {"l1": n - n_l1_miss, "l2": n_l1_miss - n_mem, "mem": n_mem}
 

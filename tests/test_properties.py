@@ -22,7 +22,7 @@ from repro.scc import (
     reuse_times,
     window_profile,
 )
-from repro.scc.locality import _link_dtype
+from repro.scc.locality import _link_dtype, stable_argsort
 from repro.sim import Simulator
 from repro.sparse import (
     SUITE,
@@ -370,6 +370,8 @@ class TestLineLinksKeyRanges:
         want_prev, want_nxt = argsort_links(lines)
         assert np.array_equal(prev, want_prev)
         assert np.array_equal(nxt, want_nxt)
+        # The sort reads the key range itself; no caller-supplied bound.
+        assert np.array_equal(stable_argsort(lines), np.argsort(lines, kind="stable"))
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
     def test_boundary_keys(self, dtype):

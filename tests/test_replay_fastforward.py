@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.obs.tracer import Tracer
-from repro.scc import CacheHierarchy, vecreplay
+from repro.scc import CacheHierarchy
 from repro.scc.params import CACHE_LINE_BYTES
 from repro.scc.tracegen import TraceCounts, replay_trace, spmv_address_trace
 from repro.scc.vecreplay import VectorCacheHierarchy, compile_schedule, fingerprints_equal
@@ -114,8 +114,7 @@ def test_supplied_hierarchy_ends_in_the_scalar_state(suite, mid, iterations):
 # -- one validate_exact pass, pinned ---------------------------------------
 
 #: mid -> (replay.steps, replay.simulated_iterations, replay.tail_accesses,
-#: counts) of a cold 16-iteration replay at ``SCALE``, captured before the
-#: L2 schedule was reused across passes.
+#: counts) of a cold 16-iteration replay at ``SCALE``.
 REPLAY_PINS = {
     1: (1348, 2, 4740, TraceCounts(5891664, 48992, 854800)),
     2: (5202, 2, 11652, TraceCounts(19816192, 50432, 2893296)),
@@ -164,20 +163,3 @@ def test_replay_counters_per_matrix(suite):
         assert m.counter("replay.simulated_iterations").value == simulated, mid
         assert m.counter("replay.tail_accesses").value == tail, mid
 
-
-def test_l2_schedule_compiles_only_for_a_new_miss_mask(suite, monkeypatch):
-    # 83 simulated passes over the suite: 27 of them see the L1 miss mask
-    # of the pass before and replay its L2 schedule again.
-    l2_sets = VectorCacheHierarchy().l2.n_sets
-    l2_compiles, real_compile = [], vecreplay.compile_schedule
-
-    def spy(lines, writes, n_sets, assoc):
-        if n_sets == l2_sets:
-            l2_compiles.append(lines.size)
-        return real_compile(lines, writes, n_sets, assoc)
-
-    monkeypatch.setattr(vecreplay, "compile_schedule", spy)
-    for mid in REPLAY_PINS:
-        replay_trace(suite[mid], iterations=16, engine="vectorized", use_disk_cache=False)
-    assert sum(simulated for _, simulated, _, _ in REPLAY_PINS.values()) == 83
-    assert len(l2_compiles) == 56
