@@ -8,24 +8,45 @@ Two controlled knock-outs:
 * inflating the MC bandwidth by 100x must collapse the Fig. 5
   standard-vs-distance-reduction gap at intermediate core counts (the
   mapping win is a memory-contention effect).
+
+Each knock-out is a machine whose memory system is the SCC's with one
+parameter changed, passed to the experiment as ``machine=``; nothing
+global is patched, so the ablated runs cannot share a memo with the
+full model's.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-import repro.scc.memory as scc_memory
 from repro.core import banner, format_series, single_core_at_distance
 from repro.core.experiment import SpMVExperiment
+from repro.machine import SCCMachine
 from repro.sparse import build_matrix
 
 HOPS = [0, 1, 2, 3]
 
 
+class AblatedSCC(SCCMachine):
+    """The SCC with its memory system passed through ``tweak``."""
+
+    def __init__(self, tweak):
+        super().__init__()
+        self.tweak = tweak
+
+    def memory_system(self, config, topology=None):
+        return self.tweak(super().memory_system(config, topology))
+
+
 @pytest.fixture()
-def exp(scale):
-    a = build_matrix(7, scale=min(scale, 0.5))  # sme3Dc: memory-bound
-    e = SpMVExperiment(a, name="sme3Dc")
+def matrix(scale):
+    return build_matrix(7, scale=min(scale, 0.5))  # sme3Dc: memory-bound
+
+
+def experiment(a, machine=None):
+    e = SpMVExperiment(a, name="sme3Dc", machine=machine)
     e.traces(1)
     e.traces(16)
     return e
@@ -37,10 +58,12 @@ def hop_series(exp):
     ]
 
 
-def test_ablation_hop_term(benchmark, capsys, exp, monkeypatch):
-    baseline = hop_series(exp)
-    monkeypatch.setattr(scc_memory, "LAT_MESH_CYCLES_PER_HOP", 0)
-    ablated = benchmark.pedantic(lambda: hop_series(exp), rounds=1, iterations=1)
+def test_ablation_hop_term(benchmark, capsys, matrix):
+    baseline = hop_series(experiment(matrix))
+    no_hops = experiment(
+        matrix, AblatedSCC(lambda mem: replace(mem, lat_mesh_cycles_per_hop=0.0))
+    )
+    ablated = benchmark.pedantic(lambda: hop_series(no_hops), rounds=1, iterations=1)
     with capsys.disabled():
         print(banner("Ablation A1a: Eq. 1 without the mesh-hop term"))
         print(
@@ -64,14 +87,12 @@ def mapping_gap(exp, n_cores=16):
     return std.makespan / dr.makespan
 
 
-def test_ablation_mc_bandwidth(benchmark, capsys, exp, monkeypatch):
-    baseline_gap = mapping_gap(exp)
-    monkeypatch.setattr(
-        scc_memory,
-        "MC_BANDWIDTH_BYTES_PER_SEC_AT_800",
-        scc_memory.MC_BANDWIDTH_BYTES_PER_SEC_AT_800 * 100,
+def test_ablation_mc_bandwidth(benchmark, capsys, matrix):
+    baseline_gap = mapping_gap(experiment(matrix))
+    wide = experiment(
+        matrix, AblatedSCC(lambda mem: replace(mem, bandwidth_per_mc=mem.bandwidth_per_mc * 100))
     )
-    ablated_gap = benchmark.pedantic(lambda: mapping_gap(exp), rounds=1, iterations=1)
+    ablated_gap = benchmark.pedantic(lambda: mapping_gap(wide), rounds=1, iterations=1)
     with capsys.disabled():
         print(banner("Ablation A1b: 100x memory-controller bandwidth"))
         print(

@@ -13,9 +13,8 @@ failures a long campaign meets on a real machine:
   recomputation, never crash or silently drop.
 
 The schedule is drawn from ``--seed`` (deterministic per seed) and
-injected through :data:`repro.core.supervise.CHAOS_ENV`, generalizing
-the single-identity :data:`~repro.core.supervise.CRASH_ENV` hook.  The harness
-then asserts the supervised runtime's core invariant:
+injected through :data:`repro.core.supervise.CHAOS_ENV`, the
+supervisor's one worker-fault hook.  The harness then asserts the supervised runtime's core invariant:
 
 1. the campaign completes — no exception escapes ``Campaign.run``;
 2. every surviving record is **bitwise identical** to the clean serial

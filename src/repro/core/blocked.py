@@ -27,9 +27,9 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
+from ..machine.sccmachine import SCCMachine
 from ..scc.chip import CONF0, SCCConfig
 from ..scc.locality import miss_ratio_curve
-from ..scc.memory import MemorySystem
 from ..scc.params import CACHE_LINE_BYTES, DEFAULT_TIMING, L1D_BYTES, L2_BYTES, P54CTimingParams
 from ..scc.topology import SCCTopology
 from ..sparse.bcsr import BCSRMatrix
@@ -147,7 +147,7 @@ def run_bcsr_timing(
     summaries = batch_access_summaries(
         batch_traces(traces), iterations, l2_enabled=config.l2_enabled, l2_bytes=L2_BYTES
     )
-    mem_system = MemorySystem(topo, mem_mhz=config.mem_mhz)
+    mem_system = SCCMachine().memory_system(config, topo)
     timings = solve_core_times_batched(summaries, core_map, config, mem_system, timing)
     makespan = max(t.time for t in timings)
     return BCSRTimingResult(

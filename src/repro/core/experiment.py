@@ -25,7 +25,7 @@ Performance is reported exactly as in the paper (Sec. IV):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -227,18 +227,25 @@ class SpMVExperiment:
         self._matrix_features: Optional[Any] = None
         self._partition_features_cache: Dict[int, Any] = {}
 
-    # Model-mode caches shared across experiments (class-level): barrier
-    # schedules, solver arrays, chip power and the stateless chip
-    # substrates depend on mapping/config/topology geometry — never on
-    # the matrix — and a machine's topology instances are
-    # interchangeable.  Keys include the machine id and the topology
-    # class so zoo members and exotic subclasses never alias.
-    _shared_mapping_cache: Dict[Tuple, Tuple[int, ...]] = {}
-    _shared_schedule_cache: Dict[Tuple, List[Tuple[int, int, float]]] = {}
+    # Model-mode memos shared across experiments (class-level): core
+    # maps, chip power, the stateless chip substrates and barrier
+    # schedules depend on the machine, its topology and the run's
+    # mapping/config — never on the matrix.  ``_shared`` keys them all
+    # by the machine and topology *objects*, so a re-parameterized
+    # machine never aliases a registry instance; ``_shared_solver_cache``
+    # holds the solver's per-mapping arrays, keyed by memory system.
+    _shared_memo: Dict[Tuple, Any] = {}
     _shared_solver_cache: Dict = {}
-    _shared_power_cache: Dict[Tuple, float] = {}
-    _shared_memsys_cache: Dict[Tuple, Any] = {}
-    _shared_mesh_cache: Dict[Tuple, Any] = {}
+
+    def _shared(self, build: Callable[..., Any], *args: Any) -> Any:
+        """``build(*args)`` on this machine and topology, memoized process-wide."""
+        key = (self.machine, self.topology, build, args)
+        memo = SpMVExperiment._shared_memo
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = build(*args)
+            return value
 
     # -- cached analyses ---------------------------------------------------
 
@@ -340,9 +347,9 @@ class SpMVExperiment:
     ) -> Tuple[List[int], str]:
         """The UE-to-core list and the recorded mapping name of a run.
 
-        A policy name resolves through a memo shared across experiments
-        (pure in its inputs); an explicit core list must name
-        ``n_cores`` cores and is recorded as ``"explicit"``.
+        A policy name resolves through the shared memo (pure in its
+        inputs); an explicit core list must name ``n_cores`` cores and
+        is recorded as ``"explicit"``.
         """
         if not isinstance(mapping, str):
             core_map = list(mapping)
@@ -351,21 +358,7 @@ class SpMVExperiment:
                     f"explicit mapping names {len(core_map)} cores but n_cores={n_cores}"
                 )
             return core_map, "explicit"
-        key = (mapping, n_cores, self.machine.machine_id, self.topology.__class__)
-        cache = SpMVExperiment._shared_mapping_cache
-        cores = cache.get(key)
-        if cores is None:
-            cores = cache[key] = tuple(get_mapping(mapping)(n_cores, self.topology))
-        return list(cores), mapping
-
-    def _chip_power(self, config: MachineConfig) -> float:
-        """Memoized full-chip power of a configuration."""
-        key = (self.machine.machine_id, config)
-        cache = SpMVExperiment._shared_power_cache
-        p = cache.get(key)
-        if p is None:
-            p = cache[key] = self.machine.chip_power(config)
-        return p
+        return list(self._shared(get_mapping(mapping), n_cores, self.topology)), mapping
 
     def _ws_per_core(self, n_cores: int) -> float:
         """Memoized per-core working set of this matrix."""
@@ -373,42 +366,6 @@ class SpMVExperiment:
         if ws is None:
             ws = self._ws_cache[n_cores] = working_set_per_core(self.a, n_cores)
         return ws
-
-    def _model_memory(self, config: MachineConfig) -> Any:
-        """Shared memory system of one configuration (stateless reads)."""
-        key = (self.machine.machine_id, self.topology.__class__, config.mem_mhz)
-        cache = SpMVExperiment._shared_memsys_cache
-        mem = cache.get(key)
-        if mem is None:
-            mem = cache[key] = self.machine.memory_system(
-                config, topology=self.topology
-            )
-        return mem
-
-    def _model_mesh(self, config: MachineConfig) -> Any:
-        """Shared untraced, undegraded interconnect for the fast path."""
-        key = (self.machine.machine_id, self.topology.__class__, config.mesh_mhz)
-        cache = SpMVExperiment._shared_mesh_cache
-        mesh = cache.get(key)
-        if mesh is None:
-            mesh = cache[key] = self.machine.interconnect(
-                config, topology=self.topology
-            )
-        return mesh
-
-    def _barrier_schedule(self, core_map: List[int], mesh: Any):
-        """Memoized resolved barrier schedule for one mapping."""
-        key = (
-            tuple(core_map),
-            mesh.mesh_mhz,
-            self.machine.machine_id,
-            self.topology.__class__,
-        )
-        cache = SpMVExperiment._shared_schedule_cache
-        sched = cache.get(key)
-        if sched is None:
-            sched = cache[key] = resolve_barrier_schedule(core_map, mesh)
-        return sched
 
     # -- mode="predict" features -------------------------------------------
 
@@ -565,7 +522,7 @@ class SpMVExperiment:
             iterations=iterations,
             makespan=makespan,
             per_core=timings,
-            power_watts=self._chip_power(config),
+            power_watts=self._shared(self.machine.chip_power, config),
             ws_per_core_bytes=self._ws_per_core(n_cores),
             y=y,
             machine=self.machine.machine_id,
@@ -597,9 +554,8 @@ class SpMVExperiment:
         # The sim tier keeps the per-UE list entry point: the host-time
         # benchmark's ``warm_sweep`` workload counts its solver calls
         # (``timing.solve_calls``) as a layer the sweep drives.
-        timings = solve_core_times(
-            summary_list(summaries), core_map, config, self._model_memory(config), self.timing
-        )
+        mem = self._shared(self.machine.memory_system, config, self.topology)
+        timings = solve_core_times(summary_list(summaries), core_map, config, mem, self.timing)
         x_vec = x if x is not None else np.ones(self.a.n_cols)
         runtime = RCCERuntime(
             core_map, config=config, topology=self.topology, tracer=tracer
@@ -642,12 +598,14 @@ class SpMVExperiment:
             if exact
             else self._batched_summaries(n_cores, iterations, config.l2_enabled, no_x_miss)
         )
+        mem = self._shared(self.machine.memory_system, config, self.topology)
         timings = solve_core_times_batched(
-            summaries, core_map, config, self._model_memory(config), self.timing,
+            summaries, core_map, config, mem, self.timing,
             cache=SpMVExperiment._shared_solver_cache,
         )
 
-        schedule = self._barrier_schedule(core_map, self._model_mesh(config))
+        mesh = self._shared(self.machine.interconnect, config, self.topology)
+        schedule = self._shared(resolve_barrier_schedule, tuple(core_map), mesh)
         entered = barrier_exit_times([0.0] * n_cores, core_map, schedule=schedule)
         computed = [e + t.time for e, t in zip(entered, timings)]
         return timings, barrier_exit_times(computed, core_map, schedule=schedule)

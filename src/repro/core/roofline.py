@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..machine.sccmachine import SCCMachine
 from ..scc.chip import CONF0, SCCConfig
-from ..scc.memory import MemorySystem
 from ..scc.params import CACHE_LINE_BYTES, DEFAULT_TIMING, P54CTimingParams
 from ..scc.topology import SCCTopology
 from ..sparse.fastpath import batch_access_summaries, batch_traces
@@ -59,7 +59,7 @@ class SCCRoofline:
         self.core_map = list(core_map)
         self.topology = topology or SCCTopology()
         self.timing = timing
-        self.mem = MemorySystem(self.topology, mem_mhz=config.mem_mhz)
+        self.mem = SCCMachine().memory_system(config, self.topology)
 
     @property
     def peak_gflops(self) -> float:

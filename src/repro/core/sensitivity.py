@@ -4,9 +4,10 @@ Four numbers in the model are calibrated rather than published
 (DESIGN.md §5): the P54C issue cost per nonzero, the L2 hit cost, the
 per-row loop overhead, and the per-controller bandwidth.  A reproduction
 whose conclusions flipped under a ±25 % wiggle of those constants would
-be reporting tuning, not architecture.  This module perturbs one
-constant at a time and re-derives the headline *effects* (ratios, not
-absolute MFLOPS):
+be reporting tuning, not architecture.  This module perturbs the three
+P54C timing constants (:data:`PERTURBABLE`) one at a time and
+re-derives the headline *effects* (ratios, not absolute MFLOPS); the
+controller bandwidth is not swept here (ablation A1b scales it 100x):
 
 - Fig. 3's 3-hop degradation,
 - Fig. 5's mapping speedup at 16 cores,

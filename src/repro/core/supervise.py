@@ -47,13 +47,14 @@ which the supervisor observes as EOF and handles like any other death.
 Platforms without ``fork`` (Windows, some macOS configurations) degrade
 to an in-process loop with a warning.
 
-Fault hooks: :data:`CRASH_ENV` names one task identity whose worker dies
-abruptly; :data:`CHAOS_ENV` generalizes it to a *seeded fault schedule*
-— a JSON map from task identity to an OS-level action (``kill``: abrupt
+Fault hook: :data:`CHAOS_ENV` holds a *seeded fault schedule* — a JSON
+map from task identity to an OS-level action (``kill``: abrupt
 ``os._exit``; ``stop``: SIGSTOP yourself and hang; ``raise``: throw)
-applied on selected attempts.  The supervisor reads both variables when
-it dispatches a task and ships their values with it, so a long-lived
-worker follows the schedule as it is now, not as it was at fork.
+applied on selected attempts; ``{"<key>": {"action": "kill", "attempts":
+"all"}}`` makes one task's worker die on every attempt.  The supervisor
+reads the variable when it dispatches a task and ships its value with
+it, so a long-lived worker follows the schedule as it is now, not as it
+was at fork.
 ``repro chaos`` (:mod:`repro.chaos`) uses it to prove the core
 invariant: under any chaos schedule the surviving records are bitwise
 identical to the clean run and the quarantined set is exactly the
@@ -91,7 +92,6 @@ from typing import (
 from ..obs.metrics import MetricsRegistry
 
 __all__ = [
-    "CRASH_ENV",
     "CHAOS_ENV",
     "CHAOS_ACTIONS",
     "ON_FAILURE_LADDER",
@@ -107,22 +107,14 @@ __all__ = [
     "fork_context",
     "in_worker",
     "maybe_chaos",
-    "maybe_crash",
     "supervised_iter_ordered",
     "supervised_parallel_map",
 ]
 
-#: environment variable for deterministic worker-crash injection: set it
-#: to a task's identity string (a :meth:`CampaignPoint.key`) and the
-#: worker that picks that task up dies with ``os._exit`` before running
-#: it — the same abrupt death a kernel OOM kill produces.  Only honoured
-#: inside pool workers, never in the parent process.
-CRASH_ENV = "REPRO_FAULT_WORKER_CRASH"
-
 #: environment variable holding a JSON chaos schedule: a map from task
-#: identity to ``{"action": "kill"|"stop"|"raise", "attempts": [1, ...]
-#: | "all"}``.  Honoured only inside worker processes, like the
-#: single-identity :data:`CRASH_ENV` hook it generalizes.
+#: identity (a :meth:`CampaignPoint.key`) to ``{"action":
+#: "kill"|"stop"|"raise", "attempts": [1, ...] | "all"}``.  Honoured
+#: only inside pool workers, never in the parent process.
 CHAOS_ENV = "REPRO_FAULT_CHAOS"
 
 #: the OS-level actions a chaos schedule may request per attempt.
@@ -134,8 +126,7 @@ CHAOS_ACTIONS = ("kill", "stop", "raise")
 #: retries on the analytic fast path; ``raise`` aborts the sweep.
 ON_FAILURE_LADDER = ("quarantine", "serial", "model", "raise")
 
-#: worker exit code used by the ``kill`` chaos action (distinct from the
-#: crash hook's 17, so post-mortems can tell them apart).
+#: worker exit code used by the ``kill`` chaos action.
 _CHAOS_EXIT = 23
 
 
@@ -305,18 +296,6 @@ class TaskOutcome:
 # -- fault hooks -------------------------------------------------------------
 
 
-def maybe_crash(identity: str, env: Optional[Mapping[str, str]] = None) -> None:
-    """Die abruptly if :data:`CRASH_ENV` names this task (workers only).
-
-    ``env`` is the environment the supervisor saw at dispatch (default:
-    this process's).  ``os._exit`` skips every handler and finalizer —
-    the parent sees the same broken pipe a SIGKILL would produce.
-    """
-    env = os.environ if env is None else env
-    if env.get(CRASH_ENV) == identity and in_worker():
-        os._exit(17)
-
-
 _CHAOS_CACHE: Tuple[Optional[str], Dict[str, Dict[str, Any]]] = (None, {})
 
 
@@ -346,8 +325,10 @@ def maybe_chaos(
     """Apply the scheduled chaos action for this (task, attempt), if any.
 
     Only active inside worker processes — the supervisor itself is never
-    a chaos target.  ``env`` is as for :func:`maybe_crash`.  ``kill``
-    dies abruptly (skipping all finalizers, like a kernel OOM kill),
+    a chaos target.  ``env`` is the environment the supervisor saw at
+    dispatch (default: this process's).  ``kill`` dies abruptly via
+    ``os._exit`` (skipping all finalizers, like a kernel OOM kill — the
+    parent sees the broken pipe a SIGKILL would produce),
     ``stop`` SIGSTOPs the worker so it hangs until the supervisor's
     deadline SIGKILLs it, ``raise`` throws :class:`ChaosInjectedError`
     through the task function.
@@ -388,7 +369,7 @@ def _worker_main(
     """Worker loop: recv ``(task_id, attempt, item, env)``, send the outcome.
 
     Runs in a forked child, so ``func``/``identity_of`` arrive by
-    inheritance (no pickling); ``env`` holds the fault-hook variables
+    inheritance (no pickling); ``env`` holds the fault-hook variable
     the supervisor saw at dispatch.  Any exception — including injected
     chaos — is reported as a formatted traceback; an abrupt death is
     seen by the supervisor as EOF on this worker's private pipe.
@@ -403,7 +384,6 @@ def _worker_main(
         task_id, attempt, item, env = msg
         try:
             identity = identity_of(item)
-            maybe_crash(identity, env)
             maybe_chaos(identity, attempt, env)
             value = func(item)
         except BaseException:  # noqa: BLE001 - report, never die silently
@@ -433,11 +413,11 @@ class _Worker:
     def dispatch(
         self, task_id: int, attempt: int, item: Any, deadline: Optional[float]
     ) -> None:
-        """Send one attempt with the fault-hook variables as they are now,
+        """Send one attempt with the fault-hook variable as it is now,
         so a long-lived worker never acts on a schedule frozen at fork."""
         self.task = task_id
         self.deadline = deadline
-        env = {name: os.environ[name] for name in (CRASH_ENV, CHAOS_ENV) if name in os.environ}
+        env = {CHAOS_ENV: os.environ[CHAOS_ENV]} if CHAOS_ENV in os.environ else {}
         self.conn.send((task_id, attempt, item, env))
 
     def alive(self) -> bool:

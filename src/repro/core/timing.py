@@ -109,19 +109,14 @@ def _chip_arrays(
     ``groups`` pairs each occupied controller's member indices with its
     line capacity, precomputed for
     :func:`repro.sparse.fastpath.equilibrium_line_times`.  All five are
-    pure functions of the mapping, the config and the memory geometry —
-    the expensive per-core topology lookups are memoized in ``cache``
-    (keyed so distinct machines/configs/mappings never collide) when
-    callers sweep many runs.  The Eq.-1-form latency coefficients come
-    from the memory system itself, so every zoo machine's values flow
-    through the same vectorized path.
+    pure functions of the mapping, the config and the memory system —
+    the expensive per-core topology lookups are memoized in ``cache``,
+    keyed by the memory-system object itself, so two machines (or a
+    machine and a re-parameterized copy) never collide.  The
+    Eq.-1-form latency coefficients come from the memory system, so
+    every machine's values flow through the same vectorized path.
     """
-    key = (
-        tuple(core_map),
-        config,
-        mem.line_bytes,
-        getattr(mem, "machine_id", "scc-48"),
-    )
+    key = (mem, tuple(core_map), config)
     if cache is not None and key in cache:
         return cache[key]
     cores = list(core_map)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Mapping, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Any, Dict, Mapping, Optional, Protocol, Tuple, runtime_checkable
 
 __all__ = [
     "DEFAULT_MACHINE",
@@ -173,6 +173,9 @@ class Topology(Protocol):
     @property
     def n_cores(self) -> int: ...
 
+    @property
+    def n_controllers(self) -> int: ...
+
     def mc_index_of_core(self, core: int) -> int: ...
 
     def hops_to_mc(self, core: int) -> int: ...
@@ -189,10 +192,12 @@ class MemorySystemModel(Protocol):
 
     Must expose ``mem_mhz``, ``line_bytes``, ``topology``,
     ``controllers`` (objects with a ``bandwidth`` in bytes/s — the MC
-    contention solver divides by ``line_bytes`` for line capacity), the
-    three Eq.-1-form latency coefficients (``lat_core_cycles``,
-    ``lat_mesh_cycles_per_hop``, ``lat_mem_cycles``) and
-    ``latency_for_core``.
+    contention solver divides by ``line_bytes`` for line capacity) and
+    the three Eq.-1-form latency coefficients (``lat_core_cycles``,
+    ``lat_mesh_cycles_per_hop``, ``lat_mem_cycles``), which
+    :func:`repro.sparse.fastpath.memory_latencies` turns into per-core
+    latencies.  :class:`repro.machine.generic.TableMemorySystem` is the
+    implementation every machine uses.
     """
 
     mem_mhz: float
@@ -200,8 +205,6 @@ class MemorySystemModel(Protocol):
     lat_core_cycles: float
     lat_mesh_cycles_per_hop: float
     lat_mem_cycles: float
-
-    def latency_for_core(self, core: int, core_mhz: float, mesh_mhz: float) -> float: ...
 
 
 class InterconnectModel(Protocol):
@@ -330,5 +333,3 @@ class MachineModel(ABC):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.machine_id!r}: {self.display_name}>"
 
-
-Sequence  # noqa: B018 — re-exported via typing for subclasses' hints

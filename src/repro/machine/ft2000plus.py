@@ -32,6 +32,9 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional
 
+import numpy as np
+
+from ..sparse.fastpath import memory_latencies
 from .base import (
     CacheGeometry,
     CoreTimingParams,
@@ -137,7 +140,6 @@ class FT2000PlusMachine(MachineModel):
             lat_core_cycles=LAT_CORE_CYCLES,
             lat_mesh_cycles_per_hop=LAT_MESH_CYCLES_PER_HOP,
             lat_mem_cycles=LAT_MEM_CYCLES,
-            machine_id=self.machine_id,
         )
 
     def interconnect(
@@ -164,18 +166,20 @@ class FT2000PlusMachine(MachineModel):
         """
         cfg = config or self.default_config
         mem = self.memory_system(cfg)
-        core_mhz = cfg.core_mhz_of_core(0)
-        panel_slots = range(CORES_PER_PANEL)
-        local = sum(
-            mem.latency_for_core(q, core_mhz, cfg.mesh_mhz) for q in panel_slots
-        ) / CORES_PER_PANEL
+        local_hops = np.array(
+            [self._topology.hops_to_mc(q) for q in range(CORES_PER_PANEL)], dtype=np.float64
+        )
         # farthest panel on the 4x2 grid from panel 0 is panel 7: (3, 1).
         max_mesh_hops = (PANEL_GRID_X - 1) + (N_PANELS // PANEL_GRID_X - 1)
-        remote_extra_hops = max_mesh_hops * self.inter_panel_hop_cost
-        remote = local + (
-            LAT_MESH_CYCLES_PER_HOP * remote_extra_hops / (cfg.mesh_mhz * 1e6)
-        )
-        return remote / local
+
+        def mean_latency(hops: np.ndarray) -> float:
+            return float(memory_latencies(
+                hops, cfg.core_mhz_of_core(0), cfg.mesh_mhz, mem.mem_mhz,
+                mem.lat_core_cycles, mem.lat_mesh_cycles_per_hop, mem.lat_mem_cycles,
+            ).mean())
+
+        remote_hops = local_hops + max_mesh_hops * self.inter_panel_hop_cost
+        return mean_latency(remote_hops) / mean_latency(local_hops)
 
     def params(self) -> MachineParams:
         return MachineParams(

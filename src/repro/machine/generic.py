@@ -1,25 +1,24 @@
-"""Reusable concrete substrates for non-SCC machines.
-
-The SCC implementation (:mod:`repro.scc`) keeps its bespoke classes —
-they carry the event-driven runtime hooks the other machines don't
-need.  The machines added on top of it (Xeon Phi ring, FT-2000+ NUMA
-panels) share these table-driven building blocks instead:
+"""Reusable table-driven substrates shared by every machine in the zoo.
 
 - :class:`TableTopology` — topology defined by per-core (MC index,
-  hops-to-MC) tables plus a core-to-core hop function;
+  hops-to-MC) tables plus a core-to-core hop function (the SCC keeps
+  its coordinate-based :class:`repro.scc.topology.SCCTopology`, which
+  answers the same queries);
 - :func:`ring_topology` / :func:`panel_topology` — builders for the
-  two interconnect shapes in the zoo;
+  Xeon Phi ring and the FT-2000+ NUMA panels;
 - :class:`TableMemorySystem` — per-MC bandwidth + the Eq.-1-form
-  latency coefficients, satisfying the same duck surface as
-  :class:`repro.scc.memory.MemorySystem`;
+  latency coefficients, the one memory-system class all three machines
+  use;
 - :class:`HopInterconnect` — point-to-point message timing from the
   hop function (enough for the analytic barrier recurrence).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from .base import Topology
 
 __all__ = [
     "TableTopology",
@@ -184,50 +183,41 @@ class BandwidthController:
     bandwidth: float  #: bytes/second
 
 
+@dataclass(frozen=True, eq=False)
 class TableMemorySystem:
-    """Memory system of a generic machine at one configuration.
+    """Memory system of a machine at one configuration, as plain values.
 
-    Same duck surface the solvers consume from
-    :class:`repro.scc.memory.MemorySystem`: ``mem_mhz``, ``line_bytes``,
-    ``topology``, ``controllers`` (with ``.bandwidth``), the three
-    Eq.-1-form latency coefficients, and ``latency_for_core``.
-    Bandwidth scales linearly with the memory clock around the
-    calibration point, mirroring the SCC controller model.
+    The solvers read ``mem_mhz``, ``line_bytes``, ``topology``,
+    ``controllers`` (with ``.bandwidth``) and the three Eq.-1-form
+    latency coefficients; the latency itself is computed in one place,
+    :func:`repro.sparse.fastpath.memory_latencies`.  Bandwidth scales
+    linearly with the memory clock around the calibration point.
+
+    Instances are immutable values compared by identity: derive a
+    variant with :func:`dataclasses.replace` (e.g. an ablation that
+    zeroes ``lat_mesh_cycles_per_hop``), and the solver memos, which
+    key on the object, never confuse the two.
     """
 
-    def __init__(
-        self,
-        topology: TableTopology,
-        mem_mhz: float,
-        line_bytes: int,
-        bandwidth_per_mc: float,
-        calibration_mem_mhz: float,
-        lat_core_cycles: float,
-        lat_mesh_cycles_per_hop: float,
-        lat_mem_cycles: float,
-        machine_id: str = "",
-    ) -> None:
-        self.topology = topology
-        self.mem_mhz = float(mem_mhz)
-        self.line_bytes = int(line_bytes)
-        self.lat_core_cycles = float(lat_core_cycles)
-        self.lat_mesh_cycles_per_hop = float(lat_mesh_cycles_per_hop)
-        self.lat_mem_cycles = float(lat_mem_cycles)
-        self.machine_id = machine_id
-        scale = self.mem_mhz / float(calibration_mem_mhz)
-        self.controllers = tuple(
-            BandwidthController(i, bandwidth_per_mc * scale)
-            for i in range(topology.n_controllers)
-        )
+    topology: Topology
+    mem_mhz: float
+    line_bytes: int
+    bandwidth_per_mc: float
+    calibration_mem_mhz: float
+    lat_core_cycles: float
+    lat_mesh_cycles_per_hop: float
+    lat_mem_cycles: float
+    controllers: Tuple[BandwidthController, ...] = field(init=False)
 
-    def latency_for_core(self, core: int, core_mhz: float, mesh_mhz: float) -> float:
-        """Uncontended line-fill latency seen by ``core`` (seconds)."""
-        hops = self.topology.hops_to_mc(core)
-        return (
-            self.lat_core_cycles / (core_mhz * 1e6)
-            + self.lat_mesh_cycles_per_hop * hops / (mesh_mhz * 1e6)
-            + self.lat_mem_cycles / (self.mem_mhz * 1e6)
+    def __post_init__(self) -> None:
+        if self.mem_mhz <= 0:
+            raise ValueError(f"mem_mhz must be positive, got {self.mem_mhz}")
+        scale = float(self.mem_mhz) / float(self.calibration_mem_mhz)
+        controllers = tuple(
+            BandwidthController(i, self.bandwidth_per_mc * scale)
+            for i in range(self.topology.n_controllers)
         )
+        object.__setattr__(self, "controllers", controllers)
 
 
 class HopInterconnect:

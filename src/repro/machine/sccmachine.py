@@ -1,12 +1,14 @@
 """The paper's machine — Intel SCC — as the zoo's first member.
 
-Pure delegation to :mod:`repro.scc`: the same ``SCCTopology``,
-``MemorySystem``, ``MeshNetwork``, power model, presets and timing
-objects the experiment core always used, now reached through the
-:class:`repro.machine.base.MachineModel` interface.  Because every
-substrate is the *same object*, SCC-via-MachineModel is bitwise
-identical to the pre-zoo code path (pinned by the golden campaign
-fixture and the differential fastpath harness).
+Delegation to :mod:`repro.scc`: the same ``SCCTopology``,
+``MeshNetwork``, power model, presets and timing objects the
+experiment core always used, now reached through the
+:class:`repro.machine.base.MachineModel` interface.  The memory system
+is the zoo's :class:`~repro.machine.generic.TableMemorySystem` built
+from the :mod:`repro.scc.params` constants (Eq. 1 coefficients, MC
+bandwidth at the 800 MHz calibration clock), so SCC-via-MachineModel
+stays bitwise identical to the pre-zoo code path (pinned by the golden
+campaign fixture and the differential fastpath harness).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from typing import Any, Mapping, Optional
 
 from ..scc.chip import CONF0, PRESETS, SCCConfig
-from ..scc.memory import MemorySystem
 from ..scc.mesh import MeshNetwork
 from ..scc.params import (
     CACHE_ASSOC,
@@ -22,10 +23,15 @@ from ..scc.params import (
     DEFAULT_TIMING,
     L1D_BYTES,
     L2_BYTES,
+    LAT_CORE_CYCLES,
+    LAT_MEM_CYCLES,
+    LAT_MESH_CYCLES_PER_HOP,
+    MC_BANDWIDTH_BYTES_PER_SEC_AT_800,
     P54CTimingParams,
 )
 from ..scc.topology import SCCTopology
 from .base import CacheGeometry, MachineModel, MachineParams
+from .generic import TableMemorySystem
 
 __all__ = ["SCCMachine"]
 
@@ -78,8 +84,17 @@ class SCCMachine(MachineModel):
         self,
         config: SCCConfig,
         topology: Optional[SCCTopology] = None,
-    ) -> MemorySystem:
-        return MemorySystem(topology or self._topology, mem_mhz=config.mem_mhz)
+    ) -> TableMemorySystem:
+        return TableMemorySystem(
+            topology or self._topology,
+            mem_mhz=config.mem_mhz,
+            line_bytes=CACHE_LINE_BYTES,
+            bandwidth_per_mc=MC_BANDWIDTH_BYTES_PER_SEC_AT_800,
+            calibration_mem_mhz=800.0,
+            lat_core_cycles=LAT_CORE_CYCLES,
+            lat_mesh_cycles_per_hop=LAT_MESH_CYCLES_PER_HOP,
+            lat_mem_cycles=LAT_MEM_CYCLES,
+        )
 
     def interconnect(
         self,
@@ -99,7 +114,7 @@ class SCCMachine(MachineModel):
             machine_id=self.machine_id,
             display_name=self.display_name,
             n_cores=self._topology.n_cores,
-            n_controllers=len(self._topology.mc_coords),
+            n_controllers=self._topology.n_controllers,
             cache=_SCC_CACHE,
             interconnect="6x4 2D mesh (XY routing), 4 quadrant MCs",
             source=self.source,

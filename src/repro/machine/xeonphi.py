@@ -132,7 +132,6 @@ class XeonPhiMachine(MachineModel):
             lat_core_cycles=LAT_CORE_CYCLES,
             lat_mesh_cycles_per_hop=LAT_MESH_CYCLES_PER_HOP,
             lat_mem_cycles=LAT_MEM_CYCLES,
-            machine_id=self.machine_id,
         )
 
     def interconnect(

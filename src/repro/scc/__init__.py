@@ -9,7 +9,6 @@ Subpackages model the pieces of the chip the paper's study exercises:
 - :mod:`~repro.scc.vecreplay` — set-parallel vectorized exact replay,
   bitwise-identical to :mod:`~repro.scc.cache` at full Table-I scale.
 - :mod:`~repro.scc.locality` — vectorized reuse/footprint/miss models.
-- :mod:`~repro.scc.memory` — Eq. 1 latency and controller bandwidth.
 - :mod:`~repro.scc.mcqueue` — the FIFO controller queue ablation A3
   checks the bandwidth-sharing closed form against.
 - :mod:`~repro.scc.core_model` — per-core access counts (`AccessSummary`).
@@ -33,7 +32,6 @@ from .locality import (
     window_profile,
 )
 from .mcqueue import CoreWorkload, simulate_controller
-from .memory import MemoryController, MemorySystem, memory_read_latency
 from .mesh import MeshNetwork, xy_route
 from .params import (
     CACHE_ASSOC,
@@ -82,9 +80,6 @@ __all__ = [
     "window_profile",
     "CoreWorkload",
     "simulate_controller",
-    "MemoryController",
-    "MemorySystem",
-    "memory_read_latency",
     "MeshNetwork",
     "xy_route",
     "CACHE_ASSOC",

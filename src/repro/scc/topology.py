@@ -77,6 +77,11 @@ class SCCTopology:
         """Router coordinates of the four memory controllers."""
         return self._mc_coords
 
+    @property
+    def n_controllers(self) -> int:
+        """Number of memory controllers (4, one per quadrant)."""
+        return len(self._mc_coords)
+
     def tile(self, tile_id: int) -> Tile:
         """Tile by id (row-major)."""
         if not 0 <= tile_id < N_TILES:

@@ -8,9 +8,9 @@ import pytest
 from repro.core import solve_core_times
 from repro.core.mapping import get_mapping
 from repro.machine import TableMemorySystem, get_machine
-from repro.scc import CONF0, CONF1, AccessSummary, MemorySystem, SCCTopology
+from repro.scc import CONF0, CONF1, AccessSummary, SCCTopology
 from repro.scc.params import DEFAULT_TIMING
-from repro.sparse.fastpath import equilibrium_line_times
+from repro.sparse.fastpath import equilibrium_line_times, memory_latencies
 
 
 def summaries(n, nnz=100_000, mem_lines=40_000.0):
@@ -22,7 +22,20 @@ def summaries(n, nnz=100_000, mem_lines=40_000.0):
 
 @pytest.fixture(scope="module")
 def mem():
-    return MemorySystem(SCCTopology(), mem_mhz=800)
+    return get_machine("scc-48").memory_system(CONF0)
+
+
+def eq1_latencies(mem, config, cores):
+    """Uncontended Eq. 1 latency of each core (seconds)."""
+    return memory_latencies(
+        np.array([mem.topology.hops_to_mc(c) for c in cores], dtype=np.float64),
+        np.array([config.core_mhz_of_core(c) for c in cores], dtype=np.float64),
+        config.mesh_mhz,
+        mem.mem_mhz,
+        mem.lat_core_cycles,
+        mem.lat_mesh_cycles_per_hop,
+        mem.lat_mem_cycles,
+    ).tolist()
 
 
 def one_controller(base, lines, lat, capacity):
@@ -68,7 +81,7 @@ class TestSolveCoreTimes:
             solve_core_times(summaries(2), [0], CONF0, mem)
 
     def test_clock_mismatch_rejected(self):
-        mem1066 = MemorySystem(SCCTopology(), mem_mhz=1066)
+        mem1066 = get_machine("scc-48").memory_system(CONF1)
         with pytest.raises(ValueError):
             solve_core_times(summaries(1), [0], CONF0, mem1066)
 
@@ -80,7 +93,7 @@ class TestSolveCoreTimes:
 
     def test_single_core_pays_latency(self, mem):
         [t] = solve_core_times(summaries(1), [0], CONF0, mem)
-        lat = mem.latency_for_core(0, 533, 800)
+        [lat] = eq1_latencies(mem, CONF0, [0])
         assert t.line_time == pytest.approx(lat)
         assert t.time > 0
 
@@ -120,9 +133,9 @@ class TestSolveCoreTimes:
         assert t.mem_stall_fraction == 0.0
 
     def test_conf1_faster(self):
-        topo = SCCTopology()
-        mem0 = MemorySystem(topo, mem_mhz=800)
-        mem1 = MemorySystem(topo, mem_mhz=1066)
+        scc = get_machine("scc-48")
+        mem0 = scc.memory_system(CONF0)
+        mem1 = scc.memory_system(CONF1)
         s = summaries(1)
         [t0] = solve_core_times(s, [0], CONF0, mem0)
         [t1] = solve_core_times(s, [0], CONF1, mem1)
@@ -181,7 +194,6 @@ def _starved(machine_id, n_cores, divisor=50.0):
         lat_core_cycles=real.lat_core_cycles,
         lat_mesh_cycles_per_hop=real.lat_mesh_cycles_per_hop,
         lat_mem_cycles=real.lat_mem_cycles,
-        machine_id=real.machine_id,
     )
     return _varied(n_cores), list(range(n_cores)), config, mem, machine.timing
 
@@ -410,5 +422,5 @@ class TestSolverPins:
     def test_case_saturates(self, case):
         s, cores, config, mem, timing = pin_cases()[case]
         timings = solve_core_times(s, cores, config, mem, timing)
-        lat = [mem.latency_for_core(c, config.core_mhz_of_core(c), config.mesh_mhz) for c in cores]
+        lat = eq1_latencies(mem, config, cores)
         assert any(t.line_time > la for t, la in zip(timings, lat))

@@ -16,9 +16,13 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from repro.core import Campaign, SpMVExperiment, single_core_at_distance
-from repro.scc import CONF0, CONF1, CONF2, memory_read_latency
+from repro.machine import SCCMachine
+from repro.scc import CONF0, CONF1, CONF2
 from repro.sparse import build_matrix
+from repro.sparse.fastpath import memory_latencies
 
 SCALE = 0.25
 REL = 5e-3
@@ -36,11 +40,20 @@ def na5():
     return SpMVExperiment(build_matrix(30, scale=SCALE), name="Na5")
 
 
+def eq1(hops, config):
+    """Eq. 1 latency of a ``hops``-away core with the SCC's coefficients."""
+    mem = SCCMachine().memory_system(config)
+    return float(memory_latencies(
+        np.float64(hops), np.float64(config.core_mhz), config.mesh_mhz, mem.mem_mhz,
+        mem.lat_core_cycles, mem.lat_mesh_cycles_per_hop, mem.lat_mem_cycles,
+    ))
+
+
 class TestGoldenLatencies:
     def test_eq1_values(self):
-        assert memory_read_latency(0, 533, 800, 800) == pytest.approx(132.55e-9, rel=1e-4)
-        assert memory_read_latency(3, 533, 800, 800) == pytest.approx(162.55e-9, rel=1e-4)
-        assert memory_read_latency(0, 800, 1600, 1066) == pytest.approx(93.15e-9, rel=1e-3)
+        assert eq1(0, CONF0) == pytest.approx(132.55e-9, rel=1e-4)
+        assert eq1(3, CONF0) == pytest.approx(162.55e-9, rel=1e-4)
+        assert eq1(0, CONF1) == pytest.approx(93.15e-9, rel=1e-3)
 
 
 class TestGoldenPower:

@@ -19,13 +19,10 @@ import pytest
 from repro.core.campaign import Campaign
 from repro.core.supervise import (
     CHAOS_ENV,
-    CRASH_ENV,
     QuarantinedTaskError,
     SupervisePolicy,
     available_parallelism,
     fork_context,
-    in_worker,
-    maybe_crash,
     supervised_iter_ordered,
     supervised_parallel_map,
 )
@@ -143,11 +140,6 @@ class TestPrimitives:
             out = sup.supervised_parallel_map(_square, [1, 2, 3], workers=4)
         assert out == [1, 4, 9]
 
-    def test_maybe_crash_is_inert_in_the_parent(self, monkeypatch):
-        monkeypatch.setenv(CRASH_ENV, "some:task")
-        assert not in_worker()
-        maybe_crash("some:task")  # must NOT kill the test process
-
     def test_available_parallelism_positive(self):
         assert available_parallelism() >= 1
 
@@ -169,7 +161,8 @@ class TestCampaignParallel:
         serial.run(points)
 
         crashy = _campaign(tmp_path, "crashy")
-        monkeypatch.setenv(CRASH_ENV, points[3].key())
+        kill_always = {points[3].key(): {"action": "kill", "attempts": "all"}}
+        monkeypatch.setenv(CHAOS_ENV, json.dumps(kill_always))
         assert crashy.run(points, workers=2) == (len(points), 0)
         assert crashy.status_counts() == {"ok": len(points) - 1, "quarantined": 1}
         assert crashy.completed_keys() == {pt.key() for pt in points} - {
@@ -179,7 +172,7 @@ class TestCampaignParallel:
             SupervisePolicy().max_attempts
         )
 
-        monkeypatch.delenv(CRASH_ENV)
+        monkeypatch.delenv(CHAOS_ENV)
         assert crashy.run(points, workers=2) == (1, len(points) - 1)
         # no gaps, no duplicates, and the serial run's records
         assert crashy.completed_keys() == {pt.key() for pt in points}
@@ -342,7 +335,7 @@ class TestMergeFlatSummaries:
         assert serial == left == right
 
 
-def test_crash_env_documented_name():
-    """The test hook's env var is part of the public resume contract."""
-    assert CRASH_ENV == "REPRO_FAULT_WORKER_CRASH"
-    assert os.environ.get(CRASH_ENV) is None
+def test_chaos_env_documented_name():
+    """The fault hook's env var is part of the public resume contract."""
+    assert CHAOS_ENV == "REPRO_FAULT_CHAOS"
+    assert os.environ.get(CHAOS_ENV) is None

@@ -7,7 +7,8 @@ import pytest
 import numpy as np
 
 from repro.core import solve_core_times
-from repro.scc import CONF0, AccessSummary, DEFAULT_TIMING, MemorySystem, P54CTimingParams
+from repro.machine import SCCMachine
+from repro.scc import CONF0, AccessSummary, DEFAULT_TIMING, P54CTimingParams
 from repro.sparse.fastpath import BatchedSummaries, base_compute_times
 
 
@@ -64,7 +65,7 @@ class TestCoreTime:
 
     def test_memory_term_additive(self):
         s = summary(l2_misses=1000)
-        [t] = solve_core_times([s], [0], CONF0, MemorySystem(mem_mhz=800))
+        [t] = solve_core_times([s], [0], CONF0, SCCMachine().memory_system(CONF0))
         assert t.time - compute_time(s, 533) == pytest.approx(1000 * t.line_time)
 
     def test_row_overhead_hurts_short_rows(self):
