@@ -78,12 +78,14 @@ def solve_core_times(
     config: MachineConfig,
     mem: Any,
     timing: P54CTimingParams = DEFAULT_TIMING,
+    cache: Optional[Dict] = None,
 ) -> List[CoreTiming]:
     """Exact per-core times under MC bandwidth sharing.
 
     Columnizes the per-UE summaries and solves them with
-    :func:`solve_core_times_batched`, the one controller solver.  A
-    batch holds one iteration count, so mixed counts are rejected.
+    :func:`solve_core_times_batched`, the one controller solver, passing
+    ``cache`` through.  A batch holds one iteration count, so mixed
+    counts are rejected.
     """
     iterations = {s.iterations for s in summaries}
     if len(iterations) > 1:
@@ -95,7 +97,7 @@ def solve_core_times(
         l2_hits=np.array([s.l2_hits for s in summaries], dtype=np.float64),
         l2_misses=np.array([s.l2_misses for s in summaries], dtype=np.float64),
     )
-    return solve_core_times_batched(batch, core_map, config, mem, timing)
+    return solve_core_times_batched(batch, core_map, config, mem, timing, cache)
 
 
 def _chip_arrays(

@@ -26,13 +26,16 @@ module defines the contract a machine must satisfy for
 This module is deliberately free of imports from the rest of the
 package: concrete machines (:mod:`repro.machine.sccmachine`,
 :mod:`repro.machine.xeonphi`, :mod:`repro.machine.ft2000plus`) depend
-on it, never the other way around.
+on it, never the other way around (:meth:`MachineModel.cache_key`
+alone looks up the registry instance, at call time).
 """
 
 from __future__ import annotations
 
+import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Dict, Mapping, Optional, Protocol, Tuple, runtime_checkable
 
 __all__ = [
@@ -312,15 +315,50 @@ class MachineModel(ABC):
         return self.topology.n_cores
 
     def cache_key(self) -> str:
-        """Stable token mixed into content-store addresses.
+        """Stable token mixed into content-store and predictor addresses.
 
         Two machines must never share a key (the same matrix replayed
-        or modeled on different machines is a different artifact).  A
-        *structural* change to an existing machine must be accompanied
-        by a schema-version bump at the consuming store namespace —
-        exactly the rule the SCC constants already follow.
+        or modeled on different machines is a different artifact).  The
+        key is ``machine_id`` when the machine's values equal those of
+        the registry instance of that id, and ``machine_id@<digest>``
+        otherwise, so a re-parameterized machine never answers from the
+        registry machine's entries.  A *structural* change to an
+        existing machine must be accompanied by a schema-version bump at
+        the consuming store namespace — exactly the rule the SCC
+        constants already follow.
         """
-        return self.machine_id
+        # The registry depends on this module; resolve it at call time.
+        from .registry import MACHINE_REGISTRY, get_machine
+
+        if self.machine_id in MACHINE_REGISTRY:
+            registered = get_machine(self.machine_id)
+            if registered is self or registered._values_digest == self._values_digest:
+                return self.machine_id
+        return f"{self.machine_id}@{self._values_digest[:16]}"
+
+    @cached_property
+    def _values_digest(self) -> str:
+        """SHA-256 of the values a model answer depends on.
+
+        The provenance record, the core timing, the default
+        configuration's memory system (clock, line size, Eq.-1
+        coefficients, per-controller bandwidth, each core's controller
+        and hop count) and the interconnect's core-to-core token times.
+        """
+        config = self.default_config
+        mem = self.memory_system(config)
+        net = self.interconnect(config)
+        cores = range(self.topology.n_cores)
+        values = (
+            self.params(),
+            self.timing,
+            (mem.mem_mhz, mem.line_bytes, mem.lat_core_cycles,
+             mem.lat_mesh_cycles_per_hop, mem.lat_mem_cycles),
+            tuple(c.bandwidth for c in mem.controllers),
+            tuple((mem.topology.mc_index_of_core(c), mem.topology.hops_to_mc(c)) for c in cores),
+            tuple(net.core_message_time(a, b, 8) for a in cores for b in cores),
+        )
+        return hashlib.sha256(repr(values).encode()).hexdigest()
 
     @abstractmethod
     def params(self) -> MachineParams:

@@ -25,7 +25,10 @@ locality (Xiang et al., "HOTL", ASPLOS'13):
    window has footprint larger than ``C`` lines.  Since ``fp(w) <= w``,
    the largest window that fits is found on a short prefix of the
    curve: ``fp`` is evaluated on ``[0, top]`` only, doubling ``top``
-   from ``2 * (floor(C) + 1)`` until the footprint exceeds ``C``.
+   from ``2 * (floor(C) + 1)`` until the footprint exceeds ``C``.  Each
+   doubling extends the prefix from the last bin it reached, and a
+   second capacity (L2 after L1) first searches the prefix the first
+   one built, so a window computes each footprint bin at most once.
 
 Step 3 is exact for fully-associative LRU under the average-footprint
 approximation and is a tight model for the SCC's 4-way pseudo-LRU L2;
@@ -38,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -213,8 +216,8 @@ class FootprintCurve:
         return max(idx, 0)
 
 
-def _raw_footprint(profile: ReuseProfile, top: int) -> np.ndarray:
-    """Unclipped average footprint ``fp[w]`` for ``w`` in ``0..top``.
+class _FootprintPrefix:
+    """The unclipped average footprint ``fp[w]`` of one window, from ``w = 0``.
 
     Xiang's formula for accesses numbered 1..n over m distinct lines::
 
@@ -227,44 +230,94 @@ def _raw_footprint(profile: ReuseProfile, top: int) -> np.ndarray:
     ``r_k = n + 1 - last_k`` its reverse last-access time.  ``D`` is
     linear in the histogram, so the three histograms merge into one
     ``H``, and ``D(w) = (T1 - P1(w)) - w * (T0 - P0(w))`` with ``P0`` and
-    ``P1`` the prefix sums of ``H[t]`` and ``t * H[t]``.  Only bins
-    ``<= top`` enter, so the cost is O(top) past the window profile.
-    The totals need no pass at all: every access but a line's first is a
-    reuse, so ``T0 = (n - m) + 2m``, and a line's reuse times telescope
-    to ``last_k - f_k``, so ``T1 = m * (n + 1)``.
+    ``P1`` the prefix sums of ``H[t]`` and ``t * H[t]``.  The totals need
+    no pass at all: every access but a line's first is a reuse, so
+    ``T0 = (n - m) + 2m``, and a line's reuse times telescope to
+    ``last_k - f_k``, so ``T1 = m * (n + 1)``.
+
+    :meth:`extend` computes the bins past the last one reached, carrying
+    ``P0`` and ``P1`` forward as two int64 running sums, so each bin is
+    computed once however often the prefix grows, at O(new bins) past
+    the window profile.  The bins are kept as the chunks each call
+    produced (joining them would copy the whole prefix on every call).
 
     ``D`` is exact int64, and every partial sum of it is an integer
     below ``3n**2``.  While ``3n**2 < 2**53`` (windows under ~5e7
     accesses; the largest suite window, at scale 1.0, is ~2.3e7) ``D`` is
     exact in a double too, so each ``fp`` is bitwise the same whatever
-    order the three sums are taken in.
+    order the three sums are taken in and however the bins are chunked.
     """
-    n, m = profile.n_accesses, profile.n_lines
-    w = np.arange(top + 1, dtype=np.int64)
-    # First and last times are ascending: the bins <= top are a prefix
-    # of the first times and a suffix of the last times.
-    firsts = profile.first_times[: np.searchsorted(profile.first_times, top, side="right")]
-    lasts = profile.last_times[np.searchsorted(profile.last_times, n + 1 - top) :]
-    hist = np.bincount(firsts, minlength=top + 1)
-    hist += profile.reuse_hist[: top + 1]
-    hist += np.bincount(n + 1 - lasts, minlength=top + 1)
-    count_above = np.cumsum(hist)
-    np.subtract(n + m, count_above, out=count_above)
-    deficit = np.cumsum(np.multiply(hist, w, out=hist), out=hist)
-    np.subtract(m * (n + 1), deficit, out=deficit)
-    deficit -= np.multiply(w, count_above, out=count_above)
-    fp = np.true_divide(deficit, np.subtract(n + 1, w, out=w))
-    np.subtract(m, fp, out=fp)
-    fp[0] = 0.0
-    return fp
+
+    def __init__(self, profile: ReuseProfile) -> None:
+        self.profile = profile
+        #: consecutive runs of ``fp``; the first starts at ``w = 0``.
+        self.chunks: List[np.ndarray] = []
+        #: the last bin computed (-1: none yet).
+        self.reach = -1
+        self._count = 0   # P0(reach)
+        self._weight = 0  # P1(reach)
+
+    def extend(self, top: int) -> np.ndarray:
+        """Compute ``fp[reach + 1 .. top]``, keep it as a chunk and return it."""
+        p = self.profile
+        n, m = p.n_accesses, p.n_lines
+        lo = self.reach + 1
+        w = np.arange(lo, top + 1, dtype=np.int64)
+        # First and last times are ascending: the bins in [lo, top] are a
+        # run of the first times and a run of the last times.
+        ft, lt = p.first_times, p.last_times
+        firsts = ft[np.searchsorted(ft, lo) : np.searchsorted(ft, top, side="right")]
+        lasts = lt[np.searchsorted(lt, n + 1 - top) : np.searchsorted(lt, n + 1 - lo, side="right")]
+        hist = np.bincount(firsts - lo, minlength=w.size)
+        hist += p.reuse_hist[lo : top + 1]
+        hist += np.bincount(n + 1 - lo - lasts, minlength=w.size)
+        count_above = np.cumsum(hist)
+        count_above += self._count
+        self._count = int(count_above[-1])
+        np.subtract(n + m, count_above, out=count_above)
+        deficit = np.cumsum(np.multiply(hist, w, out=hist), out=hist)
+        deficit += self._weight
+        self._weight = int(deficit[-1])
+        np.subtract(m * (n + 1), deficit, out=deficit)
+        deficit -= np.multiply(w, count_above, out=count_above)
+        fp = np.true_divide(deficit, np.subtract(n + 1, w, out=w))
+        np.subtract(m, fp, out=fp)
+        if lo == 0:
+            fp[0] = 0.0
+        self.chunks.append(fp)
+        self.reach = top
+        return fp
+
+    def first_over(self, capacity: float, top: int) -> Optional[int]:
+        """The first ``w`` with ``fp[w] > capacity``; None if no ``w <= n``.
+
+        Searches the chunks already computed, then extends the prefix to
+        ``top`` and doubles it (past the reach) until a chunk holds an
+        exceedance or the prefix covers the whole window.
+        """
+        start = 0
+        for fp in self.chunks:
+            over = fp > capacity
+            if over.any():
+                return start + int(over.argmax())
+            start += fp.size
+        n = self.profile.n_accesses
+        while self.reach < n:
+            while top <= self.reach:
+                top *= 2
+            over = self.extend(min(top, n)) > capacity
+            if over.any():
+                return start + int(over.argmax())
+            start += over.size
+        return None
 
 
 def footprint_curve(profile: ReuseProfile) -> FootprintCurve:
-    """The whole average-footprint curve ``fp(0..n)`` (:func:`_raw_footprint`)."""
+    """The whole average-footprint curve ``fp(0..n)`` (:class:`_FootprintPrefix`)."""
     n, m = profile.n_accesses, profile.n_lines
     if n == 0:
         return FootprintCurve(0, 0, np.zeros(1, dtype=np.float64))
-    fp = _raw_footprint(profile, n)
+    fp = _FootprintPrefix(profile).extend(n)
     # Guard numerical noise: fp must be within [0, m] and non-decreasing.
     np.clip(fp, 0.0, float(m), out=fp)
     np.maximum.accumulate(fp, out=fp)
@@ -275,11 +328,16 @@ def footprint_curve(profile: ReuseProfile) -> FootprintCurve:
 class MissRatioCurve:
     """Predicted LRU misses of a stream as a function of cache capacity.
 
-    The footprint is evaluated on demand, per capacity; use
+    The footprint is evaluated on demand and kept: a later capacity
+    searches what an earlier one computed before extending it.  Use
     ``footprint_curve(mrc.profile)`` for the whole curve.
     """
 
     profile: ReuseProfile
+
+    @cached_property
+    def _prefix(self) -> _FootprintPrefix:
+        return _FootprintPrefix(self.profile)
 
     def misses(self, capacity_lines: float) -> int:
         """Total predicted misses (cold + capacity) at the given capacity.
@@ -295,15 +353,10 @@ class MissRatioCurve:
             return n
         if capacity_lines >= m:
             return m  # fp <= m exactly, so every window fits
-        top = 2 * (int(capacity_lines) + 1)
-        while True:
-            over = _raw_footprint(self.profile, min(top, n)) > capacity_lines
-            if over.any() or top >= n:
-                break
-            top *= 2
         # 0 < C < m: the first raw exceedance is the first of the clipped
         # running maximum, and fp(0) = 0 <= C keeps w* >= 0.
-        w_star = int(over.argmax()) - 1 if over.any() else n
+        first = self._prefix.first_over(capacity_lines, 2 * (int(capacity_lines) + 1))
+        w_star = n if first is None else first - 1
         return m + int(self.profile.reuse_hist[w_star + 1 :].sum())
 
     def miss_ratio(self, capacity_lines: float) -> float:

@@ -151,6 +151,7 @@ class SCCTopology:
         """
         return tuple(sorted(range(N_CORES), key=lambda c: (self.hops_to_mc(c), c)))
 
+    @lru_cache(maxsize=None)
     def cores_at_distance(self, hops: int) -> Tuple[int, ...]:
         """Cores whose private-memory MC is exactly ``hops`` away."""
         return tuple(c for c in range(N_CORES) if self.hops_to_mc(c) == hops)

@@ -202,7 +202,9 @@ def _equilibrium_t_star(
 
     ``members`` holds ``(base_time, mem_lines, latency)`` per core of the
     group; cores without memory lines add no demand.  This is the only
-    bisection of the controller law (docs/MODEL.md §5).  The demand sum
+    bisection of the controller law (docs/MODEL.md §5);
+    :func:`equilibrium_line_times` calls it only when some controller is
+    saturated at its latency floor.  The demand sum
     deliberately runs as a sequential interpreter loop — controller
     groups hold at most a dozen cores, where ufunc dispatch costs more
     than the arithmetic, and left-to-right summation keeps every
@@ -254,9 +256,28 @@ def equilibrium_line_times(
     latency.
 
     ``groups`` — precomputed ``(member_indices, capacity)`` pairs, one
-    per occupied controller — skips the per-call grouping; sweeps derive
-    it once per mapping/config from ``mc_index`` and pass it in.
+    per occupied controller, members in index order — skips the
+    per-call grouping; sweeps derive it once per mapping/config from
+    ``mc_index`` and ``capacities`` and pass it in.
+
+    Most controllers are unsaturated: their demand at the latency floor,
+    ``D(latency)``, is within capacity, and every member just pays its
+    latency.  One vectorized pass checks that for all controllers at
+    once; ``np.bincount`` sums each controller's members left to right
+    in index order, the order of the bisection's own demand sum, so the
+    check is bitwise the bisection's first step.  Only when some
+    controller is saturated do the groups go to the bisection.
     """
+    share = np.divide(
+        mem_lines,
+        base_times + mem_lines * latencies,
+        out=np.zeros(mem_lines.size),
+        where=mem_lines > 0,  # a member without lines adds no demand
+    )
+    caps = np.asarray(capacities, dtype=np.float64)
+    floor_demand = np.bincount(mc_index, weights=share, minlength=caps.size)
+    if (floor_demand <= caps).all():
+        return np.array(latencies, dtype=np.float64)
     base_l = base_times.tolist()
     lines_l = mem_lines.tolist()
     lat_l = latencies.tolist()

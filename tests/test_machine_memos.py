@@ -20,7 +20,7 @@ import pytest
 import repro
 from repro.core import single_core_at_distance
 from repro.core.experiment import SpMVExperiment
-from repro.machine import FT2000PlusMachine, SCCMachine
+from repro.machine import FT2000PlusMachine, SCCMachine, get_machine
 from repro.sparse import build_matrix
 
 STRETCHED_FT = """
@@ -77,3 +77,39 @@ def test_zero_hop_coefficient_flattens_the_hop_series(mode):
     assert full[3] > full[0]
     assert flat == [flat[0]] * 4
     assert flat[0] == full[0]
+
+
+def test_registry_valued_machines_keep_the_machine_id():
+    assert SCCMachine().cache_key() == "scc-48"
+    assert FT2000PlusMachine().cache_key() == "ft2000plus-64"
+    stretched = FT2000PlusMachine(inter_panel_hop_cost=40).cache_key()
+    assert stretched.startswith("ft2000plus-64@")
+    assert FT2000PlusMachine(inter_panel_hop_cost=40).cache_key() == stretched
+
+
+def test_reparameterized_machine_gets_its_own_predictor():
+    from repro.predict.artifact import (
+        PredictFallbackWarning,
+        get_predictor,
+        install_predictor,
+    )
+
+    m = object()
+    install_predictor(get_machine("ft2000plus-64"), m)
+    assert get_predictor(FT2000PlusMachine()) is m
+    with pytest.warns(PredictFallbackWarning):
+        assert get_predictor(FT2000PlusMachine(inter_panel_hop_cost=40)) is not m
+
+
+def test_reparameterized_scc_gets_its_own_replay_key():
+    from repro.scc.tracegen import DEFAULT_LAYOUT, _replay_cache_key
+
+    a = build_matrix(24, scale=0.02)
+
+    def replay_key(machine):
+        return _replay_cache_key(
+            a, 0, a.n_rows, 1, False, True, DEFAULT_LAYOUT, machine.cache_key()
+        )
+
+    assert replay_key(SCCMachine()) == replay_key(get_machine("scc-48"))
+    assert replay_key(FlatMeshSCC()) != replay_key(SCCMachine())

@@ -497,16 +497,28 @@ cyclic_streams = st.builds(
 )
 
 
-def record_tops(monkeypatch):
-    """Record the prefix lengths ``misses`` evaluates the footprint on."""
-    tops, raw = [], locality._raw_footprint
+def record_bins(monkeypatch):
+    """Record the bin ranges ``(lo, top)`` the footprint prefix computes."""
+    ranges, extend = [], locality._FootprintPrefix.extend
 
-    def spy(profile, top):
-        tops.append(top)
-        return raw(profile, top)
+    def spy(self, top):
+        ranges.append((self.reach + 1, top))
+        return extend(self, top)
 
-    monkeypatch.setattr(locality, "_raw_footprint", spy)
-    return tops
+    monkeypatch.setattr(locality._FootprintPrefix, "extend", spy)
+    return ranges
+
+
+def first_exceedance(profile, capacity):
+    """First ``w`` of the whole raw footprint above ``capacity``, or None."""
+    over = locality._FootprintPrefix(profile).extend(profile.n_accesses) > capacity
+    return int(over.argmax()) if over.any() else None
+
+
+def assert_each_bin_once(ranges):
+    """The recorded ranges tile ``[0, top]`` in order, with no bin twice."""
+    assert [lo for lo, _top in ranges] == [0] + [top + 1 for _lo, top in ranges[:-1]]
+    assert all(lo <= top for lo, top in ranges)
 
 
 class TestFootprintPrefixSearch:
@@ -536,7 +548,7 @@ class TestFootprintPrefixSearch:
                     caps = (l1, l2) + edge_capacities(mrc.profile.n_lines)
                     assert_matches_reference(mrc, caps)
 
-    def test_search_grows_to_the_whole_window(self, monkeypatch):
+    def test_search_computes_each_bin_once(self, monkeypatch):
         # A cycle of 5 lines, then one new line: fp(w) = 5 + 1/(n - w + 1)
         # past w = 5, which exceeds 5.5 only at w = n.  fp(n) == m exactly,
         # so 0 < C < m always finds an exceedance by top == n.
@@ -544,17 +556,50 @@ class TestFootprintPrefixSearch:
         mrc = miss_ratio_curve(lines)
         n = mrc.profile.n_accesses
         assert footprint_curve(mrc.profile).values[-1] == mrc.profile.n_lines
-        tops = record_tops(monkeypatch)
+        ranges = record_bins(monkeypatch)
         assert mrc.misses(5.5) == reference_misses(mrc.profile, 5.5)
-        assert tops == [12, 24, 48, 96, 192, n]
+        assert ranges == [(0, 12), (13, 24), (25, 48), (49, 96), (97, 192), (193, n)]
+        # The whole window is reached: later capacities compute nothing.
+        for cap in (4.5, 5.9, 5.5):
+            assert mrc.misses(cap) == reference_misses(mrc.profile, cap)
+        assert len(ranges) == 6
 
-    def test_exceedance_in_the_last_doubling(self, monkeypatch):
+    def test_second_capacity_resumes_from_the_first(self, monkeypatch):
         # Each line read 8 times running: fp(w) ~ w / 8 + 1.
         mrc = miss_ratio_curve(np.repeat(np.arange(100), 8))
-        tops = record_tops(monkeypatch)
+        ranges = record_bins(monkeypatch)
         assert mrc.misses(3.5) == reference_misses(mrc.profile, 3.5)
-        assert tops == [8, 16, 32]
-        assert tops[-1] < mrc.profile.n_accesses
+        assert ranges == [(0, 8), (9, 16), (17, 32)]
+        assert mrc.misses(20.5) == reference_misses(mrc.profile, 20.5)
+        assert ranges[3:] == [(33, 42), (43, 84), (85, 168)]
+        assert ranges[-1][1] < mrc.profile.n_accesses
+        for cap in (3.5, 20.5):
+            assert mrc._prefix.first_over(cap, 2) == first_exceedance(mrc.profile, cap)
+
+    @SET
+    @given(
+        windowed_streams(),
+        st.lists(st.floats(0.0, 50.0), min_size=1, max_size=4),
+    )
+    def test_capacities_share_one_prefix(self, case, caps):
+        # Whatever order the capacities come in, the window computes each
+        # bin at most once, finds the exceedance the whole curve has, and
+        # its chunks are bitwise the one-pass curve.
+        lines, lo, hi = case
+        mrc = miss_ratio_curve(links=line_links(lines), lo=lo, hi=hi)
+        profile = mrc.profile
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            ranges = record_bins(monkeypatch)
+            for cap in caps:
+                assert mrc.misses(cap) == reference_misses(profile, cap), cap
+        for cap in caps:
+            if 0 < cap < profile.n_lines:
+                got = mrc._prefix.first_over(cap, 2 * (int(cap) + 1))
+                assert got == first_exceedance(profile, cap), cap
+        if ranges:
+            assert_each_bin_once(ranges)
+            whole = locality._FootprintPrefix(profile).extend(ranges[-1][1])
+            assert np.concatenate(mrc._prefix.chunks).tobytes() == whole.tobytes()
 
 
 class TestLocalityRejectsBadInput:
